@@ -9,11 +9,14 @@ Two stacked constructions over a baseline cdf G:
 
 All functions are pure, accept scalar or array ``x``/``u`` and return a
 matching float or ndarray.  Stable ``expm1``/``log1p`` forms are used
-throughout so both signs of ``b`` and near-zero tilts evaluate cleanly.
+throughout so both signs of ``b`` and near-zero tilts evaluate cleanly;
+for ``b < 0`` the Poisson layer is factored by ``exp(b)`` so that no
+intermediate overflows, however negative ``b`` is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,20 +165,32 @@ def tg_quantile(u, alpha, baseline):
 def ptg_cdf(x, p):
     """Poisson transmuted-G cdf.
 
-    Computed as ``expm1(-beta*T) / expm1(-beta)`` with T the transmuted cdf,
-    which is exact at both endpoints and stable for either sign of beta.
+    Computed as ``expm1(-beta*T) / expm1(-beta)`` with T the transmuted cdf
+    for beta > 0, and for beta = -b < 0 as
+    ``exp(b*(T-1)) * expm1(-b*T) / expm1(-b)``, the same ratio with exp(b)
+    cancelled.  Both are exact at the endpoints and overflow for no beta.
     """
     x, scalar = _validated_x(x)
     t = tg_cdf(x, p.alpha, p.baseline)
-    return _ret(np.expm1(-p.beta * t) / np.expm1(-p.beta), scalar)
+    if p.beta > 0:
+        return _ret(np.expm1(-p.beta * t) / np.expm1(-p.beta), scalar)
+    b = -p.beta
+    return _ret(np.exp(b * (t - 1.0)) * np.expm1(-b * t) / np.expm1(-b), scalar)
 
 
 def ptg_pdf(x, p):
-    """Poisson transmuted-G density."""
+    """Poisson transmuted-G density ``beta * f_tg * exp(-beta*T) / (1 - exp(-beta))``.
+
+    For beta = -b < 0, exp(b) is cancelled from numerator and denominator:
+    ``b * f_tg * exp(b*(T-1)) / (1 - exp(-b))``.
+    """
     x, scalar = _validated_x(x)
     t = tg_cdf(x, p.alpha, p.baseline)
     f_tg = tg_pdf(x, p.alpha, p.baseline)
-    return _ret(p.beta * f_tg * np.exp(-p.beta * t) / (-np.expm1(-p.beta)), scalar)
+    if p.beta > 0:
+        return _ret(p.beta * f_tg * np.exp(-p.beta * t) / (-np.expm1(-p.beta)), scalar)
+    b = -p.beta
+    return _ret(b * f_tg * np.exp(b * (t - 1.0)) / (-np.expm1(-b)), scalar)
 
 
 def ptg_log_pdf(x, p):
@@ -188,9 +203,11 @@ def ptg_log_pdf(x, p):
     g = p.baseline.cdf(x)
     fac = 1.0 + p.alpha - 2.0 * p.alpha * g
     t = g * (1.0 + p.alpha - p.alpha * g)
-    # beta / (1 - exp(-beta)) is positive for both signs of beta, so the
-    # two absolute values below cancel in pairs.
-    const = np.log(abs(p.beta)) - np.log(abs(np.expm1(-p.beta)))
+    # log(beta / (1 - exp(-beta))) for either sign, with
+    # |1 - exp(-beta)| = exp(max(-beta, 0)) * (1 - exp(-|beta|)) so that
+    # nothing overflows however negative beta is
+    b = abs(p.beta)
+    const = math.log(b) - max(-p.beta, 0.0) - math.log(-math.expm1(-b))
     with np.errstate(divide="ignore", invalid="ignore"):
         body = p.baseline.log_pdf(x) + np.log(fac) - p.beta * t
     out = np.where(fac > 0.0, const + body, -np.inf)
@@ -216,10 +233,16 @@ def ptg_quantile(u, p):
     """Inverse of :func:`ptg_cdf` on (0, 1), in closed form.
 
     First unwinds the Poisson layer, t = -log1p(u * expm1(-beta)) / beta,
-    then the transmuted layer via the conjugate quadratic root.
+    then the transmuted layer via the conjugate quadratic root.  Below
+    beta = -700, where expm1(-beta) approaches overflow, the same t is taken
+    as ``1 + log(u + (1-u) * exp(beta)) / -beta``, exp(-beta) divided out.
     """
     u, scalar = _validated_u(u)
-    t = -np.log1p(u * np.expm1(-p.beta)) / p.beta
+    if p.beta > -700.0:
+        t = -np.log1p(u * np.expm1(-p.beta)) / p.beta
+    else:
+        b = -p.beta
+        t = 1.0 + np.log(u + (1.0 - u) * np.exp(-b)) / b
     return _ret(p.baseline.quantile(_tg_invert(t, p.alpha)), scalar)
 
 

@@ -11,10 +11,14 @@ cdf T:
 
 Moments, the mgf, probability weighted moments, order statistics,
 stress-strength reliability, residual life, Renyi entropy and mean
-deviations are computed here.  Adaptive quadrature is the authoritative
-evaluation for every integral quantity; the series forms are provided
-alongside and are cross-checked against quadrature in the test suite,
-never trusted alone.
+deviations are computed here.  Adaptive quadrature is the only evaluation
+of every integral quantity: moments, mean deviations and residual life are
+integrated in probability space, E[h(X)] = int_0^1 h(Q(u)) du, with Q the
+closed-form quantile.  The series forms (``*_series``, ``order_stat_pdf``
+in series mode) are diagnostics, cross-checked against quadrature in the
+test suite.  For beta > 0 the delta-series alternates and its cancellation
+grows like exp(beta); the delta-weighted diagnostics raise ``ValueError``
+once that cancellation has eaten their digits instead of returning them.
 """
 
 from __future__ import annotations
@@ -259,13 +263,15 @@ def _quad(fn, a, b):
     return quad(fn, a, b, epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)[0]
 
 
-def _tg_pwm(p_exp, q_exp, r_exp, alpha, baseline):
-    """PWM of the transmuted layer, integrated in probability space:
-
-    integral_0^1 Q_tg(u)^p u^q (1-u)^r du.
-    """
+def pwm(p_exp, q_exp, r_exp, dist):
+    """Probability weighted moment of the transmuted layer of ``dist``,
+    integrated in probability space: integral_0^1 Q_tg(u)^p u^q (1-u)^r du."""
+    for name, v in (("p", p_exp), ("q", q_exp), ("r", r_exp)):
+        if int(v) != v or v < 0:
+            raise ValueError(f"{name} exponent must be a nonnegative integer")
+    p_exp, q_exp, r_exp = int(p_exp), int(q_exp), int(r_exp)
     return _quad(
-        lambda u: tg_quantile(u, alpha, baseline) ** p_exp
+        lambda u: tg_quantile(u, dist.alpha, dist.baseline) ** p_exp
         * u**q_exp
         * (1.0 - u) ** r_exp,
         0.0,
@@ -273,50 +279,52 @@ def _tg_pwm(p_exp, q_exp, r_exp, alpha, baseline):
     )
 
 
-def pwm(p_exp, q_exp, r_exp, dist):
-    """Probability weighted moment of the transmuted layer of ``dist``."""
-    for name, v in (("p", p_exp), ("q", q_exp), ("r", r_exp)):
-        if int(v) != v or v < 0:
-            raise ValueError(f"{name} exponent must be a nonnegative integer")
-    return _tg_pwm(int(p_exp), int(q_exp), int(r_exp), dist.alpha, dist.baseline)
-
-
 def _delta_series_sum(p, term_fn):
     """Accumulate sum_i delta_i * term_fn(i) with early stopping on tiny tails.
 
     Early exit waits until the coefficient peak near i ~ |beta| has passed;
-    before it the leading terms can be deceptively small.
+    before it the leading terms can be deceptively small.  Raises
+    ``ValueError`` when the cancellation between terms leaves fewer than
+    eight significant digits: sum |term| * 2^-52 > 1e-8 * |total|.
     """
     vals = delta_coeffs(p.beta, default_truncation(p.beta)).values
     total = 0.0
+    magnitude = 0.0
     small = 0
     for i, d in enumerate(vals):
         term = d * term_fn(i)
         total += term
+        magnitude += abs(term)
         if i > abs(p.beta) and abs(term) < 1e-13 * max(1.0, abs(total)):
             small += 1
             if small >= 3:
                 break
         else:
             small = 0
+    if magnitude * 2.0**-52 > 1e-8 * abs(total):
+        lost = math.log10(magnitude / abs(total)) if total else math.inf
+        raise ValueError(
+            f"delta-series at beta={p.beta:g} cancels {lost:.1f} of 16 digits; "
+            "use the quadrature form"
+        )
     return total
 
 
 def raw_moment(s, p):
-    """s-th raw moment, as the delta-weighted combination of transmuted PWMs."""
+    """s-th raw moment E[X^s], integrated in probability space over the quantile."""
     if int(s) != s or s < 1:
         raise ValueError("moment order must be a positive integer")
     s = int(s)
-    return _delta_series_sum(p, lambda i: _tg_pwm(s, i, 0, p.alpha, p.baseline))
+    return _quad(lambda u: ptg_quantile(u, p) ** s, 0.0, 1.0)
 
 
 def mgf(s, p):
     """Moment generating function E[exp(sX)] by adaptive quadrature."""
+    if s == 0.0:
+        return 1.0
     sup = p.baseline.mgf_sup()
     if s >= sup:
         raise ValueError(f"mgf diverges for s >= {sup} with this baseline")
-    if s == 0.0:
-        return 1.0
     # log-space integrand: exp(s*x) alone overflows long before the
     # density's decay has brought the product below 1
     return _quad(lambda x: float(np.exp(s * x + ptg_log_pdf(x, p))), 0.0, np.inf)
@@ -513,7 +521,8 @@ def mean_deviation(about, p):
     """Mean absolute deviation about the mean or the median.
 
     Uses the closed combinations 2*mu*F(mu) - 2*Phi(mu) and mu - 2*Phi(M)
-    with Phi(t) the partial first moment integral_0^t x f(x) dx.
+    with Phi(t) the partial first moment integral_0^t x f(x) dx; mu and Phi
+    are both quantile integrals in probability space.
     """
     mu = raw_moment(1, p)
     if about == "mean":

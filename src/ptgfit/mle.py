@@ -246,15 +246,19 @@ def fit(data, baseline_family="exponential", opts=None):
     estimates = to_params(z_best)
 
     info = observed_information(data, estimates, fd_step=opts.fd_step)
-    eigvals = np.linalg.eigvalsh(info)
-    degenerate = bool(eigvals.min() < 1e-10 * max(1.0, eigvals.max()))
+    if np.all(np.isfinite(info)):
+        eigvals = np.linalg.eigvalsh(info)
+        degenerate = bool(eigvals.min() < 1e-10 * max(1.0, eigvals.max()))
+        cov = np.linalg.pinv(info) if degenerate else np.linalg.inv(info)
+        var = np.diag(cov)
+        se = np.sqrt(np.where(var > 0, var, np.nan))
+    else:
+        # a finite-difference step left the domain (alpha at +-1): the
+        # matrix holds inf/NaN and has no curvature to invert
+        degenerate = True
+        se = np.full(2 + q, np.nan)
     if degenerate:
         warnings.warn("observed information is singular to tolerance", stacklevel=2)
-        cov = np.linalg.pinv(info)
-    else:
-        cov = np.linalg.inv(info)
-    var = np.diag(cov)
-    se = np.sqrt(np.where(var > 0, var, np.nan))
 
     partial = FitResult(
         estimates=estimates,

@@ -87,6 +87,17 @@ class TestGofCommand:
         assert payload["aic"] == pytest.approx(234.63, abs=0.01)
         assert payload["ad"] == pytest.approx(6.53, abs=0.03)
 
+    def test_ptw_relief_statistics_finite(self, capsys):
+        # the PT-W optimum on dataset II sits at beta ~ -7910, where the
+        # compounded cdf once overflowed to NaN
+        with pytest.warns(UserWarning, match="singular"):
+            code, payload, _ = run_json(
+                capsys, "gof", "--model", "ptw", "--data", "embedded:II"
+            )
+        assert code == 0
+        for key in ("ks", "ks_pvalue", "ad", "cvm"):
+            assert np.isfinite(payload[key]), key
+
 
 class TestSampleCommand:
     def test_deterministic_given_seed(self, capsys):

@@ -261,6 +261,55 @@ class TestQuantile:
                 ptg_quantile(u, p)
 
 
+def _log_space_reference(x, alpha, b, lam, theta=1.0):
+    """log F and log f of PT-G at tilt -b < 0, written from the definition
+    with exp(b) divided out: F = exp(b(T-1)) (1 - e^{-bT}) / (1 - e^{-b})."""
+    g = -math.expm1(-lam * x**theta)
+    t = g * (1.0 + alpha - alpha * g)
+    log_norm = math.log(-math.expm1(-b))
+    log_cdf = b * (t - 1.0) + math.log(-math.expm1(-b * t)) - log_norm
+    log_g = math.log(lam * theta) + (theta - 1.0) * math.log(x) - lam * x**theta
+    log_pdf = (
+        math.log(b) + log_g + math.log(1.0 + alpha - 2.0 * alpha * g)
+        + b * (t - 1.0) - log_norm
+    )
+    return log_cdf, log_pdf
+
+
+class TestStronglyNegativeTilt:
+    """beta far below -709, where exp(-beta) overflows a double: the fitted
+    PT-W optimum on dataset II sits at beta ~ -7910."""
+
+    CASES = [
+        (0.5, -800.0, 1.0, 1.0),
+        (0.991, -7910.0, 1.0, 1.0),
+        (0.991, -7910.0, 0.6, 1.5),
+    ]
+
+    @pytest.mark.parametrize("alpha,beta,lam,theta", CASES)
+    def test_cdf_and_pdf_against_log_space_reference(self, alpha, beta, lam, theta):
+        p = PtgParams(alpha, beta, Weibull(lam, theta))
+        xs = np.linspace(0.05, 12.0, 40)
+        cdf, pdf, log_pdf = ptg_cdf(xs, p), ptg_pdf(xs, p), ptg_log_pdf(xs, p)
+        assert np.all(np.isfinite(cdf)) and np.all(np.isfinite(log_pdf))
+        assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] <= 1.0
+        for x, c, f, lf in zip(xs, cdf, pdf, log_pdf):
+            ref_log_cdf, ref_log_pdf = _log_space_reference(x, alpha, -beta, lam, theta)
+            assert c == pytest.approx(math.exp(ref_log_cdf), rel=1e-9, abs=1e-300)
+            assert f == pytest.approx(math.exp(ref_log_pdf), rel=1e-9, abs=1e-300)
+            assert lf == pytest.approx(ref_log_pdf, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha,beta,lam,theta", CASES)
+    def test_quantile_inverts_log_space_cdf(self, alpha, beta, lam, theta):
+        p = PtgParams(alpha, beta, Weibull(lam, theta))
+        u = np.array([1e-200, 1e-12, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9])
+        xs = ptg_quantile(u, p)
+        assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)
+        for ui, x in zip(u, xs):
+            ref_log_cdf, _ = _log_space_reference(x, alpha, -beta, lam, theta)
+            assert ref_log_cdf == pytest.approx(math.log(ui), abs=1e-9)
+
+
 class TestSampling:
     def test_determinism(self):
         p = pte_params(0.5, 2.0, 1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from ptgfit.baselines import Exponential, Weibull
 from ptgfit.distributions import (
@@ -239,7 +240,8 @@ class TestMoments:
         assert raw_moment(s, p) == pytest.approx(direct, rel=1e-6)
 
     def test_variance_nonnegative_on_grid(self):
-        for a, b in SERIES_GRID:
+        wide = [(a, b) for a in (-0.9, 0.9) for b in (-300.0, -100.0, -30.0, 30.0, 100.0, 300.0)]
+        for a, b in SERIES_GRID + wide:
             p = pte_params(a, b, 1.0)
             assert raw_moment(2, p) - raw_moment(1, p) ** 2 >= 0.0
 
@@ -264,9 +266,112 @@ class TestMoments:
             raw_moment(0, P_HALF_2_1)
 
 
+class _TransmutedSpaceReference:
+    """PT-E expectations written apart from ``expansions``: integrated over
+    the transmuted cdf t, whose density on (0, 1) is the truncated
+    exponential beta e^{-beta t} / (1 - e^{-beta}), evaluated in log space."""
+
+    def __init__(self, alpha, beta, lam):
+        self.alpha, self.beta, self.lam = alpha, beta, lam
+        b = abs(beta)
+        self._log_norm = math.log(b) - math.log(-math.expm1(-b))
+        # the weight's peak: width 1/|beta| at t = 0 (beta > 0) or t = 1 (beta < 0)
+        edges = [min(k / b, 0.5) for k in (1.0, 10.0, 50.0)]
+        self.points = edges if beta > 0 else [1.0 - e for e in edges]
+
+    def x(self, t):
+        a = self.alpha
+        g = 2.0 * t / ((1.0 + a) + math.sqrt(max((1.0 + a) ** 2 - 4.0 * a * t, 0.0)))
+        return -math.log1p(-g) / self.lam
+
+    def t_of_x(self, x):
+        g = -math.expm1(-self.lam * x)
+        return g * (1.0 + self.alpha - self.alpha * g)
+
+    def weight(self, t):
+        shift = t if self.beta > 0 else t - 1.0
+        return math.exp(self._log_norm - self.beta * shift)
+
+    def log_cdf_t(self, t):
+        b = abs(self.beta)
+        shift = 0.0 if self.beta > 0 else b * (t - 1.0)
+        return shift + math.log(-math.expm1(-b * t)) - math.log(-math.expm1(-b))
+
+    def expect(self, h, lo=0.0, hi=1.0):
+        pts = [q for q in self.points if lo < q < hi]
+        return quad(
+            lambda t: h(self.x(t)) * self.weight(t), lo, hi,
+            points=pts or None, epsabs=0.0, epsrel=1e-11, limit=400,
+        )[0]
+
+    def abs_deviation(self, c):
+        t_c = self.t_of_x(c)
+        return self.expect(lambda x: c - x, 0.0, t_c) + self.expect(lambda x: x - c, t_c, 1.0)
+
+    def median(self):
+        t_med = brentq(lambda t: self.log_cdf_t(t) - math.log(0.5), 1e-300, 1.0 - 1e-16,
+                       xtol=1e-300, rtol=1e-15)
+        return self.x(t_med)
+
+
+class TestMomentsAtLargeTilt:
+    """For beta > 0 the delta-series of the moments cancels like e^beta and
+    gives negative means at these points.  The quadrature moments must
+    match an independent reference at either sign of a large tilt."""
+
+    BETAS = [30.0, 40.0, 100.0, -300.0]
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_raw_moments_against_reference(self, beta):
+        ref = _TransmutedSpaceReference(0.5, beta, 1.0)
+        p = pte_params(0.5, beta, 1.0)
+        m = [raw_moment(s, p) for s in (1, 2, 3, 4)]
+        for s, got in enumerate(m, start=1):
+            # abs: the quadrature's own absolute target, which governs the
+            # higher moments at beta >= 30 (E[X^4] ~ 1e-8 .. 1e-5)
+            want = ref.expect(lambda x, s=s: x**s)
+            assert got == pytest.approx(want, rel=1e-7, abs=1e-10)
+        assert m[0] > 0.0
+        assert m[1] >= m[0] ** 2
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_mean_deviations_against_reference(self, beta):
+        ref = _TransmutedSpaceReference(0.5, beta, 1.0)
+        p = pte_params(0.5, beta, 1.0)
+        mean = ref.expect(lambda x: x)
+        assert mean_deviation("mean", p) == pytest.approx(ref.abs_deviation(mean), rel=1e-7)
+        assert mean_deviation("median", p) == pytest.approx(
+            ref.abs_deviation(ref.median()), rel=1e-7
+        )
+
+
+class TestSeriesDiagnosticsRefuse:
+    """At beta = 30 the alternating delta-series keeps about 3 of 16 digits;
+    the series diagnostics must refuse instead of returning the wreckage."""
+
+    P30 = pte_params(0.5, 30.0, 1.0)
+
+    def test_mgf_series(self):
+        with pytest.raises(ValueError, match="digits"):
+            mgf_series(0.5, self.P30)
+        assert mgf(0.5, self.P30) == pytest.approx(1.0117, abs=1e-4)
+
+    def test_residual_moment_series(self):
+        with pytest.raises(ValueError, match="digits"):
+            residual_moment_series(1, 0.0, self.P30)
+        assert residual_moment(1, 0.0, self.P30) == pytest.approx(0.02311, abs=1e-5)
+
+    def test_negative_tilt_series_still_answers(self):
+        # for beta < 0 every delta-term has one sign: no cancellation
+        p = pte_params(0.5, -20.0, 1.0)
+        assert mgf_series(0.2, p) == pytest.approx(mgf(0.2, p), rel=1e-6)
+
+
 class TestMgf:
     def test_at_zero_is_one(self):
         assert mgf(0.0, P_HALF_2_1) == 1.0
+        # Weibull shape < 1: no s > 0 is admissible, but E[e^0] = 1 always
+        assert mgf(0.0, ptw_params(0.5, 2.0, 1.0, 0.5)) == 1.0
 
     def test_derivative_at_zero_is_mean(self):
         h = 1e-4

@@ -217,6 +217,19 @@ class TestObservedInformation:
         with pytest.warns(UserWarning, match="domain"):
             observed_information(data_I, p)
 
+    def test_fit_ending_at_alpha_edge_reports_degenerate_info(self, data_I):
+        # one start lands at alpha = -1; the finite-difference steps past the
+        # edge fill the information matrix with inf/NaN
+        with pytest.warns(UserWarning, match="domain edge"), pytest.warns(
+            UserWarning, match="singular"
+        ):
+            res = fit(data_I, "exponential", FitOptions(n_starts=1))
+        assert abs(res.estimates.alpha) == pytest.approx(1.0, abs=1e-12)
+        assert not np.all(np.isfinite(res.info_matrix))
+        assert res.degenerate_info
+        assert np.all(np.isnan(res.std_errors))
+        assert np.array_equal(res.ci_low, res.ci_high)
+
     def test_symmetric_by_construction(self, data_II):
         info = observed_information(data_II, pte_params(0.3, -2.0, 1.0))
         assert np.array_equal(info, info.T)

@@ -1,7 +1,8 @@
 """Baseline lifetime distributions used as the parent G of the transmuted layers.
 
-Each baseline exposes the same small contract: ``pdf``, ``cdf``, ``log_pdf``,
-``quantile``, plus parameter metadata.  Both shipped families live on
+Each baseline exposes the model protocol shared with ``PtgParams`` and the
+competitor models: ``names``, ``values``, ``pdf``, ``cdf``, ``log_pdf`` and
+``quantile``.  Both shipped families live on
 (0, inf); the ``support`` attribute carries that so future baselines on the
 whole real line can declare otherwise.
 """
@@ -25,14 +26,14 @@ class Exponential:
     lam: float
 
     family_tag = "exponential"
-    param_names = ("lam",)
+    names = ("lam",)
     support = (0.0, np.inf)
 
     def __post_init__(self):
         _check_positive("lam", self.lam)
 
     @property
-    def params(self):
+    def values(self):
         return (self.lam,)
 
     def pdf(self, x):
@@ -51,9 +52,6 @@ class Exponential:
         # E[exp(sX)] is finite exactly for s < lam.
         return self.lam
 
-    def with_params(self, params):
-        return Exponential(*params)
-
 
 @dataclass(frozen=True)
 class Weibull:
@@ -67,7 +65,7 @@ class Weibull:
     theta: float
 
     family_tag = "weibull"
-    param_names = ("lam", "theta")
+    names = ("lam", "theta")
     support = (0.0, np.inf)
 
     def __post_init__(self):
@@ -75,7 +73,7 @@ class Weibull:
         _check_positive("theta", self.theta)
 
     @property
-    def params(self):
+    def values(self):
         return (self.lam, self.theta)
 
     def pdf(self, x):
@@ -112,9 +110,6 @@ class Weibull:
         if self.theta == 1.0:
             return self.lam
         return 0.0  # sub-exponential tail: no positive exponential moment
-
-    def with_params(self, params):
-        return Weibull(*params)
 
 
 BASELINE_FAMILIES = {

@@ -10,25 +10,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import competitors as comp
+from .baselines import Exponential
 from .data import embedded_dataset, load_observations
-from .distributions import (
-    PtgParams,
-    pte_params,
-    ptg_cdf,
-    ptg_hrf,
-    ptg_pdf,
-    ptg_quantile,
-    ptg_sample,
-    ptw_params,
-)
+from .distributions import pte_params, ptw_params
 from .expansions import (
     mean_deviation,
     raw_moment,
@@ -41,7 +35,18 @@ from .mle import FitOptions, fit
 from .reproduce import run_reproduction
 
 PTG_MODELS = ("pte", "ptw")
-ALL_MODELS = PTG_MODELS + comp.COMPETITOR_TAGS
+
+# tag -> (model from its parameter values, fitter(data, FitOptions) -> FitResult)
+MODELS = {
+    "pte": (pte_params, lambda x, opts: fit(x, "exponential", opts)),
+    "ptw": (ptw_params, lambda x, opts: fit(x, "weibull", opts)),
+    "exp": (Exponential,
+            lambda x, opts: comp.fit_competitor(x, "exp", opts.seed, opts.n_starts)),
+    "me": (comp.MomentExponential,
+           lambda x, opts: comp.fit_competitor(x, "me", opts.seed, opts.n_starts)),
+    "moe": (comp.MarshallOlkinExponential,
+            lambda x, opts: comp.fit_competitor(x, "moe", opts.seed, opts.n_starts)),
+}
 
 _EMBEDDED_ALIASES = {
     "embedded:i": "guinea_pigs_I",
@@ -115,22 +120,26 @@ def _parse_float_list(text, what):
         raise ValueError(f"cannot parse {what} list {text!r}") from None
 
 
-def _ptg_params_from_list(model, values):
-    if model == "pte":
-        if len(values) != 3:
-            raise ValueError("pte expects --params alpha,beta,lam")
-        return pte_params(*values)
-    if model == "ptw":
-        if len(values) != 4:
-            raise ValueError("ptw expects --params alpha,beta,lam,theta")
-        return ptw_params(*values)
-    raise ValueError(f"--params applies to PT models only, not {model!r}")
+def _model_from_params(tag, text, what="params"):
+    make = MODELS[tag][0]
+    names = list(inspect.signature(make).parameters)
+    values = _parse_float_list(text, what)
+    if len(values) != len(names):
+        raise ValueError(f"{tag} expects --{what} {','.join(names)}")
+    return make(*values)
 
 
-def _fit_ptg(model, data, args):
-    family = "exponential" if model == "pte" else "weibull"
+def _fit(args, data):
+    """Fit ``--model`` to the data; every model gives a ``FitResult``."""
     opts = FitOptions(seed=_resolve_seed(args), n_starts=args.starts)
-    return fit(data.values, family, opts)
+    return MODELS[args.model][1](data.values, opts)
+
+
+def _model(args, data=None):
+    """The ``--model`` distribution: from ``--params``, else fitted to ``--data``."""
+    if args.params:
+        return _model_from_params(args.model, args.params)
+    return _fit(args, data if data is not None else _load_data(args)).estimates
 
 
 def _emit(args, text):
@@ -141,8 +150,19 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _json_safe(obj):
+    """``obj`` with every NaN or infinite float replaced by ``None`` (JSON null)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
 def _emit_json(args, payload):
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _emit_csv(args, header, rows):
@@ -168,43 +188,21 @@ def _emit_kv_table(args, title, pairs):
 def cmd_fit(args):
     data = _load_data(args)
     fmt = _resolve_format(args)
-    if args.model in PTG_MODELS:
-        res = _fit_ptg(args.model, data, args)
-        names = res.param_names
-        payload = {
-            "command": "fit",
-            "model": args.model,
-            "dataset": data.id,
-            "n": res.n_obs,
-            "converged": bool(res.converged),
-            "loglik": _sig6(res.loglik),
-            "estimates": {k: _sig6(v) for k, v in zip(names, res.estimates.values)},
-            "std_errors": {k: _sig6(v) for k, v in zip(names, res.std_errors)},
-            "ci_low": {k: _sig6(v) for k, v in zip(names, res.ci_low)},
-            "ci_high": {k: _sig6(v) for k, v in zip(names, res.ci_high)},
-            "n_restarts_used": res.n_restarts_used,
-        }
-        converged = res.converged
-    else:
-        cfit = comp.fit_competitor(data.values, args.model, seed=_resolve_seed(args))
-        names = cfit.model.param_names
-        se = cfit.std_errors
-        est = np.asarray(cfit.model.params, dtype=float)
-        low = np.maximum(est - 1.959963984540054 * np.nan_to_num(se), 0.0)
-        high = est + 1.959963984540054 * np.nan_to_num(se)
-        payload = {
-            "command": "fit",
-            "model": args.model,
-            "dataset": data.id,
-            "n": cfit.n_obs,
-            "converged": bool(cfit.converged),
-            "loglik": _sig6(cfit.loglik),
-            "estimates": {k: _sig6(v) for k, v in zip(names, est)},
-            "std_errors": {k: _sig6(v) for k, v in zip(names, se)},
-            "ci_low": {k: _sig6(v) for k, v in zip(names, low)},
-            "ci_high": {k: _sig6(v) for k, v in zip(names, high)},
-        }
-        converged = cfit.converged
+    res = _fit(args, data)
+    names = res.param_names
+    payload = {
+        "command": "fit",
+        "model": args.model,
+        "dataset": data.id,
+        "n": res.n_obs,
+        "converged": bool(res.converged),
+        "loglik": _sig6(res.loglik),
+        "estimates": {k: _sig6(v) for k, v in zip(names, res.estimates.values)},
+        "std_errors": {k: _sig6(v) for k, v in zip(names, res.std_errors)},
+        "ci_low": {k: _sig6(v) for k, v in zip(names, res.ci_low)},
+        "ci_high": {k: _sig6(v) for k, v in zip(names, res.ci_high)},
+        "n_restarts_used": res.n_restarts_used,
+    }
 
     if fmt == "json":
         _emit_json(args, payload)
@@ -228,30 +226,21 @@ def cmd_fit(args):
                     f"[{_fmt(payload['ci_low'][k])}, {_fmt(payload['ci_high'][k])}]")
             )
         _emit_kv_table(args, "maximum-likelihood fit", pairs)
-    return 0 if converged else 2
-
-
-def _fitted_cdf(args, data):
-    """Fit the requested model and return (cdf, k, loglik, converged)."""
-    if args.model in PTG_MODELS:
-        res = _fit_ptg(args.model, data, args)
-        return (lambda x: ptg_cdf(x, res.estimates)), res.k, res.loglik, res.converged
-    cfit = comp.fit_competitor(data.values, args.model, seed=_resolve_seed(args))
-    return cfit.model.cdf, cfit.k, cfit.loglik, cfit.converged
+    return 0 if res.converged else 2
 
 
 def cmd_gof(args):
     data = _load_data(args)
     fmt = _resolve_format(args)
-    cdf, k, loglik, converged = _fitted_cdf(args, data)
-    rep = evaluate_gof(data.values, cdf, k, loglik)
+    res = _fit(args, data)
+    rep = evaluate_gof(data.values, res.estimates.cdf, res.k, res.loglik)
     payload = {
         "command": "gof",
         "model": args.model,
         "dataset": data.id,
         "n": rep.n,
         "k": rep.k,
-        "converged": bool(converged),
+        "converged": bool(res.converged),
         "loglik": _sig6(rep.loglik),
         "aic": _sig6(rep.aic),
         "bic": _sig6(rep.bic),
@@ -269,35 +258,17 @@ def cmd_gof(args):
         _emit_csv(args, keys, [[payload[k_] for k_ in keys]])
     else:
         _emit_kv_table(args, "goodness of fit", [(k_, payload[k_]) for k_ in payload])
-    return 0 if converged else 2
-
-
-def _sample_values(args, data):
-    seed = _resolve_seed(args)
-    if args.model in PTG_MODELS:
-        if args.params:
-            p = _ptg_params_from_list(args.model, _parse_float_list(args.params, "params"))
-        else:
-            p = _fit_ptg(args.model, data, args).estimates
-        return ptg_sample(args.n, p, seed)
-    if args.params:
-        vals = _parse_float_list(args.params, "params")
-        model = {
-            "exp": comp.ExponentialModel,
-            "me": comp.MomentExponential,
-            "moe": comp.MarshallOlkinExponential,
-        }[args.model](*vals)
-    else:
-        model = comp.fit_competitor(data.values, args.model, seed=seed).model
-    rng = np.random.default_rng(seed)
-    u = np.maximum(rng.random(args.n), np.finfo(float).tiny)
-    return model.quantile(u)
+    return 0 if res.converged else 2
 
 
 def cmd_sample(args):
-    data = _load_data(args) if (args.data or not args.params) else None
+    if args.n < 1:
+        raise ValueError("--n must be a positive integer")
     fmt = _resolve_format(args)
-    x = _sample_values(args, data)
+    model = _model(args)
+    rng = np.random.default_rng(_resolve_seed(args))
+    # rng.random() lives in [0, 1); nudge any exact zero into the open interval
+    x = model.quantile(np.maximum(rng.random(args.n), np.finfo(float).tiny))
     if fmt == "json":
         _emit_json(args, {"command": "sample", "model": args.model, "n": args.n,
                           "seed": _resolve_seed(args),
@@ -311,15 +282,8 @@ def cmd_props(args):
     if args.model not in PTG_MODELS:
         raise ValueError("props applies to the PT models (pte, ptw)")
     fmt = _resolve_format(args)
-    if args.params:
-        p = _ptg_params_from_list(args.model, _parse_float_list(args.params, "params"))
-    else:
-        p = _fit_ptg(args.model, _load_data(args), args).estimates
-    p2 = (
-        _ptg_params_from_list(args.model, _parse_float_list(args.params2, "params2"))
-        if args.params2
-        else p
-    )
+    p = _model(args)
+    p2 = _model_from_params(args.model, args.params2, "params2") if args.params2 else p
     deltas = _parse_float_list(args.delta, "delta")
     tlist = _parse_float_list(args.tlist, "t")
     payload = {
@@ -353,32 +317,10 @@ def cmd_props(args):
 def cmd_curves(args):
     fmt = _resolve_format(args)
     data = _load_data(args) if args.data else None
-    if args.model in PTG_MODELS:
-        if args.params:
-            p = _ptg_params_from_list(args.model, _parse_float_list(args.params, "params"))
-        elif data is not None:
-            p = _fit_ptg(args.model, data, args).estimates
-        else:
-            raise ValueError("curves needs --params or --data to fit")
-        q_lo, q_hi = ptg_quantile(0.001, p), ptg_quantile(0.999, p)
-        grid = np.linspace(q_lo, q_hi, args.grid)
-        pdf_v, cdf_v, hrf_v = ptg_pdf(grid, p), ptg_cdf(grid, p), ptg_hrf(grid, p)
-    else:
-        if args.params:
-            vals = _parse_float_list(args.params, "params")
-            model = {
-                "exp": comp.ExponentialModel,
-                "me": comp.MomentExponential,
-                "moe": comp.MarshallOlkinExponential,
-            }[args.model](*vals)
-        elif data is not None:
-            model = comp.fit_competitor(data.values, args.model,
-                                        seed=_resolve_seed(args)).model
-        else:
-            raise ValueError("curves needs --params or --data to fit")
-        grid = np.linspace(model.quantile(0.001), model.quantile(0.999), args.grid)
-        pdf_v, cdf_v = model.pdf(grid), model.cdf(grid)
-        hrf_v = pdf_v / (1.0 - cdf_v)
+    model = _model(args, data)
+    grid = np.linspace(model.quantile(0.001), model.quantile(0.999), args.grid)
+    pdf_v, cdf_v = model.pdf(grid), model.cdf(grid)
+    hrf_v = pdf_v / (1.0 - cdf_v)
 
     rows = list(zip(grid, pdf_v, cdf_v, hrf_v))
     hist_block = None
@@ -501,7 +443,7 @@ def build_parser():
                         help="RNG seed (fallback: PTGFIT_SEED, then 0)")
         sp.add_argument("--out", default=None, help="write output to this path")
         if model:
-            sp.add_argument("--model", choices=ALL_MODELS, required=True)
+            sp.add_argument("--model", choices=list(MODELS), required=True)
         if data:
             sp.add_argument("--data", default=None,
                             help="embedded:I, embedded:II, or a file path")

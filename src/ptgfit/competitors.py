@@ -1,30 +1,35 @@
 """Reference models fitted alongside the PT-G family in comparisons.
 
-Three lightweight lifetime models: exponential (closed-form MLE),
-moment exponential (length-biased exponential, f(x) = x exp(-x/sigma)/sigma^2,
-closed-form sigma_hat = xbar/2) and Marshall-Olkin exponential (tilted
-survival S(x) = a exp(-lx) / (1 - (1-a) exp(-lx)), fitted numerically).
+Three lightweight lifetime models: exponential (``baselines.Exponential``,
+closed-form MLE), moment exponential (length-biased exponential,
+f(x) = x exp(-x/sigma)/sigma^2, closed-form sigma_hat = xbar/2) and
+Marshall-Olkin exponential (tilted survival
+S(x) = a exp(-lx) / (1 - (1-a) exp(-lx)), fitted numerically).
+
+The models carry the protocol of ``PtgParams`` (``names``, ``values``,
+``pdf``, ``cdf``, ``log_pdf``, ``quantile``), and ``fit_competitor`` returns
+the same ``FitResult`` as ``mle.fit``, with the fitted model as
+``estimates``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mle import multistart_maximize
+from .baselines import Exponential
+from .data import check_sample
+from .mle import FitResult, _fd_hessian, log_likelihood, multistart_maximize
 
 __all__ = [
-    "ExponentialModel",
     "MomentExponential",
     "MarshallOlkinExponential",
     "fit_exponential",
     "fit_moment_exponential",
     "fit_mo_exponential",
     "fit_competitor",
-    "CompetitorFit",
     "COMPETITOR_TAGS",
 ]
 
@@ -32,36 +37,10 @@ COMPETITOR_TAGS = ("exp", "me", "moe")
 
 
 @dataclass(frozen=True)
-class ExponentialModel:
-    lam: float
-
-    tag = "exp"
-    param_names = ("lam",)
-
-    def pdf(self, x):
-        return self.lam * np.exp(-self.lam * np.asarray(x, dtype=float))
-
-    def cdf(self, x):
-        return -np.expm1(-self.lam * np.asarray(x, dtype=float))
-
-    def loglik(self, data):
-        data = np.asarray(data, dtype=float)
-        return float(data.size * math.log(self.lam) - self.lam * data.sum())
-
-    def quantile(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.lam
-
-    @property
-    def params(self):
-        return (self.lam,)
-
-
-@dataclass(frozen=True)
 class MomentExponential:
     sigma: float
 
-    tag = "me"
-    param_names = ("sigma",)
+    names = ("sigma",)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -72,12 +51,9 @@ class MomentExponential:
         # Gamma(shape 2, scale sigma): 1 - (1 + x/sigma) exp(-x/sigma)
         return 1.0 - (1.0 + x / self.sigma) * np.exp(-x / self.sigma)
 
-    def loglik(self, data):
-        data = np.asarray(data, dtype=float)
-        return float(
-            np.sum(np.log(data)) - data.sum() / self.sigma
-            - 2.0 * data.size * math.log(self.sigma)
-        )
+    def log_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.log(x) - x / self.sigma - 2.0 * math.log(self.sigma)
 
     def quantile(self, u):
         from scipy.stats import gamma
@@ -85,7 +61,7 @@ class MomentExponential:
         return gamma.ppf(np.asarray(u, dtype=float), a=2, scale=self.sigma)
 
     @property
-    def params(self):
+    def values(self):
         return (self.sigma,)
 
 
@@ -94,8 +70,7 @@ class MarshallOlkinExponential:
     tilt: float
     lam: float
 
-    tag = "moe"
-    param_names = ("tilt", "lam")
+    names = ("tilt", "lam")
 
     def _denom(self, x):
         return 1.0 - (1.0 - self.tilt) * np.exp(-self.lam * np.asarray(x, dtype=float))
@@ -108,13 +83,16 @@ class MarshallOlkinExponential:
         x = np.asarray(x, dtype=float)
         return -np.expm1(-self.lam * x) / self._denom(x)
 
-    def loglik(self, data):
-        data = np.asarray(data, dtype=float)
-        n = data.size
-        return float(
-            n * math.log(self.tilt) + n * math.log(self.lam)
-            - self.lam * data.sum() - 2.0 * np.sum(np.log(self._denom(data)))
+    def log_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return (
+            math.log(self.tilt) + math.log(self.lam)
+            - self.lam * x - 2.0 * np.log(self._denom(x))
         )
+
+    def loglik(self, data):
+        """Log-likelihood of ``data``; the objective of the Marshall-Olkin fit."""
+        return log_likelihood(data, self)
 
     def quantile(self, u):
         # invert S(x) = a*y / (1 - (1-a)*y) with y = exp(-lam*x)
@@ -123,102 +101,70 @@ class MarshallOlkinExponential:
         return -np.log(y) / self.lam
 
     @property
-    def params(self):
+    def values(self):
         return (self.tilt, self.lam)
 
 
-def _check_data(data):
-    data = np.asarray(data, dtype=float)
-    if data.size == 0 or np.any(data <= 0):
-        raise ValueError("data must be nonempty and strictly positive")
-    return data
-
-
 def fit_exponential(data):
-    """Closed-form exponential MLE: lambda_hat = 1/xbar."""
-    data = _check_data(data)
-    lam = 1.0 / data.mean()
-    return lam, ExponentialModel(lam).loglik(data)
+    """Closed-form exponential MLE: returns (lambda_hat = 1/xbar, loglik)."""
+    res = fit_competitor(data, "exp")
+    return res.estimates.lam, res.loglik
 
 
 def fit_moment_exponential(data):
-    """Closed-form moment-exponential MLE: sigma_hat = xbar/2."""
-    data = _check_data(data)
-    sigma = data.mean() / 2.0
-    return sigma, MomentExponential(sigma).loglik(data)
+    """Closed-form moment-exponential MLE: returns (sigma_hat = xbar/2, loglik)."""
+    res = fit_competitor(data, "me")
+    return res.estimates.sigma, res.loglik
 
 
 def fit_mo_exponential(data, seed=0, n_starts=20):
-    """Numerical Marshall-Olkin exponential MLE via the multistart engine."""
-    data = _check_data(data)
-    if data.size < 3:
-        raise ValueError("need at least three observations")
-    xbar = data.mean()
-
-    def loglik_z(z):
-        return MarshallOlkinExponential(math.exp(z[0]), math.exp(z[1])).loglik(data)
-
-    rng = np.random.default_rng(seed)
-    starts = np.column_stack(
-        [
-            rng.uniform(math.log(0.01), math.log(100.0), n_starts),
-            rng.uniform(math.log(0.1 / xbar), math.log(10.0 / xbar), n_starts),
-        ]
-    )
-    z, ll, _, converged = multistart_maximize(loglik_z, starts)
-    if not converged:
-        warnings.warn("Marshall-Olkin fit did not fully converge", stacklevel=2)
-    return math.exp(z[0]), math.exp(z[1]), ll
+    """Numerical Marshall-Olkin exponential MLE: returns (tilt, lam, loglik)."""
+    res = fit_competitor(data, "moe", seed=seed, n_starts=n_starts)
+    return (*res.estimates.values, res.loglik)
 
 
-@dataclass(frozen=True)
-class CompetitorFit:
-    """Rich fit record used by the CLI and the reproduction report."""
+def fit_competitor(data, tag, seed=0, n_starts=20):
+    """Fit one competitor by tag and return its ``FitResult``.
 
-    model: ExponentialModel | MomentExponential | MarshallOlkinExponential
-    loglik: float
-    std_errors: np.ndarray
-    converged: bool
-    n_obs: int
-
-    @property
-    def k(self):
-        return len(self.model.params)
-
-
-def fit_competitor(data, tag, seed=0):
-    """Fit one competitor by tag and return the full record with standard errors.
-
-    Closed-form information is used for the exponential (SE = lam/sqrt(n))
-    and moment exponential (SE = sigma/sqrt(2n)); the Marshall-Olkin SEs
-    come from a finite-difference observed information.
+    Closed-form information is used for the exponential (n/lam^2, so
+    SE = lam/sqrt(n)) and moment exponential (2n/sigma^2, SE =
+    sigma/sqrt(2n)); the Marshall-Olkin fit runs ``n_starts`` seeded
+    starts and its information is a finite-difference observed information.
     """
-    data = _check_data(data)
+    data = check_sample(data)
     n = data.size
     if tag == "exp":
-        lam, ll = fit_exponential(data)
-        return CompetitorFit(
-            ExponentialModel(lam), ll, np.array([lam / math.sqrt(n)]), True, n
+        model = Exponential(1.0 / data.mean())
+        info, n_launches, converged = np.array([[n / model.lam**2]]), 0, True
+    elif tag == "me":
+        model = MomentExponential(data.mean() / 2.0)
+        info, n_launches, converged = np.array([[2.0 * n / model.sigma**2]]), 0, True
+    elif tag == "moe":
+        if n < 3:
+            raise ValueError("need at least three observations")
+
+        def loglik_z(z):  # log coordinates keep tilt and lam positive
+            return MarshallOlkinExponential(math.exp(z[0]), math.exp(z[1])).loglik(data)
+
+        xbar = data.mean()
+        rng = np.random.default_rng(seed)
+        starts = np.column_stack(
+            [
+                rng.uniform(math.log(0.01), math.log(100.0), n_starts),
+                rng.uniform(math.log(0.1 / xbar), math.log(10.0 / xbar), n_starts),
+            ]
         )
-    if tag == "me":
-        sigma, ll = fit_moment_exponential(data)
-        return CompetitorFit(
-            MomentExponential(sigma), ll, np.array([sigma / math.sqrt(2 * n)]), True, n
-        )
-    if tag == "moe":
-        tilt, lam, ll = fit_mo_exponential(data, seed=seed)
-        from .mle import _fd_hessian
+        z, _, n_launches, converged = multistart_maximize(loglik_z, starts)
+        model = MarshallOlkinExponential(math.exp(z[0]), math.exp(z[1]))
 
         def f(th):
             if np.any(th <= 0):
                 return -np.inf
             return MarshallOlkinExponential(th[0], th[1]).loglik(data)
 
-        info = -_fd_hessian(f, np.array([tilt, lam]), 1e-4)
-        try:
-            var = np.diag(np.linalg.inv(info))
-            se = np.sqrt(np.where(var > 0, var, np.nan))
-        except np.linalg.LinAlgError:
-            se = np.full(2, np.nan)
-        return CompetitorFit(MarshallOlkinExponential(tilt, lam), ll, se, True, n)
-    raise ValueError(f"unknown competitor tag {tag!r}; expected {COMPETITOR_TAGS}")
+        info = -_fd_hessian(f, np.array(model.values), 1e-4)
+    else:
+        raise ValueError(f"unknown competitor tag {tag!r}; expected {COMPETITOR_TAGS}")
+    return FitResult.from_information(
+        model, log_likelihood(data, model), info, converged, n_launches, n
+    )

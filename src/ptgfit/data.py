@@ -26,6 +26,7 @@ __all__ = [
     "embedded_dataset",
     "load_observations",
     "describe",
+    "check_sample",
     "DATASET_IDS",
 ]
 
@@ -57,20 +58,25 @@ _SOURCES = {
 }
 
 
+def check_sample(values):
+    """Return ``values`` as a float array, or raise ``ValueError`` unless they
+    are nonempty, finite and strictly positive."""
+    x = np.asarray(values, dtype=float)
+    if x.size == 0 or not np.all(np.isfinite(x)) or np.any(x <= 0):
+        raise ValueError("data must be nonempty, finite and strictly positive")
+    return x
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered positive observations with a provenance label."""
+    """Ordered positive finite observations with a provenance label."""
 
     id: str
     values: np.ndarray
     source: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.size == 0:
-            raise ValueError("dataset must be nonempty")
-        if np.any(values <= 0):
-            raise ValueError("all observations must be strictly positive")
+        values = check_sample(self.values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -130,11 +136,11 @@ def embedded_dataset(dataset_id):
 
 
 def load_observations(path, fmt="whitespace"):
-    """Read positive observations from a text file.
+    """Read positive finite observations from a text file.
 
     ``fmt`` is ``"whitespace"`` (any blank-separated layout) or
     ``"csv_single_column"``.  Blank lines and ``#`` comments are skipped;
-    parse and sign errors name the offending line.
+    parse, sign and non-finite errors name the offending line.
     """
     if fmt not in ("whitespace", "csv_single_column"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -153,6 +159,8 @@ def load_observations(path, fmt="whitespace"):
                 v = float(tok)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: cannot parse {tok!r} as a number") from None
+            if not math.isfinite(v):
+                raise ValueError(f"{path}:{lineno}: non-finite value {tok!r}")
             if v <= 0:
                 raise ValueError(f"{path}:{lineno}: nonpositive value {v}")
             values.append(v)

@@ -45,6 +45,9 @@ DEFAULT_BETA_FLOOR = 1e-8
 class PtgParams:
     """Full parameter vector of a Poisson transmuted-G distribution.
 
+    It carries the model protocol shared with the baselines and the
+    competitor models; its methods call the ``ptg_*`` functions.
+
     Parameters
     ----------
     alpha : float
@@ -74,11 +77,23 @@ class PtgParams:
 
     @property
     def names(self):
-        return ("alpha", "beta") + tuple(self.baseline.param_names)
+        return ("alpha", "beta") + tuple(self.baseline.names)
 
     @property
     def values(self):
-        return (self.alpha, self.beta) + tuple(self.baseline.params)
+        return (self.alpha, self.beta) + tuple(self.baseline.values)
+
+    def pdf(self, x):
+        return ptg_pdf(x, self)
+
+    def cdf(self, x):
+        return ptg_cdf(x, self)
+
+    def log_pdf(self, x):
+        return ptg_log_pdf(x, self)
+
+    def quantile(self, u):
+        return ptg_quantile(u, self)
 
 
 def pte_params(alpha, beta, lam):

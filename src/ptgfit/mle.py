@@ -7,9 +7,10 @@ iterate inside the parameter domain: alpha = tanh(a), beta unconstrained
 log.  Standard errors come from inverting the observed information matrix,
 itself a central finite-difference Hessian in the original coordinates.
 
-Both signs of beta are admitted.  For beta < 0 the leading likelihood terms
-are evaluated as n*log|beta| - n*log|1 - exp(-beta)|; the two sign flips
-cancel, so the expression equals the sum of log-densities for either sign.
+``log_likelihood`` and ``FitResult`` serve every model of the shared
+protocol (``PtgParams``, the baselines and the competitor models): the
+log-likelihood is the sum of the model's ``log_pdf``, and a fit record is
+built from the estimates and their observed information alike.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from scipy.optimize import minimize
 from scipy.stats import norm, qmc
 
 from .baselines import BASELINE_FAMILIES
+from .data import check_sample
 from .distributions import DEFAULT_BETA_FLOOR, PtgParams
 
 __all__ = [
@@ -55,9 +57,9 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a maximum-likelihood fit."""
+    """Outcome of a maximum-likelihood fit; ``estimates`` is the fitted model."""
 
-    estimates: PtgParams
+    estimates: object
     loglik: float
     std_errors: np.ndarray
     ci_low: np.ndarray
@@ -76,39 +78,53 @@ class FitResult:
     def k(self):
         return len(self.estimates.values)
 
+    @classmethod
+    def from_information(cls, estimates, loglik, info, converged, n_restarts_used, n_obs):
+        """Fit record with standard errors from the observed information
+        ``info`` and 95% Wald intervals; warns when the fit did not converge
+        or the information is singular."""
+        if not converged:
+            warnings.warn("fit did not fully converge; results are flagged", stacklevel=3)
+        k = len(estimates.values)
+        if np.all(np.isfinite(info)):
+            eigvals = np.linalg.eigvalsh(info)
+            degenerate = bool(eigvals.min() < 1e-10 * max(1.0, eigvals.max()))
+            cov = np.linalg.pinv(info) if degenerate else np.linalg.inv(info)
+            var = np.diag(cov)
+            se = np.sqrt(np.where(var > 0, var, np.nan))
+        else:
+            # a finite-difference step left the domain (alpha at +-1): the
+            # matrix holds inf/NaN and has no curvature to invert
+            degenerate = True
+            se = np.full(k, np.nan)
+        if degenerate:
+            warnings.warn("observed information is singular to tolerance", stacklevel=3)
+        partial = cls(
+            estimates=estimates,
+            loglik=loglik,
+            std_errors=se,
+            ci_low=np.full(k, np.nan),
+            ci_high=np.full(k, np.nan),
+            info_matrix=info,
+            converged=converged,
+            n_restarts_used=n_restarts_used,
+            n_obs=int(n_obs),
+            degenerate_info=degenerate,
+        )
+        low, high = wald_ci(partial, 0.95)
+        return replace(partial, ci_low=low, ci_high=high)
 
-def _log_abs_one_minus_exp_neg(beta):
-    """log |1 - exp(-beta)| without overflow for large |beta|."""
-    if beta > 0:
-        return math.log1p(-math.exp(-beta))
-    return -beta + math.log1p(-math.exp(beta))
 
-
-def log_likelihood(data, p):
-    """Log-likelihood of ``data`` under parameter vector ``p``.
+def log_likelihood(data, model):
+    """Log-likelihood of ``data`` under ``model``: the sum of its ``log_pdf``.
 
     Returns ``-inf`` whenever any observation falls where the density is
-    zero (the transmuted factor nonpositive).
+    zero (for PT-G, where the transmuted factor is nonpositive).
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("data must be nonempty")
-    n = data.size
-    g = p.baseline.cdf(data)
-    fac = 1.0 + p.alpha - 2.0 * p.alpha * g
-    if np.any(fac <= 0.0):
-        return -np.inf
-    t = g * (1.0 + p.alpha - p.alpha * g)
-    log_g = p.baseline.log_pdf(data)
-    if not np.all(np.isfinite(log_g)):
-        return -np.inf
-    return float(
-        n * math.log(abs(p.beta))
-        - n * _log_abs_one_minus_exp_neg(p.beta)
-        + np.sum(log_g)
-        + np.sum(np.log(fac))
-        - p.beta * np.sum(t)
-    )
+    return float(np.sum(model.log_pdf(data)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +192,7 @@ def multistart_maximize(loglik_z, starts, max_iter=2000, ftol=1e-10, xtol=1e-8):
 def _family_transform(family_tag, beta_floor):
     """Unconstrained-coordinate map z -> PtgParams for one baseline family."""
     cls = BASELINE_FAMILIES[family_tag]
-    q = len(cls.param_names)
+    q = len(cls.names)
 
     def to_params(z):
         alpha = math.tanh(z[0])
@@ -214,7 +230,7 @@ def fit(data, baseline_family="exponential", opts=None):
 
     Parameters
     ----------
-    data : array-like of positive floats
+    data : array-like of positive finite floats
     baseline_family : {"exponential", "weibull"}
     opts : FitOptions, optional
 
@@ -226,9 +242,7 @@ def fit(data, baseline_family="exponential", opts=None):
         the search did not reach a stationary point.
     """
     opts = opts or FitOptions()
-    data = np.asarray(data, dtype=float)
-    if data.size == 0 or np.any(data <= 0):
-        raise ValueError("data must be nonempty and strictly positive")
+    data = check_sample(data)
     to_params, q = _family_transform(baseline_family, DEFAULT_BETA_FLOOR)
     if data.size < (2 + q) + 1:
         raise ValueError("need at least one more observation than parameters")
@@ -241,39 +255,11 @@ def fit(data, baseline_family="exponential", opts=None):
     z_best, ll_best, n_launches, converged = multistart_maximize(
         loglik_z, starts, max_iter=opts.max_iter, ftol=opts.tol, xtol=1e-8
     )
-    if not converged:
-        warnings.warn("fit did not fully converge; results are flagged", stacklevel=2)
     estimates = to_params(z_best)
-
     info = observed_information(data, estimates, fd_step=opts.fd_step)
-    if np.all(np.isfinite(info)):
-        eigvals = np.linalg.eigvalsh(info)
-        degenerate = bool(eigvals.min() < 1e-10 * max(1.0, eigvals.max()))
-        cov = np.linalg.pinv(info) if degenerate else np.linalg.inv(info)
-        var = np.diag(cov)
-        se = np.sqrt(np.where(var > 0, var, np.nan))
-    else:
-        # a finite-difference step left the domain (alpha at +-1): the
-        # matrix holds inf/NaN and has no curvature to invert
-        degenerate = True
-        se = np.full(2 + q, np.nan)
-    if degenerate:
-        warnings.warn("observed information is singular to tolerance", stacklevel=2)
-
-    partial = FitResult(
-        estimates=estimates,
-        loglik=ll_best,
-        std_errors=se,
-        ci_low=np.full(2 + q, np.nan),
-        ci_high=np.full(2 + q, np.nan),
-        info_matrix=info,
-        converged=converged,
-        n_restarts_used=n_launches,
-        n_obs=int(data.size),
-        degenerate_info=degenerate,
+    return FitResult.from_information(
+        estimates, ll_best, info, converged, n_launches, data.size
     )
-    low, high = wald_ci(partial, 0.95)
-    return replace(partial, ci_low=low, ci_high=high)
 
 
 def _fd_hessian(f, x, rel_step):
@@ -309,11 +295,11 @@ def observed_information(data, p_hat, fd_step=1e-4):
             "edge; the Hessian may be unreliable",
             stacklevel=2,
         )
-    baseline = p_hat.baseline
+    baseline_cls = type(p_hat.baseline)
 
     def f(th):
         try:
-            p = PtgParams(th[0], th[1], baseline.with_params(th[2:]))
+            p = PtgParams(th[0], th[1], baseline_cls(*th[2:]))
         except ValueError:
             return -np.inf
         return log_likelihood(data, p)
@@ -324,21 +310,18 @@ def observed_information(data, p_hat, fd_step=1e-4):
 def wald_ci(fit_result, level=0.95):
     """Wald confidence intervals, truncated to the parameter domain.
 
-    alpha is clipped to [-1, 1]; beta to the sign region of its estimate;
-    baseline parameters to [0, inf).  A zero standard error degenerates to
-    the point estimate.
+    For PT-G, alpha is clipped to [-1, 1] and beta to the sign region of its
+    estimate; every other parameter (baseline or competitor) to [0, inf).
+    A zero standard error degenerates to the point estimate; an unknown
+    (NaN) one gives NaN bounds.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     z = norm.ppf(0.5 * (1.0 + level))
     est = np.asarray(fit_result.estimates.values, dtype=float)
-    se = np.nan_to_num(fit_result.std_errors, nan=0.0)
-    low = est - z * se
-    high = est + z * se
-    low[0], high[0] = max(low[0], -1.0), min(high[0], 1.0)
-    if est[1] < 0:
-        high[1] = min(high[1], 0.0)
-    else:
-        low[1] = max(low[1], 0.0)
-    low[2:] = np.maximum(low[2:], 0.0)
-    return low, high
+    se = np.asarray(fit_result.std_errors, dtype=float)
+    lo, hi = np.zeros(est.size), np.full(est.size, np.inf)  # the parameter domain
+    if isinstance(fit_result.estimates, PtgParams):
+        lo[:2] = -1.0, (-np.inf if est[1] < 0 else 0.0)
+        hi[:2] = 1.0, (0.0 if est[1] < 0 else np.inf)
+    return np.maximum(est - z * se, lo), np.minimum(est + z * se, hi)

@@ -197,12 +197,12 @@ def test_criterion_5_competitors(data_I, data_II):
     _report(
         "criterion 5: competitor fits",
         [
-            _within(exp_i.model.lam, 0.540, 1e-3, "Exp lam (I)"),
-            _within(exp_ii.model.lam, 0.526, 1e-3, "Exp lam (II)"),
-            _within(me_i.model.sigma, 0.925, 1e-3, "ME sigma (I)"),
-            _within(me_ii.model.sigma, 0.950, 1e-3, "ME sigma (II)"),
-            _within(moe_i.model.tilt, 8.778, 0.8, "MO-E tilt (I)"),
-            _within(moe_i.model.lam, 1.379, 0.1, "MO-E lam (I)"),
+            _within(exp_i.estimates.lam, 0.540, 1e-3, "Exp lam (I)"),
+            _within(exp_ii.estimates.lam, 0.526, 1e-3, "Exp lam (II)"),
+            _within(me_i.estimates.sigma, 0.925, 1e-3, "ME sigma (I)"),
+            _within(me_ii.estimates.sigma, 0.950, 1e-3, "ME sigma (II)"),
+            _within(moe_i.estimates.tilt, 8.778, 0.8, "MO-E tilt (I)"),
+            _within(moe_i.estimates.lam, 1.379, 0.1, "MO-E lam (I)"),
             _within(moe_aic, 210.36, 0.5, "MO-E AIC (I)"),
         ],
     )

@@ -69,6 +69,81 @@ class TestFitCommand:
         assert code == 2
         assert payload["converged"] is False
 
+    def test_moe_nonconvergence_exit_code(self, capsys, monkeypatch):
+        import ptgfit.competitors as comp_mod
+
+        real = comp_mod.multistart_maximize
+
+        def not_converged(*args, **kwargs):
+            z, ll, n_launches, _ = real(*args, **kwargs)
+            return z, ll, n_launches, False
+
+        monkeypatch.setattr(comp_mod, "multistart_maximize", not_converged)
+        with pytest.warns(UserWarning, match="did not fully converge"):
+            code, payload, _ = run_json(
+                capsys, "fit", "--model", "moe", "--data", "embedded:II"
+            )
+        assert code == 2
+        assert payload["converged"] is False
+
+    def test_starts_reach_marshall_olkin_fit(self, capsys, monkeypatch):
+        import ptgfit.competitors as comp_mod
+
+        real = comp_mod.multistart_maximize
+        launched = []
+
+        def counting(loglik_z, starts, **kwargs):
+            launched.append(len(starts))
+            return real(loglik_z, starts, **kwargs)
+
+        monkeypatch.setattr(comp_mod, "multistart_maximize", counting)
+        code, payload, _ = run_json(
+            capsys, "fit", "--model", "moe", "--data", "embedded:I", "--starts", "1"
+        )
+        assert code == 0
+        assert launched == [1]
+        assert payload["n_restarts_used"] == 3  # one start and two polishing restarts
+
+    @pytest.mark.parametrize("model", ["exp", "moe", "pte"])
+    def test_non_finite_data_rejected(self, capsys, tmp_path, model):
+        f = tmp_path / "obs.txt"
+        f.write_text("1.0 nan 2.0 inf 3.5\n")
+        code, out, err = run_cli(capsys, "fit", "--model", model, "--data", str(f))
+        assert code == 1 and out == ""
+        assert "obs.txt:1: non-finite value 'nan'" in err
+
+    def test_strict_json_and_unknown_intervals(self, capsys):
+        # one start ends at alpha = -1, where the information matrix is not
+        # finite: the standard errors are unknown, and so are the intervals
+        with pytest.warns(UserWarning, match="domain edge"), pytest.warns(
+            UserWarning, match="singular"
+        ):
+            code, out, _ = run_cli(
+                capsys, "fit", "--model", "pte", "--data", "embedded:I", "--starts", "1",
+                "--format", "json",
+            )
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert code == 0
+        for key in ("std_errors", "ci_low", "ci_high"):
+            assert payload[key] == {"alpha": None, "beta": None, "lam": None}, key
+        assert payload["estimates"]["alpha"] == -1.0
+
+    def test_csv_keeps_printing_nan(self, capsys):
+        with pytest.warns(UserWarning, match="domain edge"), pytest.warns(
+            UserWarning, match="singular"
+        ):
+            code, out, _ = run_cli(
+                capsys, "fit", "--model", "pte", "--data", "embedded:I", "--starts", "1",
+                "--format", "csv",
+            )
+        header, rows = read_csv(out)
+        assert rows[0][header.index("se_alpha")] == "nan"
+        assert rows[0][header.index("ci_low_alpha")] == "nan"
+
 
 class TestGofCommand:
     def test_pte_guinea_pigs(self, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ptgfit.baselines import Exponential
 from ptgfit.competitors import (
-    ExponentialModel,
     MarshallOlkinExponential,
     MomentExponential,
     fit_competitor,
@@ -93,7 +93,7 @@ class TestMarshallOlkin:
 @pytest.mark.parametrize(
     "model",
     [
-        ExponentialModel(0.7),
+        Exponential(0.7),
         MomentExponential(1.3),
         MarshallOlkinExponential(8.0, 1.4),
         MarshallOlkinExponential(0.2, 0.9),
@@ -118,6 +118,12 @@ class TestDensityContract:
 def test_fit_competitor_rejects_unknown_tag(data_II):
     with pytest.raises(ValueError):
         fit_competitor(data_II, "gamma")
+
+
+@pytest.mark.parametrize("tag", ["exp", "me", "moe"])
+def test_fit_competitor_rejects_non_finite_data(tag):
+    with pytest.raises(ValueError, match="nonempty, finite and strictly positive"):
+        fit_competitor([1.0, np.nan, 2.0, np.inf, 3.5], tag)
 
 
 def test_fit_competitor_moe_record(data_I):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptgfit.data import Dataset, describe, embedded_dataset, load_observations
+from ptgfit.data import Dataset, check_sample, describe, embedded_dataset, load_observations
 
 RELIEF_REFERENCE = {
     "n": 20, "min": 1.100, "mean": 1.900, "median": 1.700, "sd": 0.704,
@@ -102,6 +102,12 @@ class TestLoadObservations:
         with pytest.raises(ValueError, match=r":1: nonpositive"):
             load_observations(f)
 
+    def test_non_finite_value_names_line(self, tmp_path):
+        f = tmp_path / "obs.txt"
+        f.write_text("1.0\n2.0 inf 3.5\n1.0 nan 2.0\n")
+        with pytest.raises(ValueError, match=r"obs.txt:2: non-finite value 'inf'"):
+            load_observations(f)
+
     def test_parse_error_names_line(self, tmp_path):
         f = tmp_path / "obs.txt"
         f.write_text("1.0\nnot-a-number\n")
@@ -134,8 +140,21 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             Dataset("user", np.array([1.0, 0.0]), "nowhere")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="nonempty, finite and strictly positive"):
+            Dataset("user", np.array([1.0, bad, 2.0]), "nowhere")
+
     def test_values_frozen(self):
         d = Dataset("user", np.array([1.0, 2.0]), "nowhere")
         with pytest.raises(ValueError):
             d.values[0] = 5.0
         assert d.n == 2
+
+
+@pytest.mark.parametrize(
+    "values", [[], [1.0, 0.0], [1.0, -2.0], [1.0, np.nan, 2.0], [1.0, np.inf], [-np.inf]]
+)
+def test_check_sample_rejects(values):
+    with pytest.raises(ValueError, match="nonempty, finite and strictly positive"):
+        check_sample(values)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptgfit.competitors import MarshallOlkinExponential
 from ptgfit.distributions import pte_params, ptg_log_pdf
 from ptgfit.mle import (
     FitOptions,
@@ -175,6 +176,11 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([1.0, 2.0], "exponential")  # fewer points than parameters + 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        with pytest.raises(ValueError, match="nonempty, finite and strictly positive"):
+            fit([1.0, bad, 2.0, 3.5, 4.0], "exponential")
+
     def test_result_invariants(self, fit_I):
         info = fit_I.info_matrix
         assert np.allclose(info, info.T, rtol=1e-8)
@@ -228,7 +234,8 @@ class TestObservedInformation:
         assert not np.all(np.isfinite(res.info_matrix))
         assert res.degenerate_info
         assert np.all(np.isnan(res.std_errors))
-        assert np.array_equal(res.ci_low, res.ci_high)
+        # an unknown standard error gives an unknown interval, not the point
+        assert np.all(np.isnan(res.ci_low)) and np.all(np.isnan(res.ci_high))
 
     def test_symmetric_by_construction(self, data_II):
         info = observed_information(data_II, pte_params(0.3, -2.0, 1.0))
@@ -275,6 +282,15 @@ class TestWaldCi:
         assert high[0] == 1.0  # alpha clipped to [-1, 1]
         assert high[1] == 0.0  # beta keeps the sign of its estimate
         assert low[2] == 0.0  # positive baseline parameter
+
+    def test_competitor_bounds_and_unknown_se(self):
+        # competitor parameters are clipped at 0 only; a NaN standard error
+        # gives NaN bounds rather than the point estimate
+        res = _result_from(MarshallOlkinExponential(0.5, 2.0), [1.0, np.nan])
+        low, high = wald_ci(res, 0.95)
+        assert low[0] == 0.0
+        assert high[0] == pytest.approx(0.5 + 1.959963984540054, abs=1e-12)
+        assert np.isnan(low[1]) and np.isnan(high[1])
 
     def test_level_validation(self):
         res = _result_from(pte_params(0.3, 2.0, 1.0), [0.1, 0.1, 0.1])

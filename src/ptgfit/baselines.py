@@ -5,6 +5,12 @@ competitor models: ``names``, ``values``, ``pdf``, ``cdf``, ``log_pdf`` and
 ``quantile``.  Both shipped families live on
 (0, inf); the ``support`` attribute carries that so future baselines on the
 whole real line can declare otherwise.
+
+For the maximum-likelihood score each family also has the class-level,
+parameter-batched ``d_cdf`` and ``d_log_pdf``: given observations ``x`` of
+shape (n,) and parameter rows ``params`` of shape (S, q), columns in
+``names`` order, they return the value, shape (S, n), and its derivative in
+each parameter, shape (q, S, n).
 """
 
 from __future__ import annotations
@@ -51,6 +57,17 @@ class Exponential:
     def mgf_sup(self):
         # E[exp(sX)] is finite exactly for s < lam.
         return self.lam
+
+    @staticmethod
+    def d_cdf(x, params):
+        lam = params[:, 0:1]
+        tail = np.exp(-lam * x)
+        return -np.expm1(-lam * x), (x * tail)[None]
+
+    @staticmethod
+    def d_log_pdf(x, params):
+        lam = params[:, 0:1]
+        return np.log(lam) - lam * x, (1.0 / lam - x)[None]
 
 
 @dataclass(frozen=True)
@@ -110,6 +127,22 @@ class Weibull:
         if self.theta == 1.0:
             return self.lam
         return 0.0  # sub-exponential tail: no positive exponential moment
+
+    @staticmethod
+    def d_cdf(x, params):
+        lam, theta = params[:, 0:1], params[:, 1:2]
+        log_x = np.log(x)
+        xt = np.exp(theta * log_x)
+        d_lam = xt * np.exp(-lam * xt)
+        return -np.expm1(-lam * xt), np.stack([d_lam, lam * log_x * d_lam])
+
+    @staticmethod
+    def d_log_pdf(x, params):
+        lam, theta = params[:, 0:1], params[:, 1:2]
+        log_x = np.log(x)
+        xt = np.exp(theta * log_x)
+        value = np.log(lam) + np.log(theta) + (theta - 1.0) * log_x - lam * xt
+        return value, np.stack([1.0 / lam - xt, 1.0 / theta + log_x * (1.0 - lam * xt)])
 
 
 BASELINE_FAMILIES = {

@@ -4,7 +4,8 @@ Three lightweight lifetime models: exponential (``baselines.Exponential``,
 closed-form MLE), moment exponential (length-biased exponential,
 f(x) = x exp(-x/sigma)/sigma^2, closed-form sigma_hat = xbar/2) and
 Marshall-Olkin exponential (tilted survival
-S(x) = a exp(-lx) / (1 - (1-a) exp(-lx)), fitted numerically).
+S(x) = a exp(-lx) / (1 - (1-a) exp(-lx)), fitted numerically on the
+lockstep quasi-Newton engine of ``mle``, driven by its analytic score).
 
 The models carry the protocol of ``PtgParams`` (``names``, ``values``,
 ``pdf``, ``cdf``, ``log_pdf``, ``quantile``), and ``fit_competitor`` returns
@@ -19,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Exponential
+from .baselines import Exponential, _check_positive
 from .data import check_sample
-from .mle import FitResult, _fd_hessian, log_likelihood, multistart_maximize
+from .mle import (
+    _LOG_BOX,
+    FitResult,
+    _fd_hessian,
+    log_likelihood,
+    multistart_maximize,
+)
 
 __all__ = [
     "MomentExponential",
@@ -41,6 +48,9 @@ class MomentExponential:
     sigma: float
 
     names = ("sigma",)
+
+    def __post_init__(self):
+        _check_positive("sigma", self.sigma)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -72,6 +82,10 @@ class MarshallOlkinExponential:
 
     names = ("tilt", "lam")
 
+    def __post_init__(self):
+        _check_positive("tilt", self.tilt)
+        _check_positive("lam", self.lam)
+
     def _denom(self, x):
         return 1.0 - (1.0 - self.tilt) * np.exp(-self.lam * np.asarray(x, dtype=float))
 
@@ -91,7 +105,8 @@ class MarshallOlkinExponential:
         )
 
     def loglik(self, data):
-        """Log-likelihood of ``data``; the objective of the Marshall-Olkin fit."""
+        """Log-likelihood of ``data``; differenced for the Marshall-Olkin
+        observed information."""
         return log_likelihood(data, self)
 
     def quantile(self, u):
@@ -103,6 +118,36 @@ class MarshallOlkinExponential:
     @property
     def values(self):
         return (self.tilt, self.lam)
+
+
+def _moe_loglik_score(data):
+    """Batched Marshall-Olkin log-likelihood and score.
+
+    Returns ``f(Z) -> (loglik (S,), score (S, 2))`` for rows of
+    z = (log tilt, log lam).  With D = 1 - (1 - tilt) exp(-lam x),
+
+        l = n log tilt + n log lam - lam sum x - 2 sum log D.
+    """
+    x = np.asarray(data, dtype=float)
+    n, sum_x = x.size, float(x.sum())
+
+    def loglik_score(z):
+        with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
+            tilt, lam = np.exp(z[:, 0:1]), np.exp(z[:, 1:2])
+            tail = np.exp(-lam * x)
+            denom = 1.0 - (1.0 - tilt) * tail
+            w = tail / denom
+            tilt, lam = tilt[:, 0], lam[:, 0]
+            ll = n * (z[:, 0] + z[:, 1]) - lam * sum_x - 2.0 * np.sum(np.log(denom), axis=1)
+            score = np.column_stack(
+                [
+                    n - 2.0 * tilt * np.sum(w, axis=1),
+                    n - lam * sum_x - 2.0 * lam * (1.0 - tilt) * np.sum(x * w, axis=1),
+                ]
+            )
+        return ll, score
+
+    return loglik_score
 
 
 def fit_exponential(data):
@@ -129,7 +174,8 @@ def fit_competitor(data, tag, seed=0, n_starts=20):
     Closed-form information is used for the exponential (n/lam^2, so
     SE = lam/sqrt(n)) and moment exponential (2n/sigma^2, SE =
     sigma/sqrt(2n)); the Marshall-Olkin fit runs ``n_starts`` seeded
-    starts and its information is a finite-difference observed information.
+    starts on ``mle.multistart_maximize`` and its information is a
+    finite-difference observed information.
     """
     data = check_sample(data)
     n = data.size
@@ -142,10 +188,6 @@ def fit_competitor(data, tag, seed=0, n_starts=20):
     elif tag == "moe":
         if n < 3:
             raise ValueError("need at least three observations")
-
-        def loglik_z(z):  # log coordinates keep tilt and lam positive
-            return MarshallOlkinExponential(math.exp(z[0]), math.exp(z[1])).loglik(data)
-
         xbar = data.mean()
         rng = np.random.default_rng(seed)
         starts = np.column_stack(
@@ -154,7 +196,12 @@ def fit_competitor(data, tag, seed=0, n_starts=20):
                 rng.uniform(math.log(0.1 / xbar), math.log(10.0 / xbar), n_starts),
             ]
         )
-        z, _, n_launches, converged = multistart_maximize(loglik_z, starts)
+        centre = np.array([0.0, -math.log(xbar)])
+        z, _, n_launches, converged = multistart_maximize(
+            _moe_loglik_score(data),
+            starts,
+            box=(centre - _LOG_BOX, centre + _LOG_BOX),
+        )
         model = MarshallOlkinExponential(math.exp(z[0]), math.exp(z[1]))
 
         def f(th):

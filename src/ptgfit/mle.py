@@ -1,11 +1,16 @@
 """Maximum-likelihood estimation for the Poisson transmuted-G family.
 
-The log-likelihood is maximized by derivative-free simplex search from many
-Latin-hypercube starting points, in transformed coordinates that keep every
-iterate inside the parameter domain: alpha = tanh(a), beta unconstrained
-(with a small exclusion band around zero), positive baseline parameters via
-log.  Standard errors come from inverting the observed information matrix,
-itself a central finite-difference Hessian in the original coordinates.
+The log-likelihood is maximized from many Latin-hypercube starting points
+at once: one lockstep quasi-Newton engine (``minimize``, BFGS steps with a
+backtracking line search) advances every start on one (starts x n) array,
+driven by the analytic score.  The search runs in transformed coordinates
+that keep every iterate inside the parameter domain: alpha = sin(z0), which
+reaches the edges alpha = +-1 at finite z0 and has no flat tail to strand a
+start in, beta unconstrained (with a small exclusion band around zero), and
+positive baseline parameters via log.  The Marshall-Olkin fit in
+``competitors`` runs on the same engine.  Standard errors come from
+inverting the observed information matrix, itself a central
+finite-difference Hessian in the original coordinates.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -20,7 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.stats import norm, qmc
 
 from .baselines import BASELINE_FAMILIES
@@ -40,7 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Tuning knobs for :func:`fit`."""
+    """Tuning knobs for :func:`fit`.
+
+    ``max_iter`` caps the quasi-Newton steps of each start, ``tol`` is the
+    score max-norm at which a start stops, and ``fd_step`` is the relative
+    step of the finite-difference observed information.
+    """
 
     n_starts: int = 20
     max_iter: int = 2000
@@ -128,60 +137,147 @@ def log_likelihood(data, model):
 
 
 # ---------------------------------------------------------------------------
-# generic multistart simplex engine
+# lockstep quasi-Newton multistart engine
 # ---------------------------------------------------------------------------
 
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_MAX_HALVINGS = 20  # step halvings before a line search gives up
+_ROUNDING = 1e-13  # relative rounding of a summed log-likelihood
+_XTOL = 1e-10  # relative step below which a start has stopped moving
+_CONVERGED_SCORE = 1e-3  # score max-norm below which a fit counts as converged
+# search box, as half-widths in transformed coordinates: a start that leaves
+# it stops (beta -> +inf with lambda -> 0 is a runaway on dataset II).  The
+# log-parameters are centred on the data's scale.  z0 = asin(alpha) needs no
+# box: every z0 is a point of the domain.
+_BETA_BOX = 1e4
+_LOG_BOX = 50.0
+_BETA_WARN = 700.0  # documented |beta| range of the Poisson layer
 
-def _fd_gradient(f, x, rel_step=1e-6):
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
+
+def _bfgs_update(h, s, y):
+    """BFGS update of the inverse Hessians ``h`` (S, k, k) by the steps ``s``
+    and gradient changes ``y`` (S, k); rows without positive curvature keep
+    their matrix."""
+    sy = np.einsum("si,si->s", s, y)
+    ok = sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
+    rho = np.where(ok, 1.0 / np.where(ok, sy, 1.0), 0.0)[:, None, None]
+    left = np.eye(s.shape[1]) - rho * s[:, :, None] * y[:, None, :]
+    return left @ h @ left.transpose(0, 2, 1) + rho * s[:, :, None] * s[:, None, :]
 
 
-def multistart_maximize(loglik_z, starts, max_iter=2000, ftol=1e-10, xtol=1e-8):
-    """Maximize ``loglik_z`` (transformed coordinates) from each start point.
+def minimize(fun, z0, box, max_iter=2000, gtol=1e-10):
+    """Minimize a batched objective from every row of ``z0`` in lockstep.
 
-    Runs a Nelder-Mead search per start, keeps the best optimum, then
-    polishes it with two further simplex restarts.  Returns
-    ``(z_best, loglik_best, n_launches, converged)`` where ``converged``
-    requires simplex convergence and a small numerical gradient.
+    ``fun(Z)`` maps an (S, k) array of points to their values (S,) and
+    gradients (S, k).  All rows advance together: a BFGS direction, then a
+    backtracking line search that evaluates only the rows still searching.
+    A trial point is accepted on Armijo's sufficient decrease or, where the
+    decrease is lost in the value's rounding, on a smaller gradient.  A row
+    starts from the identity inverse Hessian with a step of at most unit
+    max-norm and rescales it by its first curvature pair; a failed search
+    along a quasi-Newton direction sends the row back to that start.
+
+    A row stops when its gradient's max-norm falls below ``gtol``, when its
+    line search fails along steepest descent, when a step no longer moves it
+    (relative change below ``_XTOL``), when it leaves ``box`` (lower and
+    upper bounds, each of length k), or after ``max_iter`` steps.  Returns
+    the final points, values and gradients.
     """
+    z = np.array(z0, dtype=float)
+    f, g = fun(z)
+    n_rows, k = z.shape
+    eye = np.eye(k)
+    h = np.tile(eye, (n_rows, 1, 1))
+    fresh = np.ones(n_rows, dtype=bool)  # inverse Hessian still the identity
+    active = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
+    lo, hi = box
+    for _ in range(max_iter):
+        active &= np.max(np.abs(g), axis=1) >= gtol
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        gr = g[rows]
+        d = -np.einsum("sij,sj->si", h[rows], gr)
+        slope = np.einsum("si,si->s", d, gr)
+        steep = fresh[rows] | ~(slope < 0.0)  # no descent: back to the gradient
+        fresh[rows[steep]] = True
+        h[rows[steep]] = eye
+        d[steep] = -gr[steep] / np.maximum(np.max(np.abs(gr[steep]), axis=1), 1.0)[:, None]
+        slope[steep] = np.einsum("si,si->s", d[steep], gr[steep])
+
+        step = np.ones(rows.size)
+        z_new, f_new, g_new = z[rows], f[rows], gr.copy()
+        done = np.zeros(rows.size, dtype=bool)
+        for _ in range(_MAX_HALVINGS):
+            p = np.flatnonzero(~done)
+            zt = z[rows[p]] + step[p, None] * d[p]
+            ft, gt = fun(zt)
+            f0 = f[rows[p]]
+            noise = _ROUNDING * np.maximum(np.abs(f0), 1.0)
+            ok = (
+                np.isfinite(ft)
+                & np.all(np.isfinite(gt), axis=1)
+                & (
+                    (ft <= f0 + _ARMIJO * step[p] * slope[p])
+                    | (
+                        (ft <= f0 + noise)
+                        & (np.max(np.abs(gt), axis=1) < np.max(np.abs(gr[p]), axis=1))
+                    )
+                )
+            )
+            z_new[p[ok]], f_new[p[ok]], g_new[p[ok]] = zt[ok], ft[ok], gt[ok]
+            done[p[ok]] = True
+            step[p[~ok]] *= 0.5
+            if done.all():
+                break
+
+        failed = rows[~done]
+        active[failed[fresh[failed]]] = False  # even steepest descent failed
+        fresh[failed] = True
+        h[failed] = eye
+        moved, m = rows[done], np.flatnonzero(done)
+        s, y = z_new[m] - z[moved], g_new[m] - g[moved]
+        first = fresh[moved]
+        sy, yy = np.einsum("si,si->s", s, y), np.einsum("si,si->s", y, y)
+        scale = np.where((sy > 0.0) & (yy > 0.0), sy / np.where(yy > 0.0, yy, 1.0), 1.0)
+        h[moved[first]] *= scale[first, None, None]
+        h[moved] = _bfgs_update(h[moved], s, y)
+        fresh[moved] = False
+        z[moved], f[moved], g[moved] = z_new[m], f_new[m], g_new[m]
+        still = np.max(np.abs(s) / np.maximum(np.abs(z[moved]), 1.0), axis=1) > _XTOL
+        active[moved] &= still & np.all((z[moved] >= lo) & (z[moved] <= hi), axis=1)
+    return z, f, g
+
+
+def multistart_maximize(loglik_score, starts, box, max_iter=2000, gtol=1e-10):
+    """Maximize a batched log-likelihood from every start, in lockstep.
+
+    ``loglik_score(Z)`` maps an (S, k) array of transformed coordinates to
+    the log-likelihoods (S,) and scores (S, k).  :func:`minimize` climbs
+    from all starts at once inside ``box``; the best end point is then
+    polished by two further restarts from it, each with a fresh inverse
+    Hessian.  Returns ``(z_best, loglik_best, n_launches, converged)``:
+    ``n_launches`` counts the starts and the two polishing restarts, and
+    ``converged`` requires the score's max-norm at ``z_best`` to be below
+    ``_CONVERGED_SCORE``.
+    """
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or len(starts) == 0:
+        raise ValueError("need at least one start")
 
     def neg(z):
-        v = loglik_z(z)
-        return np.inf if not np.isfinite(v) else -v
+        ll, score = loglik_score(z)
+        return np.where(np.isnan(ll), np.inf, -ll), -score
 
-    best = None
-    n_launches = 0
-    for z0 in starts:
-        res = minimize(
-            neg,
-            np.asarray(z0, dtype=float),
-            method="Nelder-Mead",
-            options=dict(maxiter=max_iter, maxfev=max_iter, xatol=xtol, fatol=ftol),
-        )
-        n_launches += 1
-        if best is None or res.fun < best.fun:
-            best = res
-    for _ in range(2):  # polish: fresh simplex around the incumbent optimum
-        res = minimize(
-            neg,
-            best.x,
-            method="Nelder-Mead",
-            options=dict(
-                maxiter=2 * max_iter, maxfev=2 * max_iter, xatol=xtol, fatol=ftol
-            ),
-        )
-        n_launches += 1
-        if res.fun <= best.fun:
-            best = res
-    grad = _fd_gradient(lambda z: -neg(z), best.x)
-    converged = bool(best.success) and bool(np.max(np.abs(grad)) < 1e-3)
-    return best.x, -best.fun, n_launches, converged
+    z, f, g = minimize(neg, starts, box, max_iter, gtol)
+    i = int(np.argmin(f))
+    z_best, f_best, g_best = z[i], f[i], g[i]
+    for _ in range(2):  # polish: a fresh inverse Hessian at the incumbent
+        z, f, g = minimize(neg, z_best[None], box, 2 * max_iter, gtol)
+        if f[0] <= f_best:
+            z_best, f_best, g_best = z[0], f[0], g[0]
+    converged = bool(np.max(np.abs(g_best)) < _CONVERGED_SCORE)
+    return z_best, -f_best, len(starts) + 2, converged
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +285,47 @@ def multistart_maximize(loglik_z, starts, max_iter=2000, ftol=1e-10, xtol=1e-8):
 # ---------------------------------------------------------------------------
 
 
-def _family_transform(family_tag, beta_floor):
-    """Unconstrained-coordinate map z -> PtgParams for one baseline family."""
-    cls = BASELINE_FAMILIES[family_tag]
-    q = len(cls.names)
+def _ptg_loglik_score(data, family):
+    """Batched PT-G log-likelihood and score over any baseline ``family``.
 
-    def to_params(z):
-        alpha = math.tanh(z[0])
-        beta = z[1]
-        if abs(beta) < beta_floor:
-            return None
-        return PtgParams(alpha, beta, cls(*np.exp(z[2 : 2 + q])))
+    Returns ``f(Z) -> (loglik (S,), score (S, k))`` for rows of transformed
+    coordinates z = (asin alpha, beta, log of each baseline parameter).
+    With G the baseline cdf, T = G (1 + alpha - alpha G) and
+    c(beta) = log|beta| - log|1 - exp(-beta)|,
 
-    return to_params, q
+        l = n c(beta) + sum log g + sum log(1 + alpha - 2 alpha G) - beta sum T,
+
+    and the score follows by the chain rule through alpha = sin z0 and the
+    log-parameters.  Rows with |beta| below ``DEFAULT_BETA_FLOOR`` or a
+    nonpositive transmuted factor get ``-inf``.
+    """
+    x = np.asarray(data, dtype=float)
+    n = x.size
+
+    def loglik_score(z):
+        with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
+            alpha, beta = np.sin(z[:, 0:1]), z[:, 1]
+            phi = np.exp(z[:, 2:])
+            cdf, d_cdf = family.d_cdf(x, phi)
+            log_g, d_log_g = family.d_log_pdf(x, phi)
+            fac = 1.0 + alpha - 2.0 * alpha * cdf
+            t = cdf * (1.0 + alpha - alpha * cdf)
+            b = np.abs(beta)
+            # log|1 - exp(-beta)| = max(-beta, 0) + log(1 - exp(-|beta|))
+            const = np.log(b) - np.maximum(-beta, 0.0) - np.log(-np.expm1(-b))
+            ll = n * const + np.sum(log_g + np.log(fac) - beta[:, None] * t, axis=1)
+            score = np.empty_like(z)
+            score[:, 0] = np.cos(z[:, 0]) * (
+                np.sum((1.0 - 2.0 * cdf) / fac, axis=1)
+                - beta * np.sum(cdf * (1.0 - cdf), axis=1)
+            )
+            score[:, 1] = n * (1.0 / beta - 1.0 / np.expm1(beta)) - np.sum(t, axis=1)
+            weight = 2.0 * alpha / fac + beta[:, None] * fac
+            score[:, 2:] = phi * np.sum(d_log_g - weight * d_cdf, axis=2).T
+        bad = (b < DEFAULT_BETA_FLOOR) | np.any(fac <= 0.0, axis=1)
+        return np.where(bad, -np.inf, ll), score
+
+    return loglik_score
 
 
 def _lhs_starts(xbar, opts, q):
@@ -212,7 +336,7 @@ def _lhs_starts(xbar, opts, q):
     sampler = qmc.LatinHypercube(d=2 + q, seed=opts.seed)
     u = sampler.random(opts.n_starts)
     starts = np.empty_like(u)
-    starts[:, 0] = np.arctanh(-0.9 + 1.8 * u[:, 0])
+    starts[:, 0] = np.arcsin(-0.9 + 1.8 * u[:, 0])
     lo = u[:, 1] < 0.5
     starts[:, 1] = np.where(
         lo,
@@ -243,22 +367,33 @@ def fit(data, baseline_family="exponential", opts=None):
     """
     opts = opts or FitOptions()
     data = check_sample(data)
-    to_params, q = _family_transform(baseline_family, DEFAULT_BETA_FLOOR)
+    family = BASELINE_FAMILIES[baseline_family]
+    q = len(family.names)
     if data.size < (2 + q) + 1:
         raise ValueError("need at least one more observation than parameters")
 
-    def loglik_z(z):
-        p = to_params(z)
-        return -np.inf if p is None else log_likelihood(data, p)
-
-    starts = _lhs_starts(float(data.mean()), opts, q)
-    z_best, ll_best, n_launches, converged = multistart_maximize(
-        loglik_z, starts, max_iter=opts.max_iter, ftol=opts.tol, xtol=1e-8
+    xbar = float(data.mean())
+    centre = np.zeros(2 + q)
+    centre[2] = -math.log(xbar)
+    half = np.array([np.inf, _BETA_BOX] + [_LOG_BOX] * q)
+    z_best, _, n_launches, converged = multistart_maximize(
+        _ptg_loglik_score(data, family),
+        _lhs_starts(xbar, opts, q),
+        box=(centre - half, centre + half),
+        max_iter=opts.max_iter,
+        gtol=opts.tol,
     )
-    estimates = to_params(z_best)
+    # the best start has a finite log-likelihood, so |beta| >= the floor
+    estimates = PtgParams(math.sin(z_best[0]), z_best[1], family(*np.exp(z_best[2:])))
+    if abs(estimates.beta) > _BETA_WARN:
+        warnings.warn(
+            f"fitted beta = {estimates.beta:.6g} lies outside the documented "
+            f"|beta| <= {_BETA_WARN:g}",
+            stacklevel=2,
+        )
     info = observed_information(data, estimates, fd_step=opts.fd_step)
     return FitResult.from_information(
-        estimates, ll_best, info, converged, n_launches, data.size
+        estimates, log_likelihood(data, estimates), info, converged, n_launches, data.size
     )
 
 

@@ -71,3 +71,27 @@ def test_mgf_boundaries():
     assert Weibull(1.0, 2.0).mgf_sup() == np.inf
     assert Weibull(1.0, 1.0).mgf_sup() == 1.0
     assert Weibull(1.0, 0.5).mgf_sup() == 0.0
+
+
+@pytest.mark.parametrize("cls, rows", [
+    (Exponential, [(0.3,), (1.0,), (4.0,)]),
+    (Weibull, [(0.3, 0.5), (1.0, 1.0), (4.0, 2.5)]),
+])
+def test_batched_derivatives(cls, rows):
+    # d_cdf / d_log_pdf: values equal the scalar methods row by row, and each
+    # parameter derivative matches a central difference of that method
+    x = np.linspace(0.05, 3.0, 17)
+    params = np.array(rows, dtype=float)
+    for batched, method in ((cls.d_cdf, "cdf"), (cls.d_log_pdf, "log_pdf")):
+        value, deriv = batched(x, params)
+        assert value.shape == (len(rows), x.size)
+        assert deriv.shape == (len(cls.names), len(rows), x.size)
+        for s, row in enumerate(rows):
+            assert np.allclose(value[s], getattr(cls(*row), method)(x), rtol=1e-13, atol=1e-15)
+            for j in range(len(row)):
+                h = 1e-6 * row[j]
+                up, down = list(row), list(row)
+                up[j] += h
+                down[j] -= h
+                numeric = (getattr(cls(*up), method)(x) - getattr(cls(*down), method)(x)) / (2 * h)
+                assert np.allclose(deriv[j, s], numeric, rtol=1e-6, atol=1e-8)

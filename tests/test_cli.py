@@ -165,7 +165,9 @@ class TestGofCommand:
     def test_ptw_relief_statistics_finite(self, capsys):
         # the PT-W optimum on dataset II sits at beta ~ -7910, where the
         # compounded cdf once overflowed to NaN
-        with pytest.warns(UserWarning, match="singular"):
+        with pytest.warns(UserWarning, match="singular"), pytest.warns(
+            UserWarning, match="outside the documented"
+        ):
             code, payload, _ = run_json(
                 capsys, "gof", "--model", "ptw", "--data", "embedded:II"
             )
@@ -200,6 +202,16 @@ class TestSampleCommand:
         assert code == 0
         assert len(payload["samples"]) == 25
         assert all(v > 0 for v in payload["samples"])
+
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(("--model", "me", "--params", "-1"), "sigma"), (("--model", "moe", "--params=-1,2"), "tilt")],
+    )
+    def test_competitor_parameters_out_of_domain(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, "sample", *argv, "--n", "3")
+        assert code == 1 and out == ""
+        assert f"{name} must be a positive finite real" in err
 
 
 class TestPropsCommand:

@@ -8,6 +8,7 @@ from ptgfit.baselines import Exponential
 from ptgfit.competitors import (
     MarshallOlkinExponential,
     MomentExponential,
+    _moe_loglik_score,
     fit_competitor,
     fit_exponential,
     fit_mo_exponential,
@@ -131,3 +132,64 @@ def test_fit_competitor_moe_record(data_I):
     assert cfit.k == 2
     assert np.all(np.isfinite(cfit.std_errors))
     assert cfit.converged
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: MomentExponential(-1.0), "sigma"),
+        (lambda: MomentExponential(np.nan), "sigma"),
+        (lambda: MarshallOlkinExponential(-1.0, 2.0), "tilt"),
+        (lambda: MarshallOlkinExponential(0.0, 2.0), "tilt"),
+        (lambda: MarshallOlkinExponential(1.0, -2.0), "lam"),
+        (lambda: MarshallOlkinExponential(1.0, np.inf), "lam"),
+    ],
+)
+def test_competitor_parameters_validated(make, name):
+    with pytest.raises(ValueError, match=f"{name} must be a positive finite real"):
+        make()
+
+
+@pytest.mark.parametrize("fitter", [fit_competitor, fit_mo_exponential])
+def test_moe_fit_refuses_empty_start_set(data_I, fitter):
+    args = (data_I, "moe") if fitter is fit_competitor else (data_I,)
+    with pytest.raises(ValueError, match="need at least one start"):
+        fitter(*args, n_starts=0)
+
+
+@pytest.mark.parametrize(
+    "data_key, loglik", [("I", -103.18060125779724), ("II", -19.13566254239342)]
+)
+def test_moe_optimum_pinned(data_I, data_II, data_key, loglik):
+    # the optima found by the earlier Nelder-Mead multistart (seed 0)
+    res = fit_competitor(data_I if data_key == "I" else data_II, "moe", seed=0)
+    assert res.converged
+    assert res.loglik == pytest.approx(loglik, abs=1e-8)
+
+
+TILTS = (0.05, 1.0, 8.0, 175.0)
+LAMS = (0.3, 1.4, 2.9)
+
+
+class TestMarshallOlkinScore:
+    def test_loglik_equals_sum_of_log_pdf(self, data_II):
+        rows = [(a, lam) for a in TILTS for lam in LAMS]
+        ll, _ = _moe_loglik_score(data_II)(np.log(rows))
+        for (a, lam), value in zip(rows, ll):
+            direct = float(np.sum(MarshallOlkinExponential(a, lam).log_pdf(data_II)))
+            assert value == pytest.approx(direct, rel=1e-12), (a, lam)
+
+    @pytest.mark.parametrize("tilt", TILTS)
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_score_matches_central_differences(self, data_II, tilt, lam):
+        f = _moe_loglik_score(data_II)
+        z = np.log([tilt, lam])
+        _, score = f(z[None])
+        numeric = np.empty(2)
+        for i in range(2):  # Richardson-extrapolated central differences
+            e = np.zeros(2)
+            e[i] = 1e-4
+            d1 = (f((z + e)[None])[0][0] - f((z - e)[None])[0][0]) / 2e-4
+            d2 = (f((z + 2 * e)[None])[0][0] - f((z - 2 * e)[None])[0][0]) / 4e-4
+            numeric[i] = (4.0 * d1 - d2) / 3.0
+        assert np.allclose(score[0], numeric, rtol=1e-7, atol=1e-7)

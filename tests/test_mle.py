@@ -1,20 +1,38 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptgfit.baselines import Exponential, Weibull
 from ptgfit.competitors import MarshallOlkinExponential
-from ptgfit.distributions import pte_params, ptg_log_pdf
+from ptgfit.distributions import PtgParams, pte_params, ptg_log_pdf
 from ptgfit.mle import (
     FitOptions,
     FitResult,
     _fd_hessian,
+    _ptg_loglik_score,
     fit,
     log_likelihood,
+    multistart_maximize,
     observed_information,
     wald_ci,
 )
+
+
+def richardson_gradient(f, z, rel_step=1e-4):
+    """Central differences of the scalar ``f`` at ``z``, Richardson-extrapolated
+    from steps h and 2h so that the truncation error is O(h^4)."""
+    grad = np.empty(z.size)
+    for i in range(z.size):
+        h = rel_step * max(1.0, abs(z[i]))
+        e = np.zeros(z.size)
+        e[i] = h
+        d1 = (f(z + e) - f(z - e)) / (2.0 * h)
+        d2 = (f(z + 2.0 * e) - f(z - 2.0 * e)) / (4.0 * h)
+        grad[i] = (4.0 * d1 - d2) / 3.0
+    return grad
 
 
 class TestLogLikelihood:
@@ -148,6 +166,10 @@ class TestFit:
             e[i] = h
             grad.append((ll(z + e) - ll(z - e)) / (2 * h))
         assert np.max(np.abs(grad)) < 1e-3
+        # the analytic score in the search coordinates (asin alpha, beta, log lam)
+        z_search = np.array([[math.asin(a_hat), b_hat, math.log(lam_hat)]])
+        _, score = _ptg_loglik_score(data_I, Exponential)(z_search)
+        assert np.max(np.abs(score)) < 1e-6
 
     def test_profile_sanity(self, synthetic_fit):
         # +-5 SE single-parameter perturbations strictly decrease the likelihood
@@ -169,6 +191,39 @@ class TestFit:
         assert len(res.estimates.values) == 4
         # the extra shape parameter cannot lower the maximized likelihood
         assert res.loglik >= fit_I.loglik - 1e-6
+
+    @pytest.mark.parametrize(
+        "dataset, family, loglik",
+        [
+            ("I", "exponential", -98.04683378832306),
+            ("I", "weibull", -98.03667416677402),
+            ("II", "exponential", -15.564165689918028),
+            ("II", "weibull", -15.35789512991596),
+        ],
+    )
+    def test_optimum_pinned(self, data_I, data_II, dataset, family, loglik):
+        # the optima found by the earlier Nelder-Mead multistart (seed 0)
+        data = data_I if dataset == "I" else data_II
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # PT-W on II: beta outside 700
+            res = fit(data, family, FitOptions(seed=0))
+        assert res.converged
+        assert res.loglik == pytest.approx(loglik, abs=1e-8)
+
+    def test_out_of_domain_tilt_warns_without_moving(self, data_II):
+        # the PT-W likelihood on dataset II rises along a ridge to
+        # beta ~ -7910; the landing is reported as found, with a warning
+        with pytest.warns(UserWarning, match="singular"), pytest.warns(
+            UserWarning, match=r"fitted beta = -79\d\d.* outside the documented"
+        ):
+            res = fit(data_II, "weibull", FitOptions(seed=0))
+        assert res.estimates.beta == pytest.approx(-7910.5, abs=1.0)
+        assert res.loglik == pytest.approx(-15.35789512991596, abs=1e-8)
+
+    def test_no_warning_inside_documented_range(self, data_I):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(data_I, "exponential", FitOptions(seed=0, n_starts=4))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -310,3 +365,47 @@ class TestFitOptions:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FitOptions(**kwargs)
+
+
+ALPHAS = (-0.9, 0.0, 0.95)
+BETAS = (-800.0, -101.0, -6.6, 0.5, 30.0)
+BASELINES = (Exponential(0.8), Weibull(0.8, 1.3))
+
+
+class TestScore:
+    """The batched PT-G log-likelihood and its analytic score."""
+
+    @staticmethod
+    def _z(alpha, beta, baseline):
+        return np.array([math.asin(alpha), beta, *np.log(baseline.values)])
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=("exponential", "weibull"))
+    def test_loglik_equals_sum_of_log_pdf(self, data_I, baseline):
+        f = _ptg_loglik_score(data_I, type(baseline))
+        rows = [(a, b) for a in ALPHAS for b in BETAS]
+        ll, _ = f(np.array([self._z(a, b, baseline) for a, b in rows]))
+        for (a, b), value in zip(rows, ll):
+            direct = float(np.sum(ptg_log_pdf(data_I, PtgParams(a, b, baseline))))
+            assert value == pytest.approx(direct, rel=1e-12), (a, b)
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=("exponential", "weibull"))
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_score_matches_central_differences(self, data_I, baseline, alpha, beta):
+        f = _ptg_loglik_score(data_I, type(baseline))
+        z = self._z(alpha, beta, baseline)
+        _, score = f(z[None])
+        numeric = richardson_gradient(lambda v: f(v[None])[0][0], z)
+        assert np.allclose(score[0], numeric, rtol=1e-7, atol=1e-7)
+
+    def test_rows_outside_the_domain_are_minus_inf(self, data_I):
+        f = _ptg_loglik_score(data_I, Exponential)
+        ll, _ = f(np.array([[0.3, 1e-9, 0.0], [0.3, -2.0, 0.0]]))
+        assert ll[0] == -np.inf and np.isfinite(ll[1])
+
+
+def test_multistart_refuses_empty_start_set(data_I):
+    f = _ptg_loglik_score(data_I, Exponential)
+    box = (np.full(3, -np.inf), np.full(3, np.inf))
+    with pytest.raises(ValueError, match="need at least one start"):
+        multistart_maximize(f, np.empty((0, 3)), box=box)

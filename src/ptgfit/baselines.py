@@ -151,13 +151,17 @@ BASELINE_FAMILIES = {
 }
 
 
-def make_baseline(family_tag, params):
-    """Construct a baseline from its family tag and positional parameters."""
+def baseline_class(family_tag):
+    """The baseline class of a family tag; ``ValueError`` names the known tags."""
     try:
-        cls = BASELINE_FAMILIES[family_tag]
+        return BASELINE_FAMILIES[family_tag]
     except KeyError:
         raise ValueError(
             f"unknown baseline family {family_tag!r}; "
             f"expected one of {sorted(BASELINE_FAMILIES)}"
         ) from None
-    return cls(*params)
+
+
+def make_baseline(family_tag, params):
+    """Construct a baseline from its family tag and positional parameters."""
+    return baseline_class(family_tag)(*params)

@@ -24,6 +24,7 @@ from .baselines import Exponential, _check_positive
 from .data import check_sample
 from .mle import (
     _LOG_BOX,
+    FD_STEP,
     FitResult,
     _fd_hessian,
     log_likelihood,
@@ -33,9 +34,6 @@ from .mle import (
 __all__ = [
     "MomentExponential",
     "MarshallOlkinExponential",
-    "fit_exponential",
-    "fit_moment_exponential",
-    "fit_mo_exponential",
     "fit_competitor",
     "COMPETITOR_TAGS",
 ]
@@ -150,24 +148,6 @@ def _moe_loglik_score(data):
     return loglik_score
 
 
-def fit_exponential(data):
-    """Closed-form exponential MLE: returns (lambda_hat = 1/xbar, loglik)."""
-    res = fit_competitor(data, "exp")
-    return res.estimates.lam, res.loglik
-
-
-def fit_moment_exponential(data):
-    """Closed-form moment-exponential MLE: returns (sigma_hat = xbar/2, loglik)."""
-    res = fit_competitor(data, "me")
-    return res.estimates.sigma, res.loglik
-
-
-def fit_mo_exponential(data, seed=0, n_starts=20):
-    """Numerical Marshall-Olkin exponential MLE: returns (tilt, lam, loglik)."""
-    res = fit_competitor(data, "moe", seed=seed, n_starts=n_starts)
-    return (*res.estimates.values, res.loglik)
-
-
 def fit_competitor(data, tag, seed=0, n_starts=20):
     """Fit one competitor by tag and return its ``FitResult``.
 
@@ -209,7 +189,7 @@ def fit_competitor(data, tag, seed=0, n_starts=20):
                 return -np.inf
             return MarshallOlkinExponential(th[0], th[1]).loglik(data)
 
-        info = -_fd_hessian(f, np.array(model.values), 1e-4)
+        info = -_fd_hessian(f, np.array(model.values), FD_STEP)
     else:
         raise ValueError(f"unknown competitor tag {tag!r}; expected {COMPETITOR_TAGS}")
     return FitResult.from_information(

@@ -14,11 +14,9 @@ stress-strength reliability, residual life, Renyi entropy and mean
 deviations are computed here.  Adaptive quadrature is the only evaluation
 of every integral quantity: moments, mean deviations and residual life are
 integrated in probability space, E[h(X)] = int_0^1 h(Q(u)) du, with Q the
-closed-form quantile.  The series forms (``*_series``, ``order_stat_pdf``
-in series mode) are diagnostics, cross-checked against quadrature in the
-test suite.  For beta > 0 the delta-series alternates and its cancellation
-grows like exp(beta); the delta-weighted diagnostics raise ``ValueError``
-once that cancellation has eaten their digits instead of returning them.
+closed-form quantile.  The series forms (``series_pdf``, ``series_cdf`` and
+``order_stat_pdf`` in series mode) are the paper's expansions, kept as
+cross-checks of the closed forms.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ __all__ = [
     "PowerSeries",
     "delta_coeffs",
     "xi_coeffs",
-    "renyi_coeffs",
     "default_truncation",
     "series_tail_bound",
     "series_pdf",
@@ -56,16 +53,12 @@ __all__ = [
     "raise_series",
     "raw_moment",
     "mgf",
-    "mgf_series",
     "pwm",
     "order_stat_pdf",
     "stress_strength",
-    "stress_strength_series",
     "residual_moment",
-    "residual_moment_series",
     "reversed_residual_moment",
     "renyi_entropy",
-    "renyi_entropy_series",
     "mean_deviation",
 ]
 
@@ -85,16 +78,14 @@ class TruncationWarning(UserWarning):
 class SeriesCoeffs:
     """Coefficient vector of one of the family expansions.
 
-    ``kind`` is ``"delta"`` (density), ``"xi"`` (cdf) or ``"mu"`` (Renyi,
-    with exponent ``delta_renyi``).  ``values[i]`` is the coefficient of
-    T^i; ``truncation_n`` is the largest retained index.
+    ``kind`` is ``"delta"`` (density) or ``"xi"`` (cdf).  ``values[i]`` is
+    the coefficient of T^i; ``truncation_n`` is the largest retained index.
     """
 
     kind: str
     beta: float
     values: np.ndarray
     truncation_n: int
-    delta_renyi: float | None = None
 
 
 def _check_beta(beta):
@@ -129,29 +120,6 @@ def xi_coeffs(beta, n_max):
         for j in range(2, n_max + 1):
             vals[j] = vals[j - 1] * (-beta) / j
     return SeriesCoeffs("xi", float(beta), vals, n_max)
-
-
-def renyi_coeffs(beta, n_max, delta):
-    """Renyi-expansion coefficients of f^delta in powers of the transmuted cdf:
-
-    mu_i = (-1)^i delta^i beta^(i+delta) / ((1 - exp(-beta))^delta i!),
-
-    the exponential-series coefficients of
-    (beta/(1-e^-beta))^delta * exp(-delta*beta*T).  Only defined for
-    beta > 0: beta^delta with non-integer delta leaves the real line
-    otherwise.
-    """
-    _check_beta(beta)
-    if beta < 0:
-        raise ValueError("renyi coefficients require beta > 0")
-    if delta <= 0 or delta == 1.0:
-        raise ValueError("delta must be positive and != 1")
-    vals = np.empty(n_max + 1)
-    scale = beta**delta / (-np.expm1(-beta)) ** delta
-    vals[0] = scale
-    for i in range(1, n_max + 1):
-        vals[i] = vals[i - 1] * (-(delta * beta)) / i
-    return SeriesCoeffs("mu", float(beta), vals, n_max, delta_renyi=float(delta))
 
 
 def series_tail_bound(beta, n_max):
@@ -230,21 +198,20 @@ class PowerSeries:
 
 
 def _raise_coeffs(a, n):
-    """Coefficients of (sum_i a_i u^i)^n by the standard recurrence.
+    """Coefficients of (sum_i a_i u^i)^n, truncated to len(a) terms.
 
-    c_{n,0} = a_0^n and
-    c_{n,i} = (i a_0)^{-1} sum_{m=1}^{i} [m(n+1) - i] a_m c_{n,i-m}.
+    Repeated convolution, cut to len(a) after every product.  No step
+    divides by a_0: the classical recurrence does, and its rounding grows
+    like (max|a| / |a_0|)^i.
     """
     a = np.asarray(a, dtype=float)
     if a[0] == 0.0:
-        raise ValueError("power-raising recurrence requires a nonzero leading coefficient")
+        raise ValueError("power raising requires a nonzero leading coefficient")
     if n < 1:
         raise ValueError("power must be a positive integer")
-    c = np.empty_like(a)
-    c[0] = a[0] ** n
-    for i in range(1, len(a)):
-        m = np.arange(1, i + 1)
-        c[i] = np.dot((m * (n + 1) - i) * a[1 : i + 1], c[i - 1 :: -1][:i]) / (i * a[0])
+    c = a.copy()
+    for _ in range(n - 1):
+        c = np.convolve(c, a)[: len(a)]
     return c
 
 
@@ -279,37 +246,6 @@ def pwm(p_exp, q_exp, r_exp, dist):
     )
 
 
-def _delta_series_sum(p, term_fn):
-    """Accumulate sum_i delta_i * term_fn(i) with early stopping on tiny tails.
-
-    Early exit waits until the coefficient peak near i ~ |beta| has passed;
-    before it the leading terms can be deceptively small.  Raises
-    ``ValueError`` when the cancellation between terms leaves fewer than
-    eight significant digits: sum |term| * 2^-52 > 1e-8 * |total|.
-    """
-    vals = delta_coeffs(p.beta, default_truncation(p.beta)).values
-    total = 0.0
-    magnitude = 0.0
-    small = 0
-    for i, d in enumerate(vals):
-        term = d * term_fn(i)
-        total += term
-        magnitude += abs(term)
-        if i > abs(p.beta) and abs(term) < 1e-13 * max(1.0, abs(total)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    if magnitude * 2.0**-52 > 1e-8 * abs(total):
-        lost = math.log10(magnitude / abs(total)) if total else math.inf
-        raise ValueError(
-            f"delta-series at beta={p.beta:g} cancels {lost:.1f} of 16 digits; "
-            "use the quadrature form"
-        )
-    return total
-
-
 def raw_moment(s, p):
     """s-th raw moment E[X^s], integrated in probability space over the quantile."""
     if int(s) != s or s < 1:
@@ -330,23 +266,6 @@ def mgf(s, p):
     return _quad(lambda x: float(np.exp(s * x + ptg_log_pdf(x, p))), 0.0, np.inf)
 
 
-def mgf_series(s, p):
-    """Series form of the mgf: each term is the mgf of an exponentiated
-    transmuted variate, evaluated by quadrature.  Diagnostic companion to
-    :func:`mgf`."""
-    sup = p.baseline.mgf_sup()
-    if s >= sup:
-        raise ValueError(f"mgf diverges for s >= {sup} with this baseline")
-    return _delta_series_sum(
-        p,
-        lambda i: _quad(
-            lambda t: math.exp(s * tg_quantile(t, p.alpha, p.baseline)) * t**i,
-            0.0,
-            1.0,
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # order statistics
 # ---------------------------------------------------------------------------
@@ -360,8 +279,8 @@ def order_stat_pdf(x, r, n, p, mode="direct", n_max=None):
     """Density of the r-th order statistic in a sample of size n.
 
     ``direct`` evaluates C * f * F^(r-1) * (1-F)^(n-r); ``series`` evaluates
-    the expansion whose coefficients come from the delta/xi vectors and the
-    power-raising recurrence.  The two agree to the series truncation error.
+    the expansion whose coefficients come from the delta/xi vectors and
+    truncated power raising.  The two agree to the series truncation error.
     """
     if int(r) != r or int(n) != n or not 1 <= r <= n:
         raise ValueError("need integers 1 <= r <= n")
@@ -417,23 +336,6 @@ def stress_strength(p1, p2):
     return _quad(lambda u: ptg_cdf(ptg_quantile(u, p1), p2), 0.0, 1.0)
 
 
-def stress_strength_series(p1, p2, n_max=None):
-    """Double-series form of :func:`stress_strength` (diagnostic)."""
-    if p1.baseline.family_tag != p2.baseline.family_tag:
-        raise ValueError("stress and strength must share a baseline family")
-    n1 = _resolve_n_max(p1.beta, n_max)
-    n2 = _resolve_n_max(p2.beta, n_max)
-    d1 = delta_coeffs(p1.beta, n1).values
-    x2 = xi_coeffs(p2.beta, n2).values
-
-    def integrand(u):
-        x_val = tg_quantile(u, p1.alpha, p1.baseline)
-        w = tg_cdf(x_val, p2.alpha, p2.baseline)
-        return npoly.polyval(u, d1) * npoly.polyval(w, x2)
-
-    return _quad(integrand, 0.0, 1.0)
-
-
 def residual_moment(n, t, p):
     """n-th moment of the residual life at age t, E[(X-t)^n | X > t]."""
     if int(n) != n or n < 1:
@@ -445,28 +347,6 @@ def residual_moment(n, t, p):
         raise ValueError("residual life undefined where the cdf has reached 1")
     val = _quad(lambda u: (ptg_quantile(u, p) - t) ** n, big_f, 1.0)
     return val / (1.0 - big_f)
-
-
-def residual_moment_series(n, t, p):
-    """Binomial-expanded series form of :func:`residual_moment` (diagnostic)."""
-    if int(n) != n or n < 1:
-        raise ValueError("moment order must be a positive integer")
-    big_f = ptg_cdf(t, p) if t > 0 else 0.0
-    if big_f >= 1.0 - 1e-15:
-        raise ValueError("residual life undefined where the cdf has reached 1")
-    t_low = tg_cdf(t, p.alpha, p.baseline) if t > 0 else 0.0
-    total = 0.0
-    for r in range(0, int(n) + 1):
-        w = math.comb(int(n), r) * (-t) ** (n - r)
-        total += w * _delta_series_sum(
-            p,
-            lambda i, _r=r: _quad(
-                lambda v: tg_quantile(v, p.alpha, p.baseline) ** _r * v**i,
-                t_low,
-                1.0,
-            ),
-        )
-    return total / (1.0 - big_f)
 
 
 def reversed_residual_moment(n, t, p):
@@ -491,30 +371,6 @@ def renyi_entropy(delta, p):
         raise ValueError("Renyi integral diverges at 0 for this shape/delta")
     val = _quad(lambda x: ptg_pdf(x, p) ** delta, 0.0, np.inf)
     return math.log(val) / (1.0 - delta)
-
-
-def renyi_entropy_series(delta, p, n_max=None):
-    """Series form of the Renyi entropy; requires beta > 0 (diagnostic)."""
-    if delta <= 0 or delta == 1.0:
-        raise ValueError("delta must be positive and != 1")
-    if p.beta <= 0:
-        raise ValueError("series form is real-valued only for beta > 0")
-    n = n_max if n_max is not None else default_truncation(delta * p.beta)
-    mu = renyi_coeffs(p.beta, n, delta).values
-    total = 0.0
-    for i, m_i in enumerate(mu):
-        j_i = _quad(
-            lambda v: tg_pdf(tg_quantile(v, p.alpha, p.baseline), p.alpha, p.baseline)
-            ** (delta - 1.0)
-            * v**i,
-            0.0,
-            1.0,
-        )
-        term = m_i * j_i
-        total += term
-        if abs(term) < 1e-13 * max(1.0, abs(total)) and i > 2:
-            break
-    return math.log(total) / (1.0 - delta)
 
 
 def mean_deviation(about, p):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import norm, qmc
 
-from .baselines import BASELINE_FAMILIES
+from .baselines import baseline_class
 from .data import check_sample
 from .distributions import DEFAULT_BETA_FLOOR, PtgParams
 
@@ -46,22 +46,20 @@ __all__ = [
 class FitOptions:
     """Tuning knobs for :func:`fit`.
 
-    ``max_iter`` caps the quasi-Newton steps of each start, ``tol`` is the
-    score max-norm at which a start stops, and ``fd_step`` is the relative
-    step of the finite-difference observed information.
+    ``max_iter`` caps the quasi-Newton steps of each start and ``tol`` is
+    the score max-norm at which a start stops.
     """
 
     n_starts: int = 20
     max_iter: int = 2000
     tol: float = 1e-10
     seed: int = 0
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if self.n_starts < 1 or self.max_iter < 1:
             raise ValueError("n_starts and max_iter must be positive")
-        if self.tol <= 0 or self.fd_step <= 0:
-            raise ValueError("tol and fd_step must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,6 +150,7 @@ _CONVERGED_SCORE = 1e-3  # score max-norm below which a fit counts as converged
 _BETA_BOX = 1e4
 _LOG_BOX = 50.0
 _BETA_WARN = 700.0  # documented |beta| range of the Poisson layer
+FD_STEP = 1e-4  # relative step of the finite-difference observed information
 
 
 def _bfgs_update(h, s, y):
@@ -367,7 +366,7 @@ def fit(data, baseline_family="exponential", opts=None):
     """
     opts = opts or FitOptions()
     data = check_sample(data)
-    family = BASELINE_FAMILIES[baseline_family]
+    family = baseline_class(baseline_family)
     q = len(family.names)
     if data.size < (2 + q) + 1:
         raise ValueError("need at least one more observation than parameters")
@@ -391,7 +390,7 @@ def fit(data, baseline_family="exponential", opts=None):
             f"|beta| <= {_BETA_WARN:g}",
             stacklevel=2,
         )
-    info = observed_information(data, estimates, fd_step=opts.fd_step)
+    info = observed_information(data, estimates)
     return FitResult.from_information(
         estimates, log_likelihood(data, estimates), info, converged, n_launches, data.size
     )
@@ -417,12 +416,12 @@ def _fd_hessian(f, x, rel_step):
     return (hess + hess.T) / 2.0
 
 
-def observed_information(data, p_hat, fd_step=1e-4):
+def observed_information(data, p_hat):
     """Observed information: negated FD Hessian of the log-likelihood at p_hat,
     in the original (alpha, beta, baseline...) coordinates."""
     data = np.asarray(data, dtype=float)
     theta = np.asarray(p_hat.values, dtype=float)
-    steps = fd_step * np.maximum(np.abs(theta), 1.0)
+    steps = FD_STEP * np.maximum(np.abs(theta), 1.0)
     edges = [1.0 - abs(theta[0]), abs(theta[1]) - p_hat.beta_floor, *theta[2:]]
     if any(e < 10.0 * s for e, s in zip(edges, steps)):
         warnings.warn(
@@ -439,7 +438,7 @@ def observed_information(data, p_hat, fd_step=1e-4):
             return -np.inf
         return log_likelihood(data, p)
 
-    return -_fd_hessian(f, theta, fd_step)
+    return -_fd_hessian(f, theta, FD_STEP)
 
 
 def wald_ci(fit_result, level=0.95):

@@ -10,23 +10,19 @@ from ptgfit.competitors import (
     MomentExponential,
     _moe_loglik_score,
     fit_competitor,
-    fit_exponential,
-    fit_mo_exponential,
-    fit_moment_exponential,
 )
 
 
 class TestExponential:
     def test_dataset_closed_forms(self, data_I, data_II):
-        lam_i, ll_i = fit_exponential(data_I)
+        res_i = fit_competitor(data_I, "exp")
+        lam_i = res_i.estimates.lam
         assert lam_i == pytest.approx(0.540, abs=0.001)
-        assert ll_i == pytest.approx(data_I.size * (math.log(lam_i) - 1.0), abs=1e-10)
-        lam_ii, _ = fit_exponential(data_II)
-        assert lam_ii == pytest.approx(0.526, abs=0.001)
+        assert res_i.loglik == pytest.approx(data_I.size * (math.log(lam_i) - 1.0), abs=1e-10)
+        assert fit_competitor(data_II, "exp").estimates.lam == pytest.approx(0.526, abs=0.001)
 
     def test_single_point(self):
-        lam, _ = fit_exponential([1.0])
-        assert lam == 1.0
+        assert fit_competitor([1.0], "exp").estimates.lam == 1.0
 
     def test_standard_error(self, data_I):
         cfit = fit_competitor(data_I, "exp")
@@ -35,14 +31,11 @@ class TestExponential:
 
 class TestMomentExponential:
     def test_dataset_closed_forms(self, data_I, data_II):
-        s_i, _ = fit_moment_exponential(data_I)
-        assert s_i == pytest.approx(0.925, abs=0.001)
-        s_ii, _ = fit_moment_exponential(data_II)
-        assert s_ii == pytest.approx(0.950, abs=0.001)
+        assert fit_competitor(data_I, "me").estimates.sigma == pytest.approx(0.925, abs=0.001)
+        assert fit_competitor(data_II, "me").estimates.sigma == pytest.approx(0.950, abs=0.001)
 
     def test_two_twos(self):
-        sigma, _ = fit_moment_exponential([2.0, 2.0])
-        assert sigma == 1.0
+        assert fit_competitor([2.0, 2.0], "me").estimates.sigma == 1.0
 
     def test_cdf_is_integral_of_pdf(self):
         m = MomentExponential(0.9)
@@ -58,7 +51,8 @@ class TestMomentExponential:
 
 class TestMarshallOlkin:
     def test_guinea_pig_fit_matches_published(self, data_I):
-        tilt, lam, ll = fit_mo_exponential(data_I, seed=0)
+        res = fit_competitor(data_I, "moe", seed=0)
+        (tilt, lam), ll = res.estimates.values, res.loglik
         assert tilt == pytest.approx(8.778, abs=0.8)
         assert lam == pytest.approx(1.379, abs=0.1)
         assert -2 * ll + 4 == pytest.approx(210.36, abs=0.5)
@@ -70,25 +64,26 @@ class TestMarshallOlkin:
         "near (175, 2.89) with AIC 42.27 and near-zero gradient",
     )
     def test_relief_fit_matches_published(self, data_II):
-        tilt, lam, ll = fit_mo_exponential(data_II, seed=0)
+        res = fit_competitor(data_II, "moe", seed=0)
+        (tilt, lam), ll = res.estimates.values, res.loglik
         assert tilt == pytest.approx(54.474, abs=8.0)
         assert lam == pytest.approx(2.316, abs=0.2)
         assert -2 * ll + 4 == pytest.approx(43.51, abs=0.5)
 
     def test_relief_fit_beats_published_likelihood(self, data_II):
-        tilt, lam, ll = fit_mo_exponential(data_II, seed=0)
+        ll = fit_competitor(data_II, "moe", seed=0).loglik
         published = MarshallOlkinExponential(54.474, 2.316).loglik(data_II)
         assert ll > published
         assert -2 * ll + 4 == pytest.approx(42.27, abs=0.05)
 
     def test_unit_tilt_reduces_to_exponential(self, data_I):
-        lam, ll_exp = fit_exponential(data_I)
-        moe = MarshallOlkinExponential(1.0, lam)
-        assert moe.loglik(data_I) == pytest.approx(ll_exp, abs=1e-10)
+        res = fit_competitor(data_I, "exp")
+        moe = MarshallOlkinExponential(1.0, res.estimates.lam)
+        assert moe.loglik(data_I) == pytest.approx(res.loglik, abs=1e-10)
 
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
-            fit_mo_exponential([1.0, 2.0])
+            fit_competitor([1.0, 2.0], "moe")
 
 
 @pytest.mark.parametrize(
@@ -150,11 +145,10 @@ def test_competitor_parameters_validated(make, name):
         make()
 
 
-@pytest.mark.parametrize("fitter", [fit_competitor, fit_mo_exponential])
+@pytest.mark.parametrize("fitter", [fit_competitor])
 def test_moe_fit_refuses_empty_start_set(data_I, fitter):
-    args = (data_I, "moe") if fitter is fit_competitor else (data_I,)
     with pytest.raises(ValueError, match="need at least one start"):
-        fitter(*args, n_starts=0)
+        fitter(data_I, "moe", n_starts=0)
 
 
 @pytest.mark.parametrize(

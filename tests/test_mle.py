@@ -231,6 +231,10 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([1.0, 2.0], "exponential")  # fewer points than parameters + 1
 
+    def test_unknown_baseline_family_names_the_known_ones(self, data_I):
+        with pytest.raises(ValueError, match=r"unknown baseline family 'gamma'.*exponential"):
+            fit(data_I, "gamma")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_data(self, bad):
         with pytest.raises(ValueError, match="nonempty, finite and strictly positive"):
@@ -357,10 +361,10 @@ class TestFitOptions:
     def test_defaults(self):
         o = FitOptions()
         assert o.n_starts == 20 and o.max_iter == 2000
-        assert o.tol == 1e-10 and o.fd_step == 1e-4
+        assert o.tol == 1e-10
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(n_starts=0), dict(max_iter=0), dict(tol=0.0), dict(fd_step=-1.0)]
+        "kwargs", [dict(n_starts=0), dict(max_iter=0), dict(tol=0.0)]
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ For the maximum-likelihood score each family also has the class-level,
 parameter-batched ``d_cdf`` and ``d_log_pdf``: given observations ``x`` of
 shape (n,) and parameter rows ``params`` of shape (S, q), columns in
 ``names`` order, they return the value, shape (S, n), and its derivative in
-each parameter, shape (q, S, n).
+each parameter, shape (q, S, n); ``d2`` returns both second derivatives,
+each of shape (q, q, S, n), for the observed information.
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ class Exponential:
     def d_log_pdf(x, params):
         lam = params[:, 0:1]
         return np.log(lam) - lam * x, (1.0 / lam - x)[None]
+
+    @staticmethod
+    def d2(x, params):
+        lam = params[:, 0:1]
+        d2_log_pdf = np.broadcast_to(-1.0 / lam**2, (1, 1, len(lam), x.size))
+        return (-x * x * np.exp(-lam * x))[None, None], d2_log_pdf
 
 
 @dataclass(frozen=True)
@@ -143,6 +150,18 @@ class Weibull:
         xt = np.exp(theta * log_x)
         value = np.log(lam) + np.log(theta) + (theta - 1.0) * log_x - lam * xt
         return value, np.stack([1.0 / lam - xt, 1.0 / theta + log_x * (1.0 - lam * xt)])
+
+    @staticmethod
+    def d2(x, params):
+        lam, theta = params[:, 0:1], params[:, 1:2]
+        log_x = np.log(x)
+        xt = np.exp(theta * log_x)
+        d_lam = xt * np.exp(-lam * xt)
+        cross = log_x * d_lam * (1.0 - lam * xt)
+        d2_cdf = np.array([[-xt * d_lam, cross], [cross, lam * log_x * cross]])
+        lam_lam, log_cross = np.broadcast_to(-1.0 / lam**2, xt.shape), -log_x * xt
+        theta_theta = -1.0 / theta**2 + lam * log_x * log_cross
+        return d2_cdf, np.array([[lam_lam, log_cross], [log_cross, theta_theta]])
 
 
 BASELINE_FAMILIES = {

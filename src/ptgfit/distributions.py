@@ -232,14 +232,13 @@ def ptg_log_pdf(x, p):
 def ptg_hrf(x, p):
     """Hazard rate f / (1 - F).
 
-    Uses the cancellation-free identity
-    ``beta * f_tg(x) / (-expm1(-beta * (1 - T)))``.
+    Uses the cancellation-free identity ``beta * f_tg(x) /
+    (-expm1(-beta * (1 - T)))``, defined while T < 1 even where F rounds to 1.
     """
     x, scalar = _validated_x(x)
-    f = ptg_cdf(x, p)
-    if np.any(np.asarray(f) >= 1.0 - 1e-15):
-        raise ValueError("hazard undefined where the cdf has reached 1")
     t = tg_cdf(x, p.alpha, p.baseline)
+    if np.any(t >= 1.0):
+        raise ValueError("hazard undefined where the transmuted cdf has reached 1")
     f_tg = tg_pdf(x, p.alpha, p.baseline)
     return _ret(p.beta * f_tg / (-np.expm1(-p.beta * (1.0 - t))), scalar)
 

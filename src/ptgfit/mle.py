@@ -9,8 +9,9 @@ reaches the edges alpha = +-1 at finite z0 and has no flat tail to strand a
 start in, beta unconstrained (with a small exclusion band around zero), and
 positive baseline parameters via log.  The Marshall-Olkin fit in
 ``competitors`` runs on the same engine.  Standard errors come from
-inverting the observed information matrix, itself a central
-finite-difference Hessian in the original coordinates.
+inverting the observed information matrix, the exact negated Hessian in the
+original coordinates, built from the per-observation derivatives the score
+uses.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -44,22 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Tuning knobs for :func:`fit`.
-
-    ``max_iter`` caps the quasi-Newton steps of each start and ``tol`` is
-    the score max-norm at which a start stops.
-    """
+    """Multistart settings for :func:`fit`: the number of starts and their seed."""
 
     n_starts: int = 20
-    max_iter: int = 2000
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1 or self.max_iter < 1:
-            raise ValueError("n_starts and max_iter must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,8 +93,7 @@ class FitResult:
             var = np.diag(cov)
             se = np.sqrt(np.where(var > 0, var, np.nan))
         else:
-            # a finite-difference step left the domain (alpha at +-1): the
-            # matrix holds inf/NaN and has no curvature to invert
+            # an overflowed Hessian term: inf/NaN has no curvature to invert
             degenerate = True
             se = np.full(k, np.nan)
         if degenerate:
@@ -142,6 +134,8 @@ _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 20  # step halvings before a line search gives up
 _ROUNDING = 1e-13  # relative rounding of a summed log-likelihood
 _XTOL = 1e-10  # relative step below which a start has stopped moving
+_GTOL = 1e-10  # score max-norm at which a start stops
+_MAX_ITER = 2000  # quasi-Newton steps of each start; the polish takes twice as many
 _CONVERGED_SCORE = 1e-3  # score max-norm below which a fit counts as converged
 # search box, as half-widths in transformed coordinates: a start that leaves
 # it stops (beta -> +inf with lambda -> 0 is a runaway on dataset II).  The
@@ -150,7 +144,6 @@ _CONVERGED_SCORE = 1e-3  # score max-norm below which a fit counts as converged
 _BETA_BOX = 1e4
 _LOG_BOX = 50.0
 _BETA_WARN = 700.0  # documented |beta| range of the Poisson layer
-FD_STEP = 1e-4  # relative step of the finite-difference observed information
 
 
 def _bfgs_update(h, s, y):
@@ -164,7 +157,7 @@ def _bfgs_update(h, s, y):
     return left @ h @ left.transpose(0, 2, 1) + rho * s[:, :, None] * s[:, None, :]
 
 
-def minimize(fun, z0, box, max_iter=2000, gtol=1e-10):
+def minimize(fun, z0, box, max_iter=_MAX_ITER):
     """Minimize a batched objective from every row of ``z0`` in lockstep.
 
     ``fun(Z)`` maps an (S, k) array of points to their values (S,) and
@@ -176,7 +169,7 @@ def minimize(fun, z0, box, max_iter=2000, gtol=1e-10):
     max-norm and rescales it by its first curvature pair; a failed search
     along a quasi-Newton direction sends the row back to that start.
 
-    A row stops when its gradient's max-norm falls below ``gtol``, when its
+    A row stops when its gradient's max-norm falls below ``_GTOL``, when its
     line search fails along steepest descent, when a step no longer moves it
     (relative change below ``_XTOL``), when it leaves ``box`` (lower and
     upper bounds, each of length k), or after ``max_iter`` steps.  Returns
@@ -191,7 +184,7 @@ def minimize(fun, z0, box, max_iter=2000, gtol=1e-10):
     active = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
     lo, hi = box
     for _ in range(max_iter):
-        active &= np.max(np.abs(g), axis=1) >= gtol
+        active &= np.max(np.abs(g), axis=1) >= _GTOL
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
@@ -248,7 +241,7 @@ def minimize(fun, z0, box, max_iter=2000, gtol=1e-10):
     return z, f, g
 
 
-def multistart_maximize(loglik_score, starts, box, max_iter=2000, gtol=1e-10):
+def multistart_maximize(loglik_score, starts, box):
     """Maximize a batched log-likelihood from every start, in lockstep.
 
     ``loglik_score(Z)`` maps an (S, k) array of transformed coordinates to
@@ -268,11 +261,11 @@ def multistart_maximize(loglik_score, starts, box, max_iter=2000, gtol=1e-10):
         ll, score = loglik_score(z)
         return np.where(np.isnan(ll), np.inf, -ll), -score
 
-    z, f, g = minimize(neg, starts, box, max_iter, gtol)
+    z, f, g = minimize(neg, starts, box)
     i = int(np.argmin(f))
     z_best, f_best, g_best = z[i], f[i], g[i]
     for _ in range(2):  # polish: a fresh inverse Hessian at the incumbent
-        z, f, g = minimize(neg, z_best[None], box, 2 * max_iter, gtol)
+        z, f, g = minimize(neg, z_best[None], box, 2 * _MAX_ITER)
         if f[0] <= f_best:
             z_best, f_best, g_best = z[0], f[0], g[0]
     converged = bool(np.max(np.abs(g_best)) < _CONVERGED_SCORE)
@@ -379,8 +372,6 @@ def fit(data, baseline_family="exponential", opts=None):
         _ptg_loglik_score(data, family),
         _lhs_starts(xbar, opts, q),
         box=(centre - half, centre + half),
-        max_iter=opts.max_iter,
-        gtol=opts.tol,
     )
     # the best start has a finite log-likelihood, so |beta| >= the floor
     estimates = PtgParams(math.sin(z_best[0]), z_best[1], family(*np.exp(z_best[2:])))
@@ -396,49 +387,39 @@ def fit(data, baseline_family="exponential", opts=None):
     )
 
 
-def _fd_hessian(f, x, rel_step):
-    """Symmetric central-difference Hessian with per-coordinate relative steps."""
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    h = rel_step * np.maximum(np.abs(x), 1.0)
-    hess = np.empty((k, k))
-    f0 = f(x)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return (hess + hess.T) / 2.0
+def _c2(beta):
+    """c''(beta) of c = log|beta| - log|1 - exp(-beta)|, free of overflow,
+    and by its series below |beta| = 1e-2, where the closed form cancels."""
+    b = abs(beta)
+    if b < 1e-2:
+        return -1.0 / 12.0 + b**2 / 240.0 - b**4 / 6048.0
+    return math.exp(-b) / math.expm1(-b) ** 2 - 1.0 / b**2
 
 
 def observed_information(data, p_hat):
-    """Observed information: negated FD Hessian of the log-likelihood at p_hat,
-    in the original (alpha, beta, baseline...) coordinates."""
-    data = np.asarray(data, dtype=float)
-    theta = np.asarray(p_hat.values, dtype=float)
-    steps = FD_STEP * np.maximum(np.abs(theta), 1.0)
-    edges = [1.0 - abs(theta[0]), abs(theta[1]) - p_hat.beta_floor, *theta[2:]]
-    if any(e < 10.0 * s for e, s in zip(edges, steps)):
-        warnings.warn(
-            "a parameter sits within 10 finite-difference steps of its domain "
-            "edge; the Hessian may be unreliable",
-            stacklevel=2,
-        )
-    baseline_cls = type(p_hat.baseline)
+    """Observed information: the exact negated Hessian of the log-likelihood
+    at ``p_hat`` in (alpha, beta, baseline...), finite at alpha = +-1.
 
-    def f(th):
-        try:
-            p = PtgParams(th[0], th[1], baseline_cls(*th[2:]))
-        except ValueError:
-            return -np.inf
-        return log_likelihood(data, p)
-
-    return -_fd_hessian(f, theta, FD_STEP)
+    With fac = 1 + alpha - 2 alpha G and baseline parameters phi, psi:
+    l_aa = -sum (1-2G)^2/fac^2, l_ab = -sum G(1-G), l_bb = n c''(beta),
+    l_a,phi = sum G_phi (-2/fac^2 - beta (1-2G)), l_b,phi = -sum fac G_phi,
+    l_phi,psi = sum [(log g)_phi,psi - (2 alpha/fac + beta fac) G_phi,psi
+    + (2 alpha beta - 4 alpha^2/fac^2) G_phi G_psi]."""
+    x = np.asarray(data, dtype=float)
+    a, b = p_hat.alpha, p_hat.beta
+    family, phi = type(p_hat.baseline), np.array([p_hat.baseline.values], dtype=float)
+    cdf, d_cdf = (v[..., 0, :] for v in family.d_cdf(x, phi))
+    d2_cdf, d2_log_g = (v[..., 0, :] for v in family.d2(x, phi))
+    fac = 1.0 + a - 2.0 * a * cdf
+    hess = np.empty((2 + len(d_cdf),) * 2)
+    hess[0, 0] = -np.sum(((1.0 - 2.0 * cdf) / fac) ** 2)
+    hess[0, 1] = hess[1, 0] = -np.sum(cdf * (1.0 - cdf))
+    hess[1, 1] = x.size * _c2(b)
+    hess[0, 2:] = hess[2:, 0] = d_cdf @ (-2.0 / fac**2 - b * (1.0 - 2.0 * cdf))
+    hess[1, 2:] = hess[2:, 1] = -(d_cdf @ fac)
+    cross = (2.0 * a * b - 4.0 * a**2 / fac**2) * d_cdf[:, None] * d_cdf[None]
+    hess[2:, 2:] = np.sum(d2_log_g + (-2.0 * a / fac - b * fac) * d2_cdf + cross, axis=2)
+    return -hess
 
 
 def wald_ci(fit_result, level=0.95):

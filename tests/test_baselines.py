@@ -79,7 +79,8 @@ def test_mgf_boundaries():
 ])
 def test_batched_derivatives(cls, rows):
     # d_cdf / d_log_pdf: values equal the scalar methods row by row, and each
-    # parameter derivative matches a central difference of that method
+    # parameter derivative matches a central difference of that method; d2's
+    # second derivatives match central differences of the batched first ones
     x = np.linspace(0.05, 3.0, 17)
     params = np.array(rows, dtype=float)
     for batched, method in ((cls.d_cdf, "cdf"), (cls.d_log_pdf, "log_pdf")):
@@ -95,3 +96,13 @@ def test_batched_derivatives(cls, rows):
                 down[j] -= h
                 numeric = (getattr(cls(*up), method)(x) - getattr(cls(*down), method)(x)) / (2 * h)
                 assert np.allclose(deriv[j, s], numeric, rtol=1e-6, atol=1e-8)
+    q = len(cls.names)
+    for batched, second in zip((cls.d_cdf, cls.d_log_pdf), cls.d2(x, params)):
+        assert second.shape == (q, q, len(rows), x.size)
+        for j in range(q):
+            h = 1e-6 * params[:, j:j + 1]
+            up, down = params.copy(), params.copy()
+            up[:, j:j + 1] += h
+            down[:, j:j + 1] -= h
+            numeric = (batched(x, up)[1] - batched(x, down)[1]) / (2 * h)
+            assert np.allclose(second[:, j], numeric, rtol=1e-6, atol=1e-8)

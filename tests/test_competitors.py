@@ -8,6 +8,7 @@ from ptgfit.baselines import Exponential
 from ptgfit.competitors import (
     MarshallOlkinExponential,
     MomentExponential,
+    _moe_information,
     _moe_loglik_score,
     fit_competitor,
 )
@@ -165,6 +166,19 @@ TILTS = (0.05, 1.0, 8.0, 175.0)
 LAMS = (0.3, 1.4, 2.9)
 
 
+def richardson(f, z, steps):
+    """Central differences of ``f`` at ``z`` with per-coordinate ``steps``,
+    Richardson-extrapolated from h and 2h; row i is the derivative in z[i]."""
+    rows = []
+    for i, h in enumerate(steps):
+        e = np.zeros(z.size)
+        e[i] = h
+        d1 = (f(z + e) - f(z - e)) / (2.0 * h)
+        d2 = (f(z + 2 * e) - f(z - 2 * e)) / (4.0 * h)
+        rows.append((4.0 * d1 - d2) / 3.0)
+    return np.array(rows)
+
+
 class TestMarshallOlkinScore:
     def test_loglik_equals_sum_of_log_pdf(self, data_II):
         rows = [(a, lam) for a in TILTS for lam in LAMS]
@@ -179,11 +193,16 @@ class TestMarshallOlkinScore:
         f = _moe_loglik_score(data_II)
         z = np.log([tilt, lam])
         _, score = f(z[None])
-        numeric = np.empty(2)
-        for i in range(2):  # Richardson-extrapolated central differences
-            e = np.zeros(2)
-            e[i] = 1e-4
-            d1 = (f((z + e)[None])[0][0] - f((z - e)[None])[0][0]) / 2e-4
-            d2 = (f((z + 2 * e)[None])[0][0] - f((z - 2 * e)[None])[0][0]) / 4e-4
-            numeric[i] = (4.0 * d1 - d2) / 3.0
+        numeric = richardson(lambda v: f(v[None])[0][0], z, (1e-4, 1e-4))
         assert np.allclose(score[0], numeric, rtol=1e-7, atol=1e-7)
+
+    @pytest.mark.parametrize("tilt", TILTS)
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_information_matches_differences_of_the_score(self, data_II, tilt, lam):
+        # the analytic score in natural coordinates: the log-coordinate score
+        # divided by the Jacobian of (log tilt, log lam)
+        f = _moe_loglik_score(data_II)
+        theta = np.array([tilt, lam])
+        numeric = richardson(lambda t: f(np.log(t)[None])[1][0] / t, theta, 1e-4 * theta)
+        info = _moe_information(data_II, MarshallOlkinExponential(tilt, lam))
+        assert np.allclose(-info, numeric, rtol=1e-7, atol=1e-7)

@@ -228,6 +228,16 @@ class TestHazard:
         for x in (0.1, 0.7, 2.0, 4.0):
             assert ptg_hrf(x, p) == pytest.approx(2.0, abs=1e-4)
 
+    @pytest.mark.parametrize("beta, x", [(40.0, 1.5), (800.0, 0.5)])
+    def test_defined_where_only_the_cdf_has_rounded_to_one(self, beta, x):
+        # F is within an ulp of 1 but 1 - T > 0, so the hazard exists
+        a, lam = 0.5, 1.0
+        g_x = 1 - math.exp(-lam * x)
+        t = g_x * (1 + a - a * g_x)
+        num = beta * lam * math.exp(-lam * x) * (1 + a - 2 * a * g_x)
+        den = -math.expm1(-beta * (1 - t))
+        assert ptg_hrf(x, pte_params(a, beta, lam)) == pytest.approx(num / den, rel=1e-10)
+
     def test_domain_error_at_saturated_cdf(self):
         with pytest.raises(ValueError):
             ptg_hrf(4000.0, pte_params(0.0, 1.0, 1.0))

@@ -1,12 +1,16 @@
-"""Baseline lifetime distributions used as the parent G of the transmuted layers.
+"""The plain lifetime models: the baselines G of the transmuted layers and the
+competitor models fitted alongside the PT-G family.
 
-Each baseline exposes the model protocol shared with ``PtgParams`` and the
-competitor models: ``names``, ``values``, ``pdf``, ``cdf``, ``log_pdf`` and
-``quantile``.  Both shipped families live on
-(0, inf); the ``support`` attribute carries that so future baselines on the
-whole real line can declare otherwise.
+The baselines are ``Exponential`` and ``Weibull``.  The competitors are the
+exponential (``Exponential`` again, closed-form MLE 1/xbar), the moment
+exponential (length-biased exponential, f(x) = x exp(-x/sigma)/sigma^2,
+closed-form MLE xbar/2) and the Marshall-Olkin exponential (tilted survival
+S(x) = a exp(-lx) / (1 - (1-a) exp(-lx)), fitted numerically by ``mle.fit``
+from its batched ``_moe_loglik_score`` and exact ``_moe_information``).
+Every model exposes the protocol shared with ``PtgParams``: ``names``,
+``values``, ``pdf``, ``cdf``, ``log_pdf`` and ``quantile``.
 
-For the maximum-likelihood score each family also has the class-level,
+For the PT-G score and information each baseline also has the class-level,
 parameter-batched ``d_cdf`` and ``d_log_pdf``: given observations ``x`` of
 shape (n,) and parameter rows ``params`` of shape (S, q), columns in
 ``names`` order, they return the value, shape (S, n), and its derivative in
@@ -16,9 +20,12 @@ each of shape (q, q, S, n), for the observed information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import check_sample
 
 
 def _check_positive(name, value):
@@ -34,7 +41,6 @@ class Exponential:
 
     family_tag = "exponential"
     names = ("lam",)
-    support = (0.0, np.inf)
 
     def __post_init__(self):
         _check_positive("lam", self.lam)
@@ -90,7 +96,6 @@ class Weibull:
 
     family_tag = "weibull"
     names = ("lam", "theta")
-    support = (0.0, np.inf)
 
     def __post_init__(self):
         _check_positive("lam", self.lam)
@@ -162,6 +167,125 @@ class Weibull:
         lam_lam, log_cross = np.broadcast_to(-1.0 / lam**2, xt.shape), -log_x * xt
         theta_theta = -1.0 / theta**2 + lam * log_x * log_cross
         return d2_cdf, np.array([[lam_lam, log_cross], [log_cross, theta_theta]])
+
+
+@dataclass(frozen=True)
+class MomentExponential:
+    sigma: float
+
+    names = ("sigma",)
+
+    def __post_init__(self):
+        _check_positive("sigma", self.sigma)
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return x * np.exp(-x / self.sigma) / self.sigma**2
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        # Gamma(shape 2, scale sigma): 1 - (1 + x/sigma) exp(-x/sigma)
+        return 1.0 - (1.0 + x / self.sigma) * np.exp(-x / self.sigma)
+
+    def log_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.log(x) - x / self.sigma - 2.0 * math.log(self.sigma)
+
+    def quantile(self, u):
+        from scipy.stats import gamma
+
+        return gamma.ppf(np.asarray(u, dtype=float), a=2, scale=self.sigma)
+
+    @property
+    def values(self):
+        return (self.sigma,)
+
+
+@dataclass(frozen=True)
+class MarshallOlkinExponential:
+    tilt: float
+    lam: float
+
+    names = ("tilt", "lam")
+
+    def __post_init__(self):
+        _check_positive("tilt", self.tilt)
+        _check_positive("lam", self.lam)
+
+    def _denom(self, x):
+        return 1.0 - (1.0 - self.tilt) * np.exp(-self.lam * np.asarray(x, dtype=float))
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.tilt * self.lam * np.exp(-self.lam * x) / self._denom(x) ** 2
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return -np.expm1(-self.lam * x) / self._denom(x)
+
+    def log_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return (
+            math.log(self.tilt) + math.log(self.lam)
+            - self.lam * x - 2.0 * np.log(self._denom(x))
+        )
+
+    def loglik(self, data):
+        """Log-likelihood of the sample ``data``: the sum of :meth:`log_pdf`."""
+        return float(np.sum(self.log_pdf(check_sample(data))))
+
+    def quantile(self, u):
+        # invert S(x) = a*y / (1 - (1-a)*y) with y = exp(-lam*x)
+        s = 1.0 - np.asarray(u, dtype=float)
+        y = s / (self.tilt + s * (1.0 - self.tilt))
+        return -np.log(y) / self.lam
+
+    @property
+    def values(self):
+        return (self.tilt, self.lam)
+
+
+def _moe_loglik_score(data):
+    """Batched Marshall-Olkin log-likelihood and score.
+
+    Returns ``f(Z) -> (loglik (S,), score (S, 2))`` for rows of
+    z = (log tilt, log lam).  With D = 1 - (1 - tilt) exp(-lam x),
+
+        l = n log tilt + n log lam - lam sum x - 2 sum log D.
+    """
+    x = np.asarray(data, dtype=float)
+    n, sum_x = x.size, float(x.sum())
+
+    def loglik_score(z):
+        with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
+            tilt, lam = np.exp(z[:, 0:1]), np.exp(z[:, 1:2])
+            tail = np.exp(-lam * x)
+            denom = 1.0 - (1.0 - tilt) * tail
+            w = tail / denom
+            tilt, lam = tilt[:, 0], lam[:, 0]
+            ll = n * (z[:, 0] + z[:, 1]) - lam * sum_x - 2.0 * np.sum(np.log(denom), axis=1)
+            score = np.column_stack(
+                [
+                    n - 2.0 * tilt * np.sum(w, axis=1),
+                    n - lam * sum_x - 2.0 * lam * (1.0 - tilt) * np.sum(x * w, axis=1),
+                ]
+            )
+        return ll, score
+
+    return loglik_score
+
+
+def _moe_information(data, model):
+    """Exact observed information of the Marshall-Olkin ``model`` at the array
+    ``data``, in (tilt, lam): with e = exp(-lam x) and D = 1 - (1 - tilt) e, l_aa =
+    -n/tilt^2 + 2 sum (e/D)^2, l_al = 2 sum x e/D^2, l_ll = -n/lam^2 + 2 (1-tilt) sum x^2 e/D^2."""
+    tilt, lam = model.values
+    e = np.exp(-lam * data)
+    w = e / model._denom(data) ** 2
+    l_al = 2.0 * np.sum(data * w)
+    l_aa = -data.size / tilt**2 + 2.0 * np.sum(e * w)
+    l_ll = -data.size / lam**2 + 2.0 * (1.0 - tilt) * np.sum(data**2 * w)
+    return -np.array([[l_aa, l_al], [l_al, l_ll]])
 
 
 BASELINE_FAMILIES = {

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: fit, gof, sample, props, curves, ttt, reproduce.  Output is a
-human-readable table on a terminal and JSON when piped; ``--format``
-overrides.  All numbers are printed to 6 significant digits.  Exit codes:
-0 ok, 1 usage or I/O error, 2 non-convergence, 3 reproduction gate failure.
+Subcommands: fit, gof, sample, props, curves, ttt, reproduce; the models are
+the tags of ``mle.MODELS``.  Output is human-readable on a terminal (a table,
+or CSV for the grids of sample, curves and ttt) and JSON when piped;
+``--format`` overrides, offering only the formats the subcommand writes.  All
+numbers are printed to 6 significant digits.  Exit codes: 0 ok, 1 usage or
+I/O error, 2 non-convergence, 3 reproduction gate failure.
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ import sys
 
 import numpy as np
 
-from . import competitors as comp
-from .baselines import Exponential
 from .data import embedded_dataset, load_observations
-from .distributions import pte_params, ptw_params
 from .expansions import (
     mean_deviation,
     raw_moment,
@@ -31,22 +30,8 @@ from .expansions import (
     stress_strength,
 )
 from .gof import evaluate_gof, ttt_points
-from .mle import FitOptions, fit
+from .mle import MODELS, FitOptions, fit
 from .reproduce import run_reproduction
-
-PTG_MODELS = ("pte", "ptw")
-
-# tag -> (model from its parameter values, fitter(data, FitOptions) -> FitResult)
-MODELS = {
-    "pte": (pte_params, lambda x, opts: fit(x, "exponential", opts)),
-    "ptw": (ptw_params, lambda x, opts: fit(x, "weibull", opts)),
-    "exp": (Exponential,
-            lambda x, opts: comp.fit_competitor(x, "exp", opts.seed, opts.n_starts)),
-    "me": (comp.MomentExponential,
-           lambda x, opts: comp.fit_competitor(x, "me", opts.seed, opts.n_starts)),
-    "moe": (comp.MarshallOlkinExponential,
-            lambda x, opts: comp.fit_competitor(x, "moe", opts.seed, opts.n_starts)),
-}
 
 _EMBEDDED_ALIASES = {
     "embedded:i": "guinea_pigs_I",
@@ -121,7 +106,7 @@ def _parse_float_list(text, what):
 
 
 def _model_from_params(tag, text, what="params"):
-    make = MODELS[tag][0]
+    make = MODELS[tag].make
     names = list(inspect.signature(make).parameters)
     values = _parse_float_list(text, what)
     if len(values) != len(names):
@@ -132,7 +117,7 @@ def _model_from_params(tag, text, what="params"):
 def _fit(args, data):
     """Fit ``--model`` to the data; every model gives a ``FitResult``."""
     opts = FitOptions(seed=_resolve_seed(args), n_starts=args.starts)
-    return MODELS[args.model][1](data.values, opts)
+    return fit(data.values, args.model, opts)
 
 
 def _model(args, data=None):
@@ -279,8 +264,9 @@ def cmd_sample(args):
 
 
 def cmd_props(args):
-    if args.model not in PTG_MODELS:
-        raise ValueError("props applies to the PT models (pte, ptw)")
+    pt_models = [tag for tag, spec in MODELS.items() if "alpha" in spec.search]
+    if args.model not in pt_models:
+        raise ValueError(f"props applies to the PT models ({', '.join(pt_models)})")
     fmt = _resolve_format(args)
     p = _model(args)
     p2 = _model_from_params(args.model, args.params2, "params2") if args.params2 else p
@@ -437,10 +423,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, model=False, data=False, starts=False):
-        sp.add_argument("--format", choices=["json", "csv", "table"], default=None)
-        sp.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (fallback: PTGFIT_SEED, then 0)")
+    def add_common(sp, formats, seed=True, model=False, data=False, starts=False):
+        sp.add_argument("--format", choices=formats, default=None)
+        if seed:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="RNG seed (fallback: PTGFIT_SEED, then 0)")
         sp.add_argument("--out", default=None, help="write output to this path")
         if model:
             sp.add_argument("--model", choices=list(MODELS), required=True)
@@ -453,22 +440,23 @@ def build_parser():
             sp.add_argument("--starts", type=int, default=20,
                             help="multistart count for numerical fits")
 
+    every_format = ["json", "csv", "table"]
     sp = sub.add_parser("fit", help="maximum-likelihood fit")
-    add_common(sp, model=True, data=True, starts=True)
+    add_common(sp, every_format, model=True, data=True, starts=True)
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("gof", help="model-selection criteria and EDF statistics")
-    add_common(sp, model=True, data=True, starts=True)
+    add_common(sp, every_format, model=True, data=True, starts=True)
     sp.set_defaults(func=cmd_gof)
 
     sp = sub.add_parser("sample", help="seeded inverse-transform sampling")
-    add_common(sp, model=True, data=True, starts=True)
+    add_common(sp, ["json", "csv"], model=True, data=True, starts=True)
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--params", default=None, help="comma-separated parameter values")
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("props", help="moments, entropy, deviations, reliability")
-    add_common(sp, model=True, data=True, starts=True)
+    add_common(sp, ["json", "table"], model=True, data=True, starts=True)
     sp.add_argument("--params", default=None)
     sp.add_argument("--params2", default=None,
                     help="second parameter set for stress-strength")
@@ -478,17 +466,17 @@ def build_parser():
     sp.set_defaults(func=cmd_props)
 
     sp = sub.add_parser("curves", help="pdf/cdf/hrf grid for external plotting")
-    add_common(sp, model=True, data=True, starts=True)
+    add_common(sp, ["json", "csv"], model=True, data=True, starts=True)
     sp.add_argument("--params", default=None)
     sp.add_argument("--grid", type=int, default=512)
     sp.set_defaults(func=cmd_curves)
 
     sp = sub.add_parser("ttt", help="scaled total-time-on-test transform")
-    add_common(sp, data=True)
+    add_common(sp, ["json", "csv"], seed=False, data=True)
     sp.set_defaults(func=cmd_ttt)
 
     sp = sub.add_parser("reproduce", help="rerun the reference analyses with PASS/FAIL gates")
-    add_common(sp, starts=True)
+    add_common(sp, ["json", "table"], starts=True)
     sp.set_defaults(func=cmd_reproduce)
 
     return parser

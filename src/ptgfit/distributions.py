@@ -17,7 +17,7 @@ intermediate overflows, however negative ``b`` is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,24 +54,22 @@ class PtgParams:
         Transmutation parameter, in the closed interval [-1, 1].
     beta : float
         Poisson tilt parameter.  Any sign is admitted; exactly zero is
-        excluded (the compounding degenerates), guarded by ``beta_floor``.
+        excluded (the compounding degenerates): |beta| must be at least
+        ``DEFAULT_BETA_FLOOR``.
     baseline : Exponential or Weibull
         The parent distribution G.
-    beta_floor : float
-        Smallest admissible |beta|.
     """
 
     alpha: float
     beta: float
     baseline: Exponential | Weibull
-    beta_floor: float = field(default=DEFAULT_BETA_FLOOR, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.alpha) or abs(self.alpha) > 1.0:
             raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha!r}")
-        if not np.isfinite(self.beta) or abs(self.beta) < self.beta_floor:
+        if not np.isfinite(self.beta) or abs(self.beta) < DEFAULT_BETA_FLOOR:
             raise ValueError(
-                f"beta must be a nonzero real with |beta| >= {self.beta_floor}, "
+                f"beta must be a nonzero real with |beta| >= {DEFAULT_BETA_FLOOR}, "
                 f"got {self.beta!r}"
             )
 

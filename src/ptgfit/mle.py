@@ -1,17 +1,19 @@
-"""Maximum-likelihood estimation for the Poisson transmuted-G family.
+"""Maximum-likelihood estimation for the PT-G family and its competitors.
 
-The log-likelihood is maximized from many Latin-hypercube starting points
-at once: one lockstep quasi-Newton engine (``minimize``, BFGS steps with a
-backtracking line search) advances every start on one (starts x n) array,
-driven by the analytic score.  The search runs in transformed coordinates
-that keep every iterate inside the parameter domain: alpha = sin(z0), which
+``fit(data, model)`` fits every model tag of ``MODELS``: PT-exponential
+(``pte``), PT-Weibull (``ptw``), exponential (``exp``), moment exponential
+(``me``) and Marshall-Olkin exponential (``moe``).  The exponential and
+moment-exponential estimates are closed-form.  The others are maximized
+from many Latin-hypercube starting points at once: one lockstep
+quasi-Newton engine (``minimize``, BFGS steps with a backtracking line
+search) advances every start on one (starts x n) array, driven by the
+model's analytic score.  The search runs in transformed coordinates that
+keep every iterate inside the parameter domain: alpha = sin(z0), which
 reaches the edges alpha = +-1 at finite z0 and has no flat tail to strand a
 start in, beta unconstrained (with a small exclusion band around zero), and
-positive baseline parameters via log.  The Marshall-Olkin fit in
-``competitors`` runs on the same engine.  Standard errors come from
-inverting the observed information matrix, the exact negated Hessian in the
-original coordinates, built from the per-observation derivatives the score
-uses.
+positive parameters via log.  Standard errors come from inverting the
+observed information matrix, the exact negated Hessian in the original
+coordinates.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -24,19 +26,28 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import norm, qmc
 
-from .baselines import baseline_class
+from .baselines import (
+    Exponential,
+    MarshallOlkinExponential,
+    MomentExponential,
+    Weibull,
+    _moe_information,
+    _moe_loglik_score,
+)
 from .data import check_sample
-from .distributions import DEFAULT_BETA_FLOOR, PtgParams
+from .distributions import DEFAULT_BETA_FLOOR, PtgParams, pte_params, ptw_params
 
 __all__ = [
     "FitOptions",
     "FitResult",
     "log_likelihood",
     "fit",
+    "MODELS",
     "observed_information",
     "wald_ci",
     "multistart_maximize",
@@ -139,8 +150,8 @@ _MAX_ITER = 2000  # quasi-Newton steps of each start; the polish takes twice as 
 _CONVERGED_SCORE = 1e-3  # score max-norm below which a fit counts as converged
 # search box, as half-widths in transformed coordinates: a start that leaves
 # it stops (beta -> +inf with lambda -> 0 is a runaway on dataset II).  The
-# log-parameters are centred on the data's scale.  z0 = asin(alpha) needs no
-# box: every z0 is a point of the domain.
+# log rate is centred on the data's scale.  z0 = asin(alpha) needs no box:
+# every z0 is a point of the domain.
 _BETA_BOX = 1e4
 _LOG_BOX = 50.0
 _BETA_WARN = 700.0  # documented |beta| range of the Poisson layer
@@ -273,7 +284,7 @@ def multistart_maximize(loglik_score, starts, box):
 
 
 # ---------------------------------------------------------------------------
-# PT-G fit
+# the PT-G objective
 # ---------------------------------------------------------------------------
 
 
@@ -320,68 +331,114 @@ def _ptg_loglik_score(data, family):
     return loglik_score
 
 
-def _lhs_starts(xbar, opts, q):
-    """Latin-hypercube initial points over alpha in (-0.9, 0.9),
-    beta in (-10, 10) excluding (-0.1, 0.1), lambda log-uniform in
-    (0.1/xbar, 10/xbar), and any further shape parameter log-uniform in
-    (0.25, 4)."""
-    sampler = qmc.LatinHypercube(d=2 + q, seed=opts.seed)
-    u = sampler.random(opts.n_starts)
-    starts = np.empty_like(u)
-    starts[:, 0] = np.arcsin(-0.9 + 1.8 * u[:, 0])
-    lo = u[:, 1] < 0.5
-    starts[:, 1] = np.where(
-        lo,
-        -10.0 + (u[:, 1] / 0.5) * 9.9,
-        0.1 + ((u[:, 1] - 0.5) / 0.5) * 9.9,
-    )
-    starts[:, 2] = np.log(0.1 / xbar) + u[:, 2] * math.log(100.0)
-    for j in range(3, 2 + q):
-        starts[:, j] = math.log(0.25) + u[:, j] * math.log(16.0)
-    return starts
+# ---------------------------------------------------------------------------
+# one fit for every model tag
+# ---------------------------------------------------------------------------
+
+class _Kind(NamedTuple):
+    """A kind of search coordinate: the parameter at coordinate z, the starts
+    from a Latin-hypercube column u and the sample mean m, the box
+    half-width, and whether the box is centred on the data's scale -log m
+    rather than on 0."""
+
+    value: object
+    start: object
+    half: float
+    centred: bool = False
 
 
-def fit(data, baseline_family="exponential", opts=None):
-    """Fit a PT-G model by multistart maximum likelihood.
+_KINDS = {
+    "alpha": _Kind(math.sin, lambda u, m: np.arcsin(-0.9 + 1.8 * u), np.inf),
+    "beta": _Kind(  # starts in (-10, -0.1) and (0.1, 10)
+        float,
+        lambda u, m: np.where(u < 0.5, -10.0 + (u / 0.5) * 9.9, 0.1 + ((u - 0.5) / 0.5) * 9.9),
+        _BETA_BOX,
+    ),
+    "rate": _Kind(np.exp, lambda u, m: np.log(0.1 / m) + u * math.log(100.0), _LOG_BOX, True),
+    "shape": _Kind(np.exp, lambda u, m: math.log(0.25) + u * math.log(16.0), _LOG_BOX),
+    "tilt": _Kind(np.exp, lambda u, m: math.log(0.01) + u * math.log(1e4), _LOG_BOX),
+}
+
+
+@dataclass(frozen=True)
+class _Model:
+    """One tag of :func:`fit`: the model from its parameter values, its exact
+    observed information ``(data, model) -> matrix``, and either the
+    closed-form estimate ``data -> values`` or the kinds of its search
+    coordinates with the batched ``loglik_score(data)`` over them."""
+
+    make: object
+    information: object
+    closed_form: object = None
+    search: tuple = ()
+    loglik_score: object = None
+
+
+# the PT-G information is looked up at call time, so that a rebinding of
+# ``observed_information`` (perfbench/tracing.py) is seen
+MODELS = {
+    "pte": _Model(pte_params, lambda x, p: observed_information(x, p),
+                  search=("alpha", "beta", "rate"),
+                  loglik_score=lambda x: _ptg_loglik_score(x, Exponential)),
+    "ptw": _Model(ptw_params, lambda x, p: observed_information(x, p),
+                  search=("alpha", "beta", "rate", "shape"),
+                  loglik_score=lambda x: _ptg_loglik_score(x, Weibull)),
+    "exp": _Model(Exponential, lambda x, m: np.array([[x.size / m.lam**2]]),
+                  closed_form=lambda x: (1.0 / x.mean(),)),
+    "me": _Model(MomentExponential, lambda x, m: np.array([[2.0 * x.size / m.sigma**2]]),
+                 closed_form=lambda x: (x.mean() / 2.0,)),
+    "moe": _Model(MarshallOlkinExponential, _moe_information,
+                  search=("tilt", "rate"), loglik_score=_moe_loglik_score),
+}
+
+
+def fit(data, model="pte", opts=None):
+    """Fit the model tagged ``model`` by maximum likelihood.
 
     Parameters
     ----------
     data : array-like of positive finite floats
-    baseline_family : {"exponential", "weibull"}
+    model : {"pte", "ptw", "exp", "me", "moe"}
+        PT-exponential, PT-Weibull, exponential, moment exponential or
+        Marshall-Olkin exponential.
     opts : FitOptions, optional
+        The multistart of the numerical fits (PT-G and Marshall-Olkin).
 
     Returns
     -------
     FitResult
-        Estimates, log-likelihood, observed information, standard errors
-        and 95% Wald intervals.  ``converged`` is False (never silent) when
-        the search did not reach a stationary point.
+        The fitted model as ``estimates``, the log-likelihood, the exact
+        observed information, standard errors and 95% Wald intervals.
+        ``converged`` is False (never silent) when the search did not reach
+        a stationary point; a closed-form fit counts no launches.
     """
-    opts = opts or FitOptions()
-    data = check_sample(data)
-    family = baseline_class(baseline_family)
-    q = len(family.names)
-    if data.size < (2 + q) + 1:
-        raise ValueError("need at least one more observation than parameters")
-
-    xbar = float(data.mean())
-    centre = np.zeros(2 + q)
-    centre[2] = -math.log(xbar)
-    half = np.array([np.inf, _BETA_BOX] + [_LOG_BOX] * q)
-    z_best, _, n_launches, converged = multistart_maximize(
-        _ptg_loglik_score(data, family),
-        _lhs_starts(xbar, opts, q),
-        box=(centre - half, centre + half),
-    )
-    # the best start has a finite log-likelihood, so |beta| >= the floor
-    estimates = PtgParams(math.sin(z_best[0]), z_best[1], family(*np.exp(z_best[2:])))
-    if abs(estimates.beta) > _BETA_WARN:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {list(MODELS)}")
+    spec, opts, data = MODELS[model], opts or FitOptions(), check_sample(data)
+    if spec.closed_form is not None:
+        estimates, n_launches, converged = spec.make(*spec.closed_form(data)), 0, True
+    else:
+        if data.size < len(spec.search) + 1:
+            raise ValueError("need at least one more observation than parameters")
+        xbar = float(data.mean())
+        kinds = [_KINDS[kind] for kind in spec.search]
+        u = qmc.LatinHypercube(d=len(kinds), seed=opts.seed).random(opts.n_starts)
+        centre = np.array([-math.log(xbar) if kind.centred else 0.0 for kind in kinds])
+        half = np.array([kind.half for kind in kinds])
+        z_best, _, n_launches, converged = multistart_maximize(
+            spec.loglik_score(data),
+            np.column_stack([kind.start(u[:, j], xbar) for j, kind in enumerate(kinds)]),
+            box=(centre - half, centre + half),
+        )
+        # the best start has a finite log-likelihood: a valid parameter point
+        estimates = spec.make(*(kind.value(z) for kind, z in zip(kinds, z_best)))
+    if isinstance(estimates, PtgParams) and abs(estimates.beta) > _BETA_WARN:
         warnings.warn(
             f"fitted beta = {estimates.beta:.6g} lies outside the documented "
             f"|beta| <= {_BETA_WARN:g}",
             stacklevel=2,
         )
-    info = observed_information(data, estimates)
+    info = spec.information(data, estimates)
     return FitResult.from_information(
         estimates, log_likelihood(data, estimates), info, converged, n_launches, data.size
     )

@@ -17,12 +17,12 @@ def data_II():
 
 @pytest.fixture(scope="session")
 def fit_I(data_I):
-    return fit(data_I, "exponential", FitOptions(seed=0))
+    return fit(data_I, "pte", FitOptions(seed=0))
 
 
 @pytest.fixture(scope="session")
 def fit_II(data_II):
-    return fit(data_II, "exponential", FitOptions(seed=0))
+    return fit(data_II, "pte", FitOptions(seed=0))
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +30,7 @@ def synthetic_fit():
     """5000 draws from PT-E(0.5, 2, 1) and their refit."""
     truth = pte_params(0.5, 2.0, 1.0)
     x = ptg_sample(5000, truth, seed=31415)
-    return truth, x, fit(x, "exponential", FitOptions(seed=1))
+    return truth, x, fit(x, "pte", FitOptions(seed=1))
 
 
 def assert_close(a, b, atol=0.0, rtol=0.0, label=""):

@@ -70,15 +70,15 @@ class TestFitCommand:
         assert payload["converged"] is False
 
     def test_moe_nonconvergence_exit_code(self, capsys, monkeypatch):
-        import ptgfit.competitors as comp_mod
+        import ptgfit.mle as mle_mod
 
-        real = comp_mod.multistart_maximize
+        real = mle_mod.multistart_maximize
 
         def not_converged(*args, **kwargs):
             z, ll, n_launches, _ = real(*args, **kwargs)
             return z, ll, n_launches, False
 
-        monkeypatch.setattr(comp_mod, "multistart_maximize", not_converged)
+        monkeypatch.setattr(mle_mod, "multistart_maximize", not_converged)
         with pytest.warns(UserWarning, match="did not fully converge"):
             code, payload, _ = run_json(
                 capsys, "fit", "--model", "moe", "--data", "embedded:II"
@@ -87,16 +87,16 @@ class TestFitCommand:
         assert payload["converged"] is False
 
     def test_starts_reach_marshall_olkin_fit(self, capsys, monkeypatch):
-        import ptgfit.competitors as comp_mod
+        import ptgfit.mle as mle_mod
 
-        real = comp_mod.multistart_maximize
+        real = mle_mod.multistart_maximize
         launched = []
 
         def counting(loglik_z, starts, **kwargs):
             launched.append(len(starts))
             return real(loglik_z, starts, **kwargs)
 
-        monkeypatch.setattr(comp_mod, "multistart_maximize", counting)
+        monkeypatch.setattr(mle_mod, "multistart_maximize", counting)
         code, payload, _ = run_json(
             capsys, "fit", "--model", "moe", "--data", "embedded:I", "--starts", "1"
         )
@@ -237,6 +237,14 @@ class TestPropsCommand:
         code, _, err = run_cli(capsys, "props", "--model", "exp", "--params", "1.0")
         assert code == 1 and "PT models" in err
 
+    def test_csv_format_is_a_usage_error(self, capsys):
+        # props writes JSON or a table; a CSV request is refused, not ignored
+        code, out, err = run_cli(
+            capsys, "props", "--model", "pte", "--params", "0.5,2.0,1.0", "--format", "csv"
+        )
+        assert code == 1 and out == ""
+        assert "invalid choice: 'csv'" in err
+
 
 class TestCurvesCommand:
     def test_grid_shape_and_monotone_cdf(self, capsys):
@@ -273,6 +281,12 @@ class TestTttCommand:
         assert len(rows) == 20
         assert float(rows[-1][0]) == 1.0
         assert float(rows[-1][1]) == 1.0
+
+    def test_seed_is_a_usage_error(self, capsys):
+        # the TTT transform draws nothing at random: it takes no --seed
+        code, out, err = run_cli(capsys, "ttt", "--data", "embedded:II", "--seed", "3")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --seed 3" in err
 
 
 class TestReproduceCommand:

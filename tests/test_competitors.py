@@ -148,7 +148,7 @@ def test_competitor_parameters_validated(make, name):
 
 @pytest.mark.parametrize("fitter", [fit_competitor])
 def test_moe_fit_refuses_empty_start_set(data_I, fitter):
-    with pytest.raises(ValueError, match="need at least one start"):
+    with pytest.raises(ValueError, match="n_starts must be positive"):
         fitter(data_I, "moe", n_starts=0)
 
 

@@ -357,10 +357,6 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             PtgParams(0.5, beta, EXP1)
 
-    def test_beta_floor_configurable(self):
-        p = PtgParams(0.5, 1e-10, EXP1, beta_floor=1e-12)
-        assert p.beta == 1e-10
-
     def test_names_and_values(self):
         p = ptw_params(0.1, 2.0, 1.5, 0.9)
         assert p.names == ("alpha", "beta", "lam", "theta")

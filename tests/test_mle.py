@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptgfit.baselines import Exponential, Weibull
-from ptgfit.competitors import MarshallOlkinExponential, fit_competitor
+from ptgfit.competitors import MarshallOlkinExponential
 from ptgfit.distributions import PtgParams, pte_params, ptg_log_pdf
 from ptgfit.mle import (
     FitOptions,
@@ -146,13 +146,13 @@ class TestFit:
             assert abs(est - true_val) <= 3 * se
 
     def test_deterministic_given_seed(self, data_II):
-        r1 = fit(data_II, "exponential", FitOptions(seed=9, n_starts=6))
-        r2 = fit(data_II, "exponential", FitOptions(seed=9, n_starts=6))
+        r1 = fit(data_II, "pte", FitOptions(seed=9, n_starts=6))
+        r2 = fit(data_II, "pte", FitOptions(seed=9, n_starts=6))
         assert r1.estimates.values == r2.estimates.values
         assert r1.loglik == r2.loglik
 
     def test_more_starts_never_worse(self, data_I, fit_I):
-        shallow = fit(data_I, "exponential", FitOptions(seed=3, n_starts=4))
+        shallow = fit(data_I, "pte", FitOptions(seed=3, n_starts=4))
         assert fit_I.loglik >= shallow.loglik - 1e-6
 
     def test_gradient_small_at_optimum(self, fit_I, data_I):
@@ -192,27 +192,27 @@ class TestFit:
                 assert log_likelihood(x, p) < res.loglik
 
     def test_weibull_family_fit(self, data_I, fit_I):
-        res = fit(data_I, "weibull", FitOptions(seed=0, n_starts=12))
+        res = fit(data_I, "ptw", FitOptions(seed=0, n_starts=12))
         assert res.converged
         assert len(res.estimates.values) == 4
         # the extra shape parameter cannot lower the maximized likelihood
         assert res.loglik >= fit_I.loglik - 1e-6
 
     @pytest.mark.parametrize(
-        "dataset, family, loglik",
+        "dataset, model, loglik",
         [
-            ("I", "exponential", -98.04683378832306),
-            ("I", "weibull", -98.03667416677402),
-            ("II", "exponential", -15.564165689918028),
-            ("II", "weibull", -15.35789512991596),
+            ("I", "pte", -98.04683378832306),
+            ("I", "ptw", -98.03667416677402),
+            ("II", "pte", -15.564165689918028),
+            ("II", "ptw", -15.35789512991596),
         ],
     )
-    def test_optimum_pinned(self, data_I, data_II, dataset, family, loglik):
+    def test_optimum_pinned(self, data_I, data_II, dataset, model, loglik):
         # the optima found by the earlier Nelder-Mead multistart (seed 0)
         data = data_I if dataset == "I" else data_II
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # PT-W on II: beta outside 700
-            res = fit(data, family, FitOptions(seed=0))
+            res = fit(data, model, FitOptions(seed=0))
         assert res.converged
         assert res.loglik == pytest.approx(loglik, abs=1e-8)
 
@@ -222,29 +222,31 @@ class TestFit:
         with pytest.warns(UserWarning, match="singular"), pytest.warns(
             UserWarning, match=r"fitted beta = -79\d\d.* outside the documented"
         ):
-            res = fit(data_II, "weibull", FitOptions(seed=0))
+            res = fit(data_II, "ptw", FitOptions(seed=0))
         assert res.estimates.beta == pytest.approx(-7910.5, abs=1.0)
         assert res.loglik == pytest.approx(-15.35789512991596, abs=1e-8)
 
     def test_no_warning_inside_documented_range(self, data_I):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit(data_I, "exponential", FitOptions(seed=0, n_starts=4))
+            fit(data_I, "pte", FitOptions(seed=0, n_starts=4))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            fit([1.0, -2.0, 3.0, 4.0], "exponential")
+            fit([1.0, -2.0, 3.0, 4.0], "pte")
         with pytest.raises(ValueError):
-            fit([1.0, 2.0], "exponential")  # fewer points than parameters + 1
+            fit([1.0, 2.0], "pte")  # fewer points than parameters + 1
 
-    def test_unknown_baseline_family_names_the_known_ones(self, data_I):
-        with pytest.raises(ValueError, match=r"unknown baseline family 'gamma'.*exponential"):
-            fit(data_I, "gamma")
+    def test_unknown_model_names_the_known_ones(self, data_I):
+        with pytest.raises(
+            ValueError, match=r"unknown model 'exponential'.*'pte', 'ptw', 'exp', 'me', 'moe'"
+        ):
+            fit(data_I, "exponential")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_data(self, bad):
         with pytest.raises(ValueError, match="nonempty, finite and strictly positive"):
-            fit([1.0, bad, 2.0, 3.5, 4.0], "exponential")
+            fit([1.0, bad, 2.0, 3.5, 4.0], "pte")
 
     def test_result_invariants(self, fit_I):
         info = fit_I.info_matrix
@@ -295,11 +297,7 @@ class TestObservedInformation:
         # PT-W on dataset II is left out: its information is singular to
         # tolerance (smallest eigenvalue about 9e-11)
         data = data_I if dataset == "I" else data_II
-        if model == "moe":
-            res = fit_competitor(data, "moe", seed=0)
-        else:
-            family = "exponential" if model == "pte" else "weibull"
-            res = fit(data, family, FitOptions(seed=0))
+        res = fit(data, model, FitOptions(seed=0))
         assert res.std_errors == pytest.approx(se, rel=1e-6)
 
     def test_dataset_I_standard_errors_match_published(self, fit_I):
@@ -323,7 +321,7 @@ class TestObservedInformation:
         # positive definite there, and the alpha interval is clipped to the edge
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = fit(data_I, "exponential", FitOptions(n_starts=1))
+            res = fit(data_I, "pte", FitOptions(n_starts=1))
         assert res.estimates.alpha == -1.0
         info = res.info_matrix
         assert np.all(np.isfinite(info)) and np.array_equal(info, info.T)

@@ -6,7 +6,8 @@ exponential (``Exponential`` again, closed-form MLE 1/xbar), the moment
 exponential (length-biased exponential, f(x) = x exp(-x/sigma)/sigma^2,
 closed-form MLE xbar/2) and the Marshall-Olkin exponential (tilted survival
 S(x) = a exp(-lx) / (1 - (1-a) exp(-lx)), fitted numerically by ``mle.fit``
-from its batched ``_moe_loglik_score`` and exact ``_moe_information``).
+from its batched log-likelihood, score and Hessian,
+``moe_loglik_derivatives``, which shares ``log_pdf``'s one formula).
 Every model exposes the protocol shared with ``PtgParams``: ``names``,
 ``values``, ``pdf``, ``cdf``, ``log_pdf`` and ``quantile``.
 
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 from .data import check_sample
 
@@ -117,11 +119,12 @@ class Weibull:
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
+        # xlogy: the factor x**(theta-1) is 1 at x = 0 when theta = 1
         with np.errstate(divide="ignore"):
             return (
                 np.log(self.lam)
                 + np.log(self.theta)
-                + (self.theta - 1.0) * np.log(x)
+                + xlogy(self.theta - 1.0, x)
                 - self.lam * x**self.theta
             )
 
@@ -201,6 +204,14 @@ class MomentExponential:
         return (self.sigma,)
 
 
+def _moe_log_density(tilt, lam, x):
+    """Marshall-Olkin log-density, elementwise, with e = exp(-lam x) and
+    D = 1 - (1 - tilt) e."""
+    tail = np.exp(-lam * x)
+    denom = 1.0 - (1.0 - tilt) * tail
+    return np.log(tilt) + np.log(lam) - lam * x - 2.0 * np.log(denom), tail, denom
+
+
 @dataclass(frozen=True)
 class MarshallOlkinExponential:
     tilt: float
@@ -212,23 +223,15 @@ class MarshallOlkinExponential:
         _check_positive("tilt", self.tilt)
         _check_positive("lam", self.lam)
 
-    def _denom(self, x):
-        return 1.0 - (1.0 - self.tilt) * np.exp(-self.lam * np.asarray(x, dtype=float))
-
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.tilt * self.lam * np.exp(-self.lam * x) / self._denom(x) ** 2
+        return np.exp(self.log_pdf(x))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return -np.expm1(-self.lam * x) / self._denom(x)
+        return -np.expm1(-self.lam * x) / (1.0 - (1.0 - self.tilt) * np.exp(-self.lam * x))
 
     def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return (
-            math.log(self.tilt) + math.log(self.lam)
-            - self.lam * x - 2.0 * np.log(self._denom(x))
-        )
+        return _moe_log_density(self.tilt, self.lam, np.asarray(x, dtype=float))[0]
 
     def loglik(self, data):
         """Log-likelihood of the sample ``data``: the sum of :meth:`log_pdf`."""
@@ -245,47 +248,46 @@ class MarshallOlkinExponential:
         return (self.tilt, self.lam)
 
 
-def _moe_loglik_score(data):
-    """Batched Marshall-Olkin log-likelihood and score.
-
-    Returns ``f(Z) -> (loglik (S,), score (S, 2))`` for rows of
-    z = (log tilt, log lam).  With D = 1 - (1 - tilt) exp(-lam x),
-
-        l = n log tilt + n log lam - lam sum x - 2 sum log D.
-    """
+def moe_loglik_derivatives(data, theta, order=1):
+    """Log-likelihoods (S,) and scores (S, 2) of ``data`` at the parameter
+    rows ``theta`` (S, 2) = (tilt, lam), and at ``order`` 2 the Hessians
+    (S, 2, 2)."""
     x = np.asarray(data, dtype=float)
-    n, sum_x = x.size, float(x.sum())
+    n = x.size
+    with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
+        tilt, lam = theta.T
+        log_f, tail, denom = _moe_log_density(tilt[:, None], lam[:, None], x)
+        w = tail / denom
+        ll = np.sum(log_f, axis=1)
+        score = np.column_stack([
+            n / tilt - 2.0 * np.sum(w, axis=1),
+            n / lam - np.sum(x) - 2.0 * (1.0 - tilt) * np.sum(x * w, axis=1),
+        ])
+        if order == 1:
+            return ll, score
+        w2 = w / denom
+        hess = np.empty((len(theta), 2, 2))
+        hess[:, 0, 0] = -n / tilt**2 + 2.0 * np.sum(tail * w2, axis=1)
+        hess[:, 0, 1] = hess[:, 1, 0] = 2.0 * np.sum(x * w2, axis=1)
+        hess[:, 1, 1] = -n / lam**2 + 2.0 * (1.0 - tilt) * np.sum(x**2 * w2, axis=1)
+    return ll, score, hess
+
+
+def _moe_loglik_score(data):
+    """``f(Z) -> (loglik (S,), score (S, 2))`` at rows z = (log tilt, log lam)."""
 
     def loglik_score(z):
         with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
-            tilt, lam = np.exp(z[:, 0:1]), np.exp(z[:, 1:2])
-            tail = np.exp(-lam * x)
-            denom = 1.0 - (1.0 - tilt) * tail
-            w = tail / denom
-            tilt, lam = tilt[:, 0], lam[:, 0]
-            ll = n * (z[:, 0] + z[:, 1]) - lam * sum_x - 2.0 * np.sum(np.log(denom), axis=1)
-            score = np.column_stack(
-                [
-                    n - 2.0 * tilt * np.sum(w, axis=1),
-                    n - lam * sum_x - 2.0 * lam * (1.0 - tilt) * np.sum(x * w, axis=1),
-                ]
-            )
-        return ll, score
+            theta = np.exp(z)
+            ll, score = moe_loglik_derivatives(data, theta)
+        return ll, score * theta
 
     return loglik_score
 
 
 def _moe_information(data, model):
-    """Exact observed information of the Marshall-Olkin ``model`` at the array
-    ``data``, in (tilt, lam): with e = exp(-lam x) and D = 1 - (1 - tilt) e, l_aa =
-    -n/tilt^2 + 2 sum (e/D)^2, l_al = 2 sum x e/D^2, l_ll = -n/lam^2 + 2 (1-tilt) sum x^2 e/D^2."""
-    tilt, lam = model.values
-    e = np.exp(-lam * data)
-    w = e / model._denom(data) ** 2
-    l_al = 2.0 * np.sum(data * w)
-    l_aa = -data.size / tilt**2 + 2.0 * np.sum(e * w)
-    l_ll = -data.size / lam**2 + 2.0 * (1.0 - tilt) * np.sum(data**2 * w)
-    return -np.array([[l_aa, l_al], [l_al, l_ll]])
+    """Exact observed information of the Marshall-Olkin ``model`` in (tilt, lam)."""
+    return -moe_loglik_derivatives(data, np.array([model.values]), order=2)[2][0]
 
 
 BASELINE_FAMILIES = {

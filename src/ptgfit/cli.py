@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from .data import embedded_dataset, load_observations
+from .distributions import ptg_sample
 from .expansions import (
     mean_deviation,
     raw_moment,
@@ -247,13 +248,10 @@ def cmd_gof(args):
 
 
 def cmd_sample(args):
-    if args.n < 1:
+    if args.n < 1:  # before a --data fit, not after it
         raise ValueError("--n must be a positive integer")
     fmt = _resolve_format(args)
-    model = _model(args)
-    rng = np.random.default_rng(_resolve_seed(args))
-    # rng.random() lives in [0, 1); nudge any exact zero into the open interval
-    x = model.quantile(np.maximum(rng.random(args.n), np.finfo(float).tiny))
+    x = ptg_sample(args.n, _model(args), _resolve_seed(args))
     if fmt == "json":
         _emit_json(args, {"command": "sample", "model": args.model, "n": args.n,
                           "seed": _resolve_seed(args),
@@ -293,7 +291,7 @@ def cmd_props(args):
         pairs += [
             ("mean dev (mean)", payload["mean_deviation_mean"]),
             ("mean dev (median)", payload["mean_deviation_median"]),
-            ("P(X1 < X2)", payload["stress_strength_vs_params2"]),
+            ("P(X2 <= X1)", payload["stress_strength_vs_params2"]),
         ]
         pairs += [(f"MRL({t})", v) for t, v in payload["mean_residual_life"].items()]
         _emit_kv_table(args, "distribution properties", pairs)
@@ -459,7 +457,8 @@ def build_parser():
     add_common(sp, ["json", "table"], model=True, data=True, starts=True)
     sp.add_argument("--params", default=None)
     sp.add_argument("--params2", default=None,
-                    help="second parameter set for stress-strength")
+                    help="parameter set of the stress X2 in the stress-strength "
+                         "reliability P(X2 <= X1), X1 from --params")
     sp.add_argument("--delta", default="2.0", help="Renyi orders, comma-separated")
     sp.add_argument("--tlist", default="0.5,1.0,2.0",
                     help="ages for mean residual life, comma-separated")

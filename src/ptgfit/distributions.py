@@ -11,12 +11,14 @@ All functions are pure, accept scalar or array ``x``/``u`` and return a
 matching float or ndarray.  Stable ``expm1``/``log1p`` forms are used
 throughout so both signs of ``b`` and near-zero tilts evaluate cleanly;
 for ``b < 0`` the Poisson layer is factored by ``exp(b)`` so that no
-intermediate overflows, however negative ``b`` is.
+intermediate overflows, however negative ``b`` is.  A negative or NaN ``x``
+is a ``ValueError``.  The log-density is written once, as ``_log_c`` plus
+``_log_body``: ``ptg_log_pdf``, ``ptg_pdf`` (its exponential) and the
+fit's batched ``ptg_loglik_derivatives`` all use it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +67,7 @@ class PtgParams:
     baseline: Exponential | Weibull
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or abs(self.alpha) > 1.0:
-            raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not np.isfinite(self.beta) or abs(self.beta) < DEFAULT_BETA_FLOOR:
             raise ValueError(
                 f"beta must be a nonzero real with |beta| >= {DEFAULT_BETA_FLOOR}, "
@@ -106,8 +107,8 @@ def ptw_params(alpha, beta, lam, theta):
 
 def _validated_x(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("x must be nonnegative")
+    if not np.all(arr >= 0.0):  # also refuses NaN
+        raise ValueError("x must be nonnegative (and not NaN)")
     return arr, np.isscalar(x) or arr.ndim == 0
 
 
@@ -191,19 +192,26 @@ def ptg_cdf(x, p):
     return _ret(np.exp(b * (t - 1.0)) * np.expm1(-b * t) / np.expm1(-b), scalar)
 
 
-def ptg_pdf(x, p):
-    """Poisson transmuted-G density ``beta * f_tg * exp(-beta*T) / (1 - exp(-beta))``.
+def _log_c(beta):
+    """c(beta) = log(beta / (1 - exp(-beta))), overflow-free for either sign:
+    |1 - exp(-beta)| = exp(max(-beta, 0)) * (1 - exp(-|beta|))."""
+    b = np.abs(beta)
+    return np.log(b) - np.maximum(-beta, 0.0) - np.log(-np.expm1(-b))
 
-    For beta = -b < 0, exp(b) is cancelled from numerator and denominator:
-    ``b * f_tg * exp(b*(T-1)) / (1 - exp(-b))``.
-    """
-    x, scalar = _validated_x(x)
-    t = tg_cdf(x, p.alpha, p.baseline)
-    f_tg = tg_pdf(x, p.alpha, p.baseline)
-    if p.beta > 0:
-        return _ret(p.beta * f_tg * np.exp(-p.beta * t) / (-np.expm1(-p.beta)), scalar)
-    b = -p.beta
-    return _ret(b * f_tg * np.exp(b * (t - 1.0)) / (-np.expm1(-b)), scalar)
+
+def _log_body(alpha, beta, g, log_g):
+    """The log-density less c(beta), log g + log(fac) - beta T, elementwise in
+    the baseline cdf ``g`` and log-density ``log_g``, with fac = 1 + alpha -
+    2 alpha G and T; NaN or -inf where fac <= 0, which the callers mask."""
+    fac = 1.0 + alpha - 2.0 * alpha * g
+    t = g * (1.0 + alpha - alpha * g)
+    return log_g + np.log(fac) - beta * t, fac, t
+
+
+def ptg_pdf(x, p):
+    """Poisson transmuted-G density, the exponential of :func:`ptg_log_pdf`."""
+    log_f = ptg_log_pdf(x, p)
+    return _ret(np.exp(log_f), np.ndim(log_f) == 0)
 
 
 def ptg_log_pdf(x, p):
@@ -213,18 +221,59 @@ def ptg_log_pdf(x, p):
     is nonpositive, i.e. where the density vanishes at a support boundary.
     """
     x, scalar = _validated_x(x)
-    g = p.baseline.cdf(x)
-    fac = 1.0 + p.alpha - 2.0 * p.alpha * g
-    t = g * (1.0 + p.alpha - p.alpha * g)
-    # log(beta / (1 - exp(-beta))) for either sign, with
-    # |1 - exp(-beta)| = exp(max(-beta, 0)) * (1 - exp(-|beta|)) so that
-    # nothing overflows however negative beta is
-    b = abs(p.beta)
-    const = math.log(b) - max(-p.beta, 0.0) - math.log(-math.expm1(-b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        body = p.baseline.log_pdf(x) + np.log(fac) - p.beta * t
-    out = np.where(fac > 0.0, const + body, -np.inf)
-    return _ret(out, scalar)
+        body, fac, _ = _log_body(p.alpha, p.beta, p.baseline.cdf(x), p.baseline.log_pdf(x))
+    return _ret(np.where(fac > 0.0, _log_c(p.beta) + body, -np.inf), scalar)
+
+
+def _c2(beta):
+    """c''(beta), free of overflow; by its series below |beta| = 1e-2."""
+    b = np.abs(beta)
+    closed = np.exp(-b) / np.expm1(-b) ** 2 - 1.0 / b**2
+    return np.where(b < 1e-2, -1.0 / 12.0 + b**2 / 240.0 - b**4 / 6048.0, closed)
+
+
+def ptg_loglik_derivatives(data, family, theta, order=1):
+    """Log-likelihoods (S,) and scores (S, k) of ``data`` at the parameter
+    rows ``theta`` (S, k) = (alpha, beta, baseline ``family`` parameters),
+    and at ``order`` 2 the Hessians (S, k, k).  Rows with |beta| below
+    ``DEFAULT_BETA_FLOOR`` or a nonpositive fac = 1 + alpha - 2 alpha G get
+    ``-inf``.  With baseline parameters phi, psi: l_aa = -sum (1-2G)^2/fac^2,
+    l_ab = -sum G(1-G), l_bb = n c''(beta), l_a,phi = sum G_phi (-2/fac^2 -
+    beta (1-2G)), l_b,phi = -sum fac G_phi, l_phi,psi = sum [(log g)_phi,psi
+    - (2 alpha/fac + beta fac) G_phi,psi + (2 alpha beta - 4 alpha^2/fac^2)
+    G_phi G_psi]."""
+    x = np.asarray(data, dtype=float)
+    n = x.size
+    with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
+        alpha, beta, phi = theta[:, 0:1], theta[:, 1], theta[:, 2:]
+        beta_col = beta[:, None]
+        cdf, d_cdf = family.d_cdf(x, phi)
+        log_g, d_log_g = family.d_log_pdf(x, phi)
+        body, fac, t = _log_body(alpha, beta_col, cdf, log_g)
+        bad = (np.abs(beta) < DEFAULT_BETA_FLOOR) | np.any(fac <= 0.0, axis=1)
+        ll = np.where(bad, -np.inf, n * _log_c(beta) + np.sum(body, axis=1))
+        slope, spread = (1.0 - 2.0 * cdf) / fac, cdf * (1.0 - cdf)
+        weight = 2.0 * alpha / fac + beta_col * fac
+        score = np.empty_like(theta)
+        score[:, 0] = np.sum(slope, axis=1) - beta * np.sum(spread, axis=1)
+        score[:, 1] = n * (1.0 / beta - 1.0 / np.expm1(beta)) - np.sum(t, axis=1)
+        score[:, 2:] = np.sum(d_log_g - weight * d_cdf, axis=2).T
+        if order == 1:
+            return ll, score
+        d2_cdf, d2_log_g = family.d2(x, phi)
+        hess = np.empty(theta.shape + theta.shape[1:])
+        hess[:, 0, 0] = -np.sum(slope**2, axis=1)
+        hess[:, 0, 1] = hess[:, 1, 0] = -np.sum(spread, axis=1)
+        hess[:, 1, 1] = n * _c2(beta)
+        d_cdf_rows = d_cdf.transpose(1, 0, 2)  # (S, q, n): one matrix product per row
+        a_phi = -2.0 / fac**2 - beta_col * (1.0 - 2.0 * cdf)
+        hess[:, 0, 2:] = hess[:, 2:, 0] = (d_cdf_rows @ a_phi[:, :, None])[..., 0]
+        hess[:, 1, 2:] = hess[:, 2:, 1] = -(d_cdf_rows @ fac[:, :, None])[..., 0]
+        cross = (2.0 * alpha * beta_col - 4.0 * alpha**2 / fac**2) * d_cdf[:, None]
+        phi_phi = np.sum(d2_log_g - weight * d2_cdf + cross * d_cdf[None], axis=3)
+        hess[:, 2:, 2:] = phi_phi.transpose(2, 0, 1)
+    return ll, score, hess
 
 
 def ptg_hrf(x, p):
@@ -258,12 +307,11 @@ def ptg_quantile(u, p):
     return _ret(p.baseline.quantile(_tg_invert(t, p.alpha)), scalar)
 
 
-def ptg_sample(n, p, seed):
-    """Draw ``n`` values by inverse-transform sampling, deterministic in ``seed``."""
+def ptg_sample(n, model, seed):
+    """Draw ``n`` values from ``model`` (a ``PtgParams``, a baseline or a
+    competitor model) through its ``quantile``, deterministic in ``seed``."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
+    u = np.random.default_rng(seed).random(n)
     # rng.random() lives in [0, 1); nudge any exact zero into the open interval
-    u = np.maximum(u, np.finfo(float).tiny)
-    return ptg_quantile(u, p)
+    return model.quantile(np.maximum(u, np.finfo(float).tiny))

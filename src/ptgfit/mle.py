@@ -13,7 +13,8 @@ reaches the edges alpha = +-1 at finite z0 and has no flat tail to strand a
 start in, beta unconstrained (with a small exclusion band around zero), and
 positive parameters via log.  Standard errors come from inverting the
 observed information matrix, the exact negated Hessian in the original
-coordinates.
+coordinates.  Both come from each model's one batched kernel,
+``ptg_loglik_derivatives`` or ``moe_loglik_derivatives``.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -40,7 +41,7 @@ from .baselines import (
     _moe_loglik_score,
 )
 from .data import check_sample
-from .distributions import DEFAULT_BETA_FLOOR, PtgParams, pte_params, ptw_params
+from .distributions import PtgParams, ptg_loglik_derivatives, pte_params, ptw_params
 
 __all__ = [
     "FitOptions",
@@ -134,6 +135,8 @@ def log_likelihood(data, model):
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("data must be nonempty")
+    if not np.all(data >= 0.0):  # also refuses NaN
+        raise ValueError("data must be nonnegative (and not NaN)")
     return float(np.sum(model.log_pdf(data)))
 
 
@@ -289,44 +292,17 @@ def multistart_maximize(loglik_score, starts, box):
 
 
 def _ptg_loglik_score(data, family):
-    """Batched PT-G log-likelihood and score over any baseline ``family``.
-
-    Returns ``f(Z) -> (loglik (S,), score (S, k))`` for rows of transformed
-    coordinates z = (asin alpha, beta, log of each baseline parameter).
-    With G the baseline cdf, T = G (1 + alpha - alpha G) and
-    c(beta) = log|beta| - log|1 - exp(-beta)|,
-
-        l = n c(beta) + sum log g + sum log(1 + alpha - 2 alpha G) - beta sum T,
-
-    and the score follows by the chain rule through alpha = sin z0 and the
-    log-parameters.  Rows with |beta| below ``DEFAULT_BETA_FLOOR`` or a
-    nonpositive transmuted factor get ``-inf``.
-    """
-    x = np.asarray(data, dtype=float)
-    n = x.size
+    """``f(Z) -> (loglik (S,), score (S, k))`` at rows z = (asin alpha, beta,
+    log of each baseline parameter) for any baseline ``family``."""
 
     def loglik_score(z):
         with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
-            alpha, beta = np.sin(z[:, 0:1]), z[:, 1]
-            phi = np.exp(z[:, 2:])
-            cdf, d_cdf = family.d_cdf(x, phi)
-            log_g, d_log_g = family.d_log_pdf(x, phi)
-            fac = 1.0 + alpha - 2.0 * alpha * cdf
-            t = cdf * (1.0 + alpha - alpha * cdf)
-            b = np.abs(beta)
-            # log|1 - exp(-beta)| = max(-beta, 0) + log(1 - exp(-|beta|))
-            const = np.log(b) - np.maximum(-beta, 0.0) - np.log(-np.expm1(-b))
-            ll = n * const + np.sum(log_g + np.log(fac) - beta[:, None] * t, axis=1)
-            score = np.empty_like(z)
-            score[:, 0] = np.cos(z[:, 0]) * (
-                np.sum((1.0 - 2.0 * cdf) / fac, axis=1)
-                - beta * np.sum(cdf * (1.0 - cdf), axis=1)
-            )
-            score[:, 1] = n * (1.0 / beta - 1.0 / np.expm1(beta)) - np.sum(t, axis=1)
-            weight = 2.0 * alpha / fac + beta[:, None] * fac
-            score[:, 2:] = phi * np.sum(d_log_g - weight * d_cdf, axis=2).T
-        bad = (b < DEFAULT_BETA_FLOOR) | np.any(fac <= 0.0, axis=1)
-        return np.where(bad, -np.inf, ll), score
+            theta = np.exp(z)  # the log-parameter columns; alpha and beta set below
+            theta[:, 0], theta[:, 1] = np.sin(z[:, 0]), z[:, 1]
+            ll, score = ptg_loglik_derivatives(data, family, theta)
+            score[:, 0] *= np.cos(z[:, 0])
+            score[:, 2:] *= theta[:, 2:]
+        return ll, score
 
     return loglik_score
 
@@ -444,39 +420,11 @@ def fit(data, model="pte", opts=None):
     )
 
 
-def _c2(beta):
-    """c''(beta) of c = log|beta| - log|1 - exp(-beta)|, free of overflow,
-    and by its series below |beta| = 1e-2, where the closed form cancels."""
-    b = abs(beta)
-    if b < 1e-2:
-        return -1.0 / 12.0 + b**2 / 240.0 - b**4 / 6048.0
-    return math.exp(-b) / math.expm1(-b) ** 2 - 1.0 / b**2
-
-
 def observed_information(data, p_hat):
     """Observed information: the exact negated Hessian of the log-likelihood
-    at ``p_hat`` in (alpha, beta, baseline...), finite at alpha = +-1.
-
-    With fac = 1 + alpha - 2 alpha G and baseline parameters phi, psi:
-    l_aa = -sum (1-2G)^2/fac^2, l_ab = -sum G(1-G), l_bb = n c''(beta),
-    l_a,phi = sum G_phi (-2/fac^2 - beta (1-2G)), l_b,phi = -sum fac G_phi,
-    l_phi,psi = sum [(log g)_phi,psi - (2 alpha/fac + beta fac) G_phi,psi
-    + (2 alpha beta - 4 alpha^2/fac^2) G_phi G_psi]."""
-    x = np.asarray(data, dtype=float)
-    a, b = p_hat.alpha, p_hat.beta
-    family, phi = type(p_hat.baseline), np.array([p_hat.baseline.values], dtype=float)
-    cdf, d_cdf = (v[..., 0, :] for v in family.d_cdf(x, phi))
-    d2_cdf, d2_log_g = (v[..., 0, :] for v in family.d2(x, phi))
-    fac = 1.0 + a - 2.0 * a * cdf
-    hess = np.empty((2 + len(d_cdf),) * 2)
-    hess[0, 0] = -np.sum(((1.0 - 2.0 * cdf) / fac) ** 2)
-    hess[0, 1] = hess[1, 0] = -np.sum(cdf * (1.0 - cdf))
-    hess[1, 1] = x.size * _c2(b)
-    hess[0, 2:] = hess[2:, 0] = d_cdf @ (-2.0 / fac**2 - b * (1.0 - 2.0 * cdf))
-    hess[1, 2:] = hess[2:, 1] = -(d_cdf @ fac)
-    cross = (2.0 * a * b - 4.0 * a**2 / fac**2) * d_cdf[:, None] * d_cdf[None]
-    hess[2:, 2:] = np.sum(d2_log_g + (-2.0 * a / fac - b * fac) * d2_cdf + cross, axis=2)
-    return -hess
+    at ``p_hat`` in (alpha, beta, baseline...), finite at alpha = +-1."""
+    theta = np.array([p_hat.values], dtype=float)
+    return -ptg_loglik_derivatives(data, type(p_hat.baseline), theta, order=2)[2][0]
 
 
 def wald_ci(fit_result, level=0.95):

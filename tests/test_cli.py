@@ -206,6 +206,12 @@ class TestSampleCommand:
         assert len(payload["samples"]) == 25
         assert all(v > 0 for v in payload["samples"])
 
+    def test_zero_draws_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--model", "pte", "--params", "0.5,2.0,1.0", "--n", "0"
+        )
+        assert code == 1 and out == ""
+        assert "n must be a positive integer" in err
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -232,6 +238,18 @@ class TestPropsCommand:
         assert payload["moments"]["1"] == pytest.approx(mean, abs=1e-6)
         assert payload["stress_strength_vs_params2"] == pytest.approx(0.5, abs=1e-6)
         assert set(payload["renyi_entropy"]) == {"2.0", "0.5"}
+
+    def test_table_names_the_stress_strength_direction(self, capsys):
+        # stress_strength(p, p2) is P(X2 <= X1) with X1 from --params and X2
+        # from --params2; a Monte Carlo check with 4e5 draws gives 0.7199
+        code, out, _ = run_cli(
+            capsys, "props", "--model", "pte", "--params", "0.5,2,1", "--params2", "0.5,2,3",
+            "--format", "table",
+        )
+        assert code == 0
+        assert [line.split() for line in out.splitlines() if "X1" in line] == [
+            ["P(X2", "<=", "X1)", "0.720309"]
+        ]
 
     def test_rejected_for_competitors(self, capsys):
         code, _, err = run_cli(capsys, "props", "--model", "exp", "--params", "1.0")

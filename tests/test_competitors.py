@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ptgfit.baselines import Exponential
+from ptgfit.baselines import Exponential, moe_loglik_derivatives
 from ptgfit.competitors import (
     MarshallOlkinExponential,
     MomentExponential,
@@ -206,3 +206,18 @@ class TestMarshallOlkinScore:
         numeric = richardson(lambda t: f(np.log(t)[None])[1][0] / t, theta, 1e-4 * theta)
         info = _moe_information(data_II, MarshallOlkinExponential(tilt, lam))
         assert np.allclose(-info, numeric, rtol=1e-7, atol=1e-7)
+
+    def test_batched_hessian(self, data_II):
+        # one batched order-2 call over the grid equals the row-by-row calls
+        # bit for bit, and its Hessian matches differences of its score
+        theta = np.array([(a, lam) for a in TILTS for lam in LAMS])
+        batched = moe_loglik_derivatives(data_II, theta, order=2)
+        for s, row in enumerate(theta):
+            single = moe_loglik_derivatives(data_II, row[None], order=2)
+            for whole, one in zip(batched, single):
+                assert np.array_equal(whole[s], one[0]), row
+        for s, row in enumerate(theta):
+            numeric = richardson(
+                lambda t: moe_loglik_derivatives(data_II, t[None])[1][0], row, 1e-4 * row
+            )
+            assert np.allclose(batched[2][s], numeric, rtol=1e-7, atol=1e-7), row

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from ptgfit.baselines import Exponential, Weibull
+from ptgfit.baselines import Exponential, MarshallOlkinExponential, MomentExponential, Weibull
 from ptgfit.distributions import (
     PtgParams,
     pte_params,
@@ -200,6 +200,24 @@ class TestLogPdf:
         assert ptg_log_pdf(0.0, pte_params(-1.0, 1.0, 1.0)) == -np.inf
         assert ptg_log_pdf(800.0, pte_params(1.0, 1.0, 1.0)) == -np.inf
 
+    @pytest.mark.parametrize("theta, log_g0", [(0.5, np.inf), (1.0, 0.0), (2.0, -np.inf)])
+    def test_weibull_at_zero(self, theta, log_g0):
+        # x**(theta-1) is 1 at x = 0 when theta = 1: no 0 * log 0 = NaN there
+        base = Weibull(1.0, theta)
+        with np.errstate(divide="ignore"):
+            assert base.log_pdf(0.0) == np.log(base.pdf(0.0)) == log_g0
+            # PT-W at 0: T = 0, so f = beta / (1 - exp(-beta)) * f_tg
+            ref = np.log(2.0 / -np.expm1(-2.0) * tg_pdf(0.0, 0.5, base))
+        assert ptg_log_pdf(0.0, PtgParams(0.5, 2.0, base)) == pytest.approx(ref, rel=1e-15)
+        if theta == 1.0:
+            assert ptg_pdf(0.0, PtgParams(0.5, 2.0, base)) == pytest.approx(3.4696, abs=1e-4)
+
+    @pytest.mark.parametrize("fn", [ptg_log_pdf, ptg_pdf, ptg_cdf])
+    def test_nan_observation_rejected(self, fn):
+        # a NaN observation is refused, not reported as a zero density
+        with pytest.raises(ValueError, match="NaN"):
+            fn(np.array([np.nan, 1.0]), pte_params(0.5, 2.0, 1.0))
+
     def test_dataset_I_loglik_matches_published_criteria(self, data_I):
         # back-solved from the published AIC/BIC of the PT-E fit
         p = pte_params(0.813, -6.587, 0.841)
@@ -339,6 +357,16 @@ class TestSampling:
         x = ptg_sample(100_000, p, 7)
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - 0.5) < 3 * se
+
+    @pytest.mark.parametrize(
+        "model",
+        [pte_params(0.5, 2.0, 1.0), Weibull(1.2, 1.6), MomentExponential(1.5),
+         MarshallOlkinExponential(8.0, 1.4)],
+        ids=("pte", "weibull", "me", "moe"),
+    )
+    def test_every_model_through_its_quantile(self, model):
+        u = np.random.default_rng(3).random(50)
+        assert np.array_equal(ptg_sample(50, model, 3), model.quantile(u))
 
     def test_positive_and_validated(self):
         assert np.all(ptg_sample(1000, pte_params(-1.0, -6.6, 1.0), 5) > 0)

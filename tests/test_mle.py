@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptgfit.baselines import Exponential, Weibull
 from ptgfit.competitors import MarshallOlkinExponential
-from ptgfit.distributions import PtgParams, pte_params, ptg_log_pdf
+from ptgfit.distributions import PtgParams, pte_params, ptg_log_pdf, ptg_loglik_derivatives
 from ptgfit.mle import (
     FitOptions,
     FitResult,
@@ -34,6 +34,21 @@ def richardson_gradient(f, z, rel_step=1e-4):
         d2 = (f(z + 2.0 * e) - f(z - 2.0 * e)) / (4.0 * h)
         grad.append((4.0 * d1 - d2) / 3.0)
     return np.array(grad)
+
+
+def batched_richardson(f, theta, rel_step=1e-4):
+    """Jacobians of a row-wise ``f``, (S, k) -> (S, m), at every row of
+    ``theta`` at once, as ``richardson_gradient`` takes them: entry [s, i, j]
+    is the derivative of f(theta)[s, j] in theta[s, i]."""
+    h = rel_step * np.maximum(1.0, np.abs(theta))
+    rows = []
+    for i in range(theta.shape[1]):
+        e = np.zeros_like(theta)
+        e[:, i] = h[:, i]
+        d1 = (f(theta + e) - f(theta - e)) / (2.0 * h[:, i, None])
+        d2 = (f(theta + 2.0 * e) - f(theta - 2.0 * e)) / (4.0 * h[:, i, None])
+        rows.append((4.0 * d1 - d2) / 3.0)
+    return np.stack(rows, axis=1)
 
 
 ALPHAS = (-0.9, 0.0, 0.95)
@@ -93,6 +108,16 @@ class TestLogLikelihood:
         # numerically saturated tail for alpha = +1
         assert log_likelihood([0.0, 1.0], pte_params(-1.0, 1.0, 1.0)) == -np.inf
         assert log_likelihood([1.0, 900.0], pte_params(1.0, 1.0, 1.0)) == -np.inf
+
+    @pytest.mark.parametrize(
+        "model",
+        [pte_params(0.5, 2.0, 1.0), MarshallOlkinExponential(2.0, 1.0)],
+        ids=("pte", "moe"),
+    )
+    def test_nan_observation_rejected(self, model):
+        # a NaN observation is refused, not counted as a zero density
+        with pytest.raises(ValueError, match="NaN"):
+            log_likelihood([math.nan, 1.0], model)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -433,6 +458,31 @@ class TestScore:
         f = _ptg_loglik_score(data_I, Exponential)
         ll, _ = f(np.array([[0.3, 1e-9, 0.0], [0.3, -2.0, 0.0]]))
         assert ll[0] == -np.inf and np.isfinite(ll[1])
+
+
+class TestLoglikDerivatives:
+    """The batched natural-coordinate kernel behind the score and information."""
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=("exponential", "weibull"))
+    def test_batched_hessian(self, data_I, baseline):
+        # one batched order-2 call over the grid equals the row-by-row calls
+        # bit for bit, and its Hessian matches differences of its score
+        family = type(baseline)
+        theta = np.array([(a, b, *baseline.values) for a in ALPHAS for b in BETAS])
+        batched = ptg_loglik_derivatives(data_I, family, theta, order=2)
+        for s, row in enumerate(theta):
+            single = ptg_loglik_derivatives(data_I, family, row[None], order=2)
+            for whole, one in zip(batched, single):
+                assert np.array_equal(whole[s], one[0]), row
+        numeric = batched_richardson(lambda t: ptg_loglik_derivatives(data_I, family, t)[1], theta)
+        assert np.allclose(batched[2], numeric, rtol=1e-7, atol=1e-7)
+
+    def test_order_one_is_the_head_of_order_two(self, data_I):
+        theta = np.array([(0.3, -6.6, 0.8, 1.3), (-0.9, 30.0, 1.2, 0.7)])
+        first = ptg_loglik_derivatives(data_I, Weibull, theta)
+        second = ptg_loglik_derivatives(data_I, Weibull, theta, order=2)
+        assert len(first) == 2 and second[2].shape == (2, 4, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_multistart_refuses_empty_start_set(data_I):

@@ -9,7 +9,9 @@ S(x) = a exp(-lx) / (1 - (1-a) exp(-lx)), fitted numerically by ``mle.fit``
 from its batched log-likelihood, score and Hessian,
 ``moe_loglik_derivatives``, which shares ``log_pdf``'s one formula).
 Every model exposes the protocol shared with ``PtgParams``: ``names``,
-``values``, ``pdf``, ``cdf``, ``log_pdf`` and ``quantile``.
+``values``, ``pdf``, ``cdf``, ``log_pdf`` and ``quantile``; the first three
+refuse a negative or NaN x with ``ValueError``.  The baselines also have
+``isf``, the inverse survival function, for the upper-tail quantiles.
 
 For the PT-G score and information each baseline also has the class-level,
 parameter-batched ``d_cdf`` and ``d_log_pdf``: given observations ``x`` of
@@ -28,6 +30,14 @@ import numpy as np
 from scipy.special import xlogy
 
 from .data import check_sample
+
+
+def _nonnegative(x):
+    """``x`` as a float array; ``ValueError`` for a negative or NaN value."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr >= 0.0):  # also refuses NaN
+        raise ValueError("x must be nonnegative (and not NaN)")
+    return arr
 
 
 def _check_positive(name, value):
@@ -52,16 +62,20 @@ class Exponential:
         return (self.lam,)
 
     def pdf(self, x):
-        return self.lam * np.exp(-self.lam * np.asarray(x, dtype=float))
+        return self.lam * np.exp(-self.lam * _nonnegative(x))
 
     def log_pdf(self, x):
-        return np.log(self.lam) - self.lam * np.asarray(x, dtype=float)
+        return np.log(self.lam) - self.lam * _nonnegative(x)
 
     def cdf(self, x):
-        return -np.expm1(-self.lam * np.asarray(x, dtype=float))
+        return -np.expm1(-self.lam * _nonnegative(x))
 
     def quantile(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.lam
+
+    def isf(self, h):
+        """Inverse survival function: the x with 1 - G(x) = h."""
+        return -np.log(h) / self.lam
 
     def mgf_sup(self):
         # E[exp(sX)] is finite exactly for s < lam.
@@ -108,7 +122,7 @@ class Weibull:
         return (self.lam, self.theta)
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _nonnegative(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.lam * self.theta * x ** (self.theta - 1.0) * np.exp(
                 -self.lam * x**self.theta
@@ -118,7 +132,7 @@ class Weibull:
         return out
 
     def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _nonnegative(x)
         # xlogy: the factor x**(theta-1) is 1 at x = 0 when theta = 1
         with np.errstate(divide="ignore"):
             return (
@@ -129,12 +143,15 @@ class Weibull:
             )
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return -np.expm1(-self.lam * x**self.theta)
+        return -np.expm1(-self.lam * _nonnegative(x) ** self.theta)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return (-np.log1p(-u) / self.lam) ** (1.0 / self.theta)
+
+    def isf(self, h):
+        """Inverse survival function: the x with 1 - G(x) = h."""
+        return (-np.log(h) / self.lam) ** (1.0 / self.theta)
 
     def mgf_sup(self):
         if self.theta > 1.0:
@@ -182,16 +199,16 @@ class MomentExponential:
         _check_positive("sigma", self.sigma)
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _nonnegative(x)
         return x * np.exp(-x / self.sigma) / self.sigma**2
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _nonnegative(x)
         # Gamma(shape 2, scale sigma): 1 - (1 + x/sigma) exp(-x/sigma)
         return 1.0 - (1.0 + x / self.sigma) * np.exp(-x / self.sigma)
 
     def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _nonnegative(x)
         return np.log(x) - x / self.sigma - 2.0 * math.log(self.sigma)
 
     def quantile(self, u):
@@ -227,11 +244,11 @@ class MarshallOlkinExponential:
         return np.exp(self.log_pdf(x))
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _nonnegative(x)
         return -np.expm1(-self.lam * x) / (1.0 - (1.0 - self.tilt) * np.exp(-self.lam * x))
 
     def log_pdf(self, x):
-        return _moe_log_density(self.tilt, self.lam, np.asarray(x, dtype=float))[0]
+        return _moe_log_density(self.tilt, self.lam, _nonnegative(x))[0]
 
     def loglik(self, data):
         """Log-likelihood of the sample ``data``: the sum of :meth:`log_pdf`."""

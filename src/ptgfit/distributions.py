@@ -14,7 +14,9 @@ for ``b < 0`` the Poisson layer is factored by ``exp(b)`` so that no
 intermediate overflows, however negative ``b`` is.  A negative or NaN ``x``
 is a ``ValueError``.  The log-density is written once, as ``_log_c`` plus
 ``_log_body``: ``ptg_log_pdf``, ``ptg_pdf`` (its exponential) and the
-fit's batched ``ptg_loglik_derivatives`` all use it.
+fit's batched ``ptg_loglik_derivatives`` all use it.  The private
+``_ptg_upper_quantile`` inverts the cdf from the upper-tail probability
+1 - u, which keeps its digits where u rounds to 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Exponential, Weibull
+from .baselines import Exponential, Weibull, _nonnegative
 
 __all__ = [
     "PtgParams",
@@ -106,9 +108,7 @@ def ptw_params(alpha, beta, lam, theta):
 
 
 def _validated_x(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0.0):  # also refuses NaN
-        raise ValueError("x must be nonnegative (and not NaN)")
+    arr = _nonnegative(x)
     return arr, np.isscalar(x) or arr.ndim == 0
 
 
@@ -169,6 +169,13 @@ def tg_quantile(u, alpha, baseline):
     _check_alpha(alpha)
     u, scalar = _validated_u(u)
     return _ret(baseline.quantile(_tg_invert(u, alpha)), scalar)
+
+
+def _tg_upper_quantile(v, alpha, baseline):
+    """The transmuted quantile at u = 1 - v, from the upper-tail probability
+    ``v``: 1 - T = (1 - G)(1 - alpha + alpha (1 - G)) is the transmuted cdf
+    at -alpha in 1 - G, and x is the baseline's inverse survival function."""
+    return baseline.isf(_tg_invert(v, -alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +312,22 @@ def ptg_quantile(u, p):
         b = -p.beta
         t = 1.0 + np.log(u + (1.0 - u) * np.exp(-b)) / b
     return _ret(p.baseline.quantile(_tg_invert(t, p.alpha)), scalar)
+
+
+def _ptg_upper_quantile(v, p):
+    """The quantile at u = 1 - v from the upper-tail probability ``v`` (an
+    array in (0, 1/2]), accurate where 1 - v rounds to 1.
+
+    1 - T = log1p(v * expm1(beta)) / beta, and x follows from 1 - T by
+    :func:`_tg_upper_quantile`.  Past beta = 700, where expm1(beta) nears
+    overflow, the same 1 - T is taken as
+    ``1 + log(v + (1-v) * exp(-beta)) / beta``, exp(beta) divided out.
+    """
+    if p.beta <= 700.0:
+        t_bar = np.log1p(v * np.expm1(p.beta)) / p.beta
+    else:
+        t_bar = 1.0 + np.log(v + (1.0 - v) * np.exp(-p.beta)) / p.beta
+    return _tg_upper_quantile(t_bar, p.alpha, p.baseline)
 
 
 def ptg_sample(n, model, seed):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
 
 from .baselines import (
     Exponential,
@@ -398,6 +398,8 @@ def fit(data, model="pte", opts=None):
             raise ValueError("need at least one more observation than parameters")
         xbar = float(data.mean())
         kinds = [_KINDS[kind] for kind in spec.search]
+        from scipy.stats import qmc  # scipy.stats stays off the import path
+
         u = qmc.LatinHypercube(d=len(kinds), seed=opts.seed).random(opts.n_starts)
         centre = np.array([-math.log(xbar) if kind.centred else 0.0 for kind in kinds])
         half = np.array([kind.half for kind in kinds])
@@ -437,7 +439,7 @@ def wald_ci(fit_result, level=0.95):
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     est = np.asarray(fit_result.estimates.values, dtype=float)
     se = np.asarray(fit_result.std_errors, dtype=float)
     lo, hi = np.zeros(est.size), np.full(est.size, np.inf)  # the parameter domain

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ptgfit.baselines import Exponential, Weibull, make_baseline
+from ptgfit.baselines import (
+    Exponential,
+    MarshallOlkinExponential,
+    MomentExponential,
+    Weibull,
+    make_baseline,
+)
 
 
 def test_exponential_basics():
@@ -106,3 +112,18 @@ def test_batched_derivatives(cls, rows):
             down[:, j:j + 1] -= h
             numeric = (batched(x, up)[1] - batched(x, down)[1]) / (2 * h)
             assert np.allclose(second[:, j], numeric, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Exponential(1.0), Weibull(1.0, 2.0), MomentExponential(1.0),
+     MarshallOlkinExponential(2.0, 1.0)],
+    ids=["exponential", "weibull", "moment-exponential", "marshall-olkin"],
+)
+def test_negative_or_nan_x_rejected(model):
+    # Weibull(1, 2).pdf(-1) was -0.736, Exponential(1).cdf(-1) was -1.718
+    for method in (model.pdf, model.cdf, model.log_pdf):
+        for bad in (-1.0, np.nan, [0.5, -1e-300]):
+            with pytest.raises(ValueError):
+                method(bad)
+        assert np.isfinite(method(0.5))

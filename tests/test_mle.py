@@ -416,6 +416,14 @@ class TestWaldCi:
         with pytest.raises(ValueError):
             wald_ci(res, 1.5)
 
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_normal_quantile_is_scipy_stats(self, level):
+        from scipy.stats import norm
+
+        # an estimate far below one ulp of z: the upper bound is z itself
+        res = _result_from(Exponential(1e-300), [1.0])
+        assert wald_ci(res, level)[1][0] == norm.ppf(0.5 * (1.0 + level))
+
 
 class TestFitOptions:
     def test_defaults(self):

@@ -1,8 +1,12 @@
 """Checks that tie the package to the repository's other files: the README's
-Python example runs, and every name the benchmark's tracer rebinds exists."""
+Python example runs, every name the benchmark's tracer rebinds exists, and
+``import ptgfit`` stays light."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,16 @@ MODULES = {
 def test_traced_name_is_bound(owner, attr):
     # the tracer rebinds the attribute in its owner's own namespace
     assert attr in TRACING._resolve(MODULES, owner).__dict__
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # scipy.stats alone roughly doubles the resident memory of an import
+    src = str(Path(distributions.__file__).resolve().parents[1])
+    code = (
+        "import sys, ptgfit; "
+        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 """Poisson transmuted-G distributions: evaluation, sampling, series
 expansions, maximum-likelihood fitting and goodness-of-fit comparison."""
 
-from .baselines import Exponential, Weibull, make_baseline
+from .baselines import Exponential, Weibull
 from .data import Dataset, DescriptiveStats, describe, embedded_dataset, load_observations
 from .distributions import (
     PtgParams,
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Exponential",
     "Weibull",
-    "make_baseline",
     "Dataset",
     "DescriptiveStats",
     "describe",

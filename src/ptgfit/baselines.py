@@ -7,7 +7,8 @@ exponential (length-biased exponential, f(x) = x exp(-x/sigma)/sigma^2,
 closed-form MLE xbar/2) and the Marshall-Olkin exponential (tilted survival
 S(x) = a exp(-lx) / (1 - (1-a) exp(-lx)), fitted numerically by ``mle.fit``
 from its batched log-likelihood, score and Hessian,
-``moe_loglik_derivatives``, which shares ``log_pdf``'s one formula).
+``moe_loglik_derivatives``, which shares ``log_pdf``'s one formula; that
+kernel is all the Marshall-Olkin row of ``mle.MODELS`` supplies).
 Every model exposes the protocol shared with ``PtgParams``: ``names``,
 ``values``, ``pdf``, ``cdf``, ``log_pdf`` and ``quantile``; the first three
 refuse a negative or NaN x with ``ValueError``.  The baselines also have
@@ -18,7 +19,9 @@ parameter-batched ``d_cdf`` and ``d_log_pdf``: given observations ``x`` of
 shape (n,) and parameter rows ``params`` of shape (S, q), columns in
 ``names`` order, they return the value, shape (S, n), and its derivative in
 each parameter, shape (q, S, n); ``d2`` returns both second derivatives,
-each of shape (q, q, S, n), for the observed information.
+each of shape (q, q, S, n), for the observed information.  Weibull's batched
+forms take x**theta as exp(theta log x), so they can differ from its ``cdf``
+and ``log_pdf`` (``x**theta``, ``xlogy``) in the last bit or two.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class Exponential:
 
     lam: float
 
-    family_tag = "exponential"
     names = ("lam",)
 
     def __post_init__(self):
@@ -110,7 +112,6 @@ class Weibull:
     lam: float
     theta: float
 
-    family_tag = "weibull"
     names = ("lam", "theta")
 
     def __post_init__(self):
@@ -288,42 +289,3 @@ def moe_loglik_derivatives(data, theta, order=1):
         hess[:, 0, 1] = hess[:, 1, 0] = 2.0 * np.sum(x * w2, axis=1)
         hess[:, 1, 1] = -n / lam**2 + 2.0 * (1.0 - tilt) * np.sum(x**2 * w2, axis=1)
     return ll, score, hess
-
-
-def _moe_loglik_score(data):
-    """``f(Z) -> (loglik (S,), score (S, 2))`` at rows z = (log tilt, log lam)."""
-
-    def loglik_score(z):
-        with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
-            theta = np.exp(z)
-            ll, score = moe_loglik_derivatives(data, theta)
-        return ll, score * theta
-
-    return loglik_score
-
-
-def _moe_information(data, model):
-    """Exact observed information of the Marshall-Olkin ``model`` in (tilt, lam)."""
-    return -moe_loglik_derivatives(data, np.array([model.values]), order=2)[2][0]
-
-
-BASELINE_FAMILIES = {
-    "exponential": Exponential,
-    "weibull": Weibull,
-}
-
-
-def baseline_class(family_tag):
-    """The baseline class of a family tag; ``ValueError`` names the known tags."""
-    try:
-        return BASELINE_FAMILIES[family_tag]
-    except KeyError:
-        raise ValueError(
-            f"unknown baseline family {family_tag!r}; "
-            f"expected one of {sorted(BASELINE_FAMILIES)}"
-        ) from None
-
-
-def make_baseline(family_tag, params):
-    """Construct a baseline from its family tag and positional parameters."""
-    return baseline_class(family_tag)(*params)

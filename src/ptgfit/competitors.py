@@ -10,7 +10,6 @@ that one fit.
 from __future__ import annotations
 
 from .baselines import MarshallOlkinExponential, MomentExponential
-from .baselines import _moe_information, _moe_loglik_score  # noqa: F401  (re-exported)
 from .mle import FitOptions, fit
 from .mle import multistart_maximize  # noqa: F401  (rebound by perfbench/tracing.py)
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .baselines import Weibull
 from .distributions import (
-    PtgParams,
     _ptg_upper_quantile,
     _tg_upper_quantile,
     ptg_cdf,
@@ -447,7 +447,7 @@ def stress_strength(p1, p2):
     a p1-strength component under p2-stress).  Evaluated in probability
     space as the expectation of cdf_p2 under p1.
     """
-    if p1.baseline.family_tag != p2.baseline.family_tag:
+    if type(p1.baseline) is not type(p2.baseline):
         raise ValueError("stress and strength must share a baseline family")
     return quad(lambda u, v: ptg_cdf(_quantile(u, v, p1), p2), 0.0, 1.0)
 
@@ -484,7 +484,7 @@ def renyi_entropy(delta, p):
     if delta <= 0 or delta == 1.0:
         raise ValueError("delta must be positive and != 1")
     base = p.baseline
-    if base.family_tag == "weibull" and delta * (base.theta - 1.0) <= -1.0:
+    if isinstance(base, Weibull) and delta * (base.theta - 1.0) <= -1.0:
         raise ValueError("Renyi integral diverges at 0 for this shape/delta")
     val = _over_x(lambda x: delta * ptg_log_pdf(x, p), p)
     return math.log(val) / (1.0 - delta)

@@ -13,8 +13,14 @@ reaches the edges alpha = +-1 at finite z0 and has no flat tail to strand a
 start in, beta unconstrained (with a small exclusion band around zero), and
 positive parameters via log.  Standard errors come from inverting the
 observed information matrix, the exact negated Hessian in the original
-coordinates.  Both come from each model's one batched kernel,
-``ptg_loglik_derivatives`` or ``moe_loglik_derivatives``.
+coordinates.
+
+A numerical model supplies only its batched kernel, ``kernel(data, theta,
+order=1)`` (``ptg_loglik_derivatives`` with its baseline family bound, or
+``moe_loglik_derivatives``).  One adapter turns any kernel into the search
+objective by the chain rule, from the table of coordinate kinds
+(``_KINDS``: each kind's map back to its parameter and that map's
+derivative), and the information is the negated order-2 kernel.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +43,7 @@ from .baselines import (
     MarshallOlkinExponential,
     MomentExponential,
     Weibull,
-    _moe_information,
-    _moe_loglik_score,
+    moe_loglik_derivatives,
 )
 from .data import check_sample
 from .distributions import PtgParams, ptg_loglik_derivatives, pte_params, ptw_params
@@ -110,20 +115,19 @@ class FitResult:
             se = np.full(k, np.nan)
         if degenerate:
             warnings.warn("observed information is singular to tolerance", stacklevel=3)
-        partial = cls(
+        low, high = _wald_bounds(estimates, se, 0.95)
+        return cls(
             estimates=estimates,
             loglik=loglik,
             std_errors=se,
-            ci_low=np.full(k, np.nan),
-            ci_high=np.full(k, np.nan),
+            ci_low=low,
+            ci_high=high,
             info_matrix=info,
             converged=converged,
             n_restarts_used=n_restarts_used,
             n_obs=int(n_obs),
             degenerate_info=degenerate,
         )
-        low, high = wald_ci(partial, 0.95)
-        return replace(partial, ci_low=low, ci_high=high)
 
 
 def log_likelihood(data, model):
@@ -287,52 +291,39 @@ def multistart_maximize(loglik_score, starts, box):
 
 
 # ---------------------------------------------------------------------------
-# the PT-G objective
-# ---------------------------------------------------------------------------
-
-
-def _ptg_loglik_score(data, family):
-    """``f(Z) -> (loglik (S,), score (S, k))`` at rows z = (asin alpha, beta,
-    log of each baseline parameter) for any baseline ``family``."""
-
-    def loglik_score(z):
-        with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
-            theta = np.exp(z)  # the log-parameter columns; alpha and beta set below
-            theta[:, 0], theta[:, 1] = np.sin(z[:, 0]), z[:, 1]
-            ll, score = ptg_loglik_derivatives(data, family, theta)
-            score[:, 0] *= np.cos(z[:, 0])
-            score[:, 2:] *= theta[:, 2:]
-        return ll, score
-
-    return loglik_score
-
-
-# ---------------------------------------------------------------------------
 # one fit for every model tag
 # ---------------------------------------------------------------------------
 
 class _Kind(NamedTuple):
-    """A kind of search coordinate: the parameter at coordinate z, the starts
-    from a Latin-hypercube column u and the sample mean m, the box
-    half-width, and whether the box is centred on the data's scale -log m
-    rather than on 0."""
+    """A kind of search coordinate: the parameter at coordinate z, elementwise;
+    the derivative of that map ``(z, parameter) -> d parameter / dz``, None
+    where it is 1; the starts from a Latin-hypercube column u and the sample
+    mean m; the box half-width; and whether the box is centred on the data's
+    scale -log m rather than on 0."""
 
     value: object
+    slope: object
     start: object
     half: float
     centred: bool = False
 
 
 _KINDS = {
-    "alpha": _Kind(math.sin, lambda u, m: np.arcsin(-0.9 + 1.8 * u), np.inf),
+    "alpha": _Kind(
+        np.sin, lambda z, p: np.cos(z), lambda u, m: np.arcsin(-0.9 + 1.8 * u), np.inf
+    ),
     "beta": _Kind(  # starts in (-10, -0.1) and (0.1, 10)
-        float,
+        lambda z: z,
+        None,
         lambda u, m: np.where(u < 0.5, -10.0 + (u / 0.5) * 9.9, 0.1 + ((u - 0.5) / 0.5) * 9.9),
         _BETA_BOX,
     ),
-    "rate": _Kind(np.exp, lambda u, m: np.log(0.1 / m) + u * math.log(100.0), _LOG_BOX, True),
-    "shape": _Kind(np.exp, lambda u, m: math.log(0.25) + u * math.log(16.0), _LOG_BOX),
-    "tilt": _Kind(np.exp, lambda u, m: math.log(0.01) + u * math.log(1e4), _LOG_BOX),
+    "rate": _Kind(np.exp, lambda z, p: p, lambda u, m: np.log(0.1 / m) + u * math.log(100.0),
+                  _LOG_BOX, True),
+    "shape": _Kind(np.exp, lambda z, p: p, lambda u, m: math.log(0.25) + u * math.log(16.0),
+                   _LOG_BOX),
+    "tilt": _Kind(np.exp, lambda z, p: p, lambda u, m: math.log(0.01) + u * math.log(1e4),
+                  _LOG_BOX),
 }
 
 
@@ -341,13 +332,15 @@ class _Model:
     """One tag of :func:`fit`: the model from its parameter values, its exact
     observed information ``(data, model) -> matrix``, and either the
     closed-form estimate ``data -> values`` or the kinds of its search
-    coordinates with the batched ``loglik_score(data)`` over them."""
+    coordinates with its batched ``kernel(data, theta, order=1)``, the
+    log-likelihoods (S,), scores (S, k) and at ``order`` 2 Hessians
+    (S, k, k) at the parameter rows ``theta`` (S, k)."""
 
     make: object
     information: object
     closed_form: object = None
     search: tuple = ()
-    loglik_score: object = None
+    kernel: object = None
 
 
 # the PT-G information is looked up at call time, so that a rebinding of
@@ -355,17 +348,42 @@ class _Model:
 MODELS = {
     "pte": _Model(pte_params, lambda x, p: observed_information(x, p),
                   search=("alpha", "beta", "rate"),
-                  loglik_score=lambda x: _ptg_loglik_score(x, Exponential)),
+                  kernel=lambda x, t, order=1: ptg_loglik_derivatives(x, Exponential, t, order)),
     "ptw": _Model(ptw_params, lambda x, p: observed_information(x, p),
                   search=("alpha", "beta", "rate", "shape"),
-                  loglik_score=lambda x: _ptg_loglik_score(x, Weibull)),
+                  kernel=lambda x, t, order=1: ptg_loglik_derivatives(x, Weibull, t, order)),
     "exp": _Model(Exponential, lambda x, m: np.array([[x.size / m.lam**2]]),
                   closed_form=lambda x: (1.0 / x.mean(),)),
     "me": _Model(MomentExponential, lambda x, m: np.array([[2.0 * x.size / m.sigma**2]]),
                  closed_form=lambda x: (x.mean() / 2.0,)),
-    "moe": _Model(MarshallOlkinExponential, _moe_information,
-                  search=("tilt", "rate"), loglik_score=_moe_loglik_score),
+    "moe": _Model(MarshallOlkinExponential,
+                  lambda x, m: -moe_loglik_derivatives(x, np.array([m.values]), order=2)[2][0],
+                  search=("tilt", "rate"), kernel=moe_loglik_derivatives),
 }
+
+
+def _loglik_score(data, model):
+    """``f(Z) -> (loglik (S,), score (S, k))`` of the numerical model tagged
+    ``model`` at rows Z of its search coordinates: its kernel at the
+    parameters the kinds map Z to, the score chained through each map's
+    derivative."""
+    spec = MODELS[model]
+    kinds = [_KINDS[kind] for kind in spec.search]
+    # one exp of all of Z maps the log-parameters; the other columns are set over it
+    maps = [(j, kind.value) for j, kind in enumerate(kinds) if kind.value is not np.exp]
+    slopes = [(j, kind.slope) for j, kind in enumerate(kinds) if kind.slope is not None]
+
+    def loglik_score(z):
+        with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
+            theta = np.exp(z)
+            for j, value in maps:
+                theta[:, j] = value(z[:, j])
+            ll, score = spec.kernel(data, theta)
+            for j, slope in slopes:
+                score[:, j] *= slope(z[:, j], theta[:, j])
+        return ll, score
+
+    return loglik_score
 
 
 def fit(data, model="pte", opts=None):
@@ -392,7 +410,7 @@ def fit(data, model="pte", opts=None):
         raise ValueError(f"unknown model {model!r}; expected one of {list(MODELS)}")
     spec, opts, data = MODELS[model], opts or FitOptions(), check_sample(data)
     if spec.closed_form is not None:
-        estimates, n_launches, converged = spec.make(*spec.closed_form(data)), 0, True
+        values, n_launches, converged = spec.closed_form(data), 0, True
     else:
         if data.size < len(spec.search) + 1:
             raise ValueError("need at least one more observation than parameters")
@@ -404,13 +422,14 @@ def fit(data, model="pte", opts=None):
         centre = np.array([-math.log(xbar) if kind.centred else 0.0 for kind in kinds])
         half = np.array([kind.half for kind in kinds])
         z_best, _, n_launches, converged = multistart_maximize(
-            spec.loglik_score(data),
+            _loglik_score(data, model),
             np.column_stack([kind.start(u[:, j], xbar) for j, kind in enumerate(kinds)]),
             box=(centre - half, centre + half),
         )
         # the best start has a finite log-likelihood: a valid parameter point
-        estimates = spec.make(*(kind.value(z) for kind, z in zip(kinds, z_best)))
-    if isinstance(estimates, PtgParams) and abs(estimates.beta) > _BETA_WARN:
+        values = [kind.value(z) for kind, z in zip(kinds, z_best)]
+    estimates = spec.make(*map(float, values))
+    if "beta" in spec.search and abs(estimates.beta) > _BETA_WARN:
         warnings.warn(
             f"fitted beta = {estimates.beta:.6g} lies outside the documented "
             f"|beta| <= {_BETA_WARN:g}",
@@ -437,13 +456,18 @@ def wald_ci(fit_result, level=0.95):
     A zero standard error degenerates to the point estimate; an unknown
     (NaN) one gives NaN bounds.
     """
+    return _wald_bounds(fit_result.estimates, fit_result.std_errors, level)
+
+
+def _wald_bounds(estimates, std_errors, level):
+    """The bounds of :func:`wald_ci` from the estimates and standard errors."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     z = ndtri(0.5 * (1.0 + level))
-    est = np.asarray(fit_result.estimates.values, dtype=float)
-    se = np.asarray(fit_result.std_errors, dtype=float)
+    est = np.asarray(estimates.values, dtype=float)
+    se = np.asarray(std_errors, dtype=float)
     lo, hi = np.zeros(est.size), np.full(est.size, np.inf)  # the parameter domain
-    if isinstance(fit_result.estimates, PtgParams):
+    if isinstance(estimates, PtgParams):
         lo[:2] = -1.0, (-np.inf if est[1] < 0 else 0.0)
         hi[:2] = 1.0, (0.0 if est[1] < 0 else np.inf)
     return np.maximum(est - z * se, lo), np.minimum(est + z * se, hi)

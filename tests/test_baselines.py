@@ -9,7 +9,6 @@ from ptgfit.baselines import (
     MarshallOlkinExponential,
     MomentExponential,
     Weibull,
-    make_baseline,
 )
 
 
@@ -63,13 +62,6 @@ def test_positive_parameter_validation(bad):
         Weibull(bad, 1.0)
     with pytest.raises(ValueError):
         Weibull(1.0, bad)
-
-
-def test_make_baseline():
-    assert make_baseline("exponential", (2.0,)) == Exponential(2.0)
-    assert make_baseline("weibull", (1.0, 2.0)) == Weibull(1.0, 2.0)
-    with pytest.raises(ValueError, match="unknown baseline family"):
-        make_baseline("gamma", (1.0,))
 
 
 def test_mgf_boundaries():

@@ -5,13 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from ptgfit.baselines import Exponential, moe_loglik_derivatives
-from ptgfit.competitors import (
-    MarshallOlkinExponential,
-    MomentExponential,
-    _moe_information,
-    _moe_loglik_score,
-    fit_competitor,
-)
+from ptgfit.competitors import MarshallOlkinExponential, MomentExponential, fit_competitor
+from ptgfit.mle import MODELS, _loglik_score
 
 
 class TestExponential:
@@ -182,7 +177,7 @@ def richardson(f, z, steps):
 class TestMarshallOlkinScore:
     def test_loglik_equals_sum_of_log_pdf(self, data_II):
         rows = [(a, lam) for a in TILTS for lam in LAMS]
-        ll, _ = _moe_loglik_score(data_II)(np.log(rows))
+        ll, _ = _loglik_score(data_II, "moe")(np.log(rows))
         for (a, lam), value in zip(rows, ll):
             direct = float(np.sum(MarshallOlkinExponential(a, lam).log_pdf(data_II)))
             assert value == pytest.approx(direct, rel=1e-12), (a, lam)
@@ -190,7 +185,7 @@ class TestMarshallOlkinScore:
     @pytest.mark.parametrize("tilt", TILTS)
     @pytest.mark.parametrize("lam", LAMS)
     def test_score_matches_central_differences(self, data_II, tilt, lam):
-        f = _moe_loglik_score(data_II)
+        f = _loglik_score(data_II, "moe")
         z = np.log([tilt, lam])
         _, score = f(z[None])
         numeric = richardson(lambda v: f(v[None])[0][0], z, (1e-4, 1e-4))
@@ -201,10 +196,10 @@ class TestMarshallOlkinScore:
     def test_information_matches_differences_of_the_score(self, data_II, tilt, lam):
         # the analytic score in natural coordinates: the log-coordinate score
         # divided by the Jacobian of (log tilt, log lam)
-        f = _moe_loglik_score(data_II)
+        f = _loglik_score(data_II, "moe")
         theta = np.array([tilt, lam])
         numeric = richardson(lambda t: f(np.log(t)[None])[1][0] / t, theta, 1e-4 * theta)
-        info = _moe_information(data_II, MarshallOlkinExponential(tilt, lam))
+        info = MODELS["moe"].information(data_II, MarshallOlkinExponential(tilt, lam))
         assert np.allclose(-info, numeric, rtol=1e-7, atol=1e-7)
 
     def test_batched_hessian(self, data_II):

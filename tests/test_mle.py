@@ -11,7 +11,7 @@ from ptgfit.distributions import PtgParams, pte_params, ptg_log_pdf, ptg_loglik_
 from ptgfit.mle import (
     FitOptions,
     FitResult,
-    _ptg_loglik_score,
+    _loglik_score,
     fit,
     log_likelihood,
     multistart_maximize,
@@ -54,6 +54,7 @@ def batched_richardson(f, theta, rel_step=1e-4):
 ALPHAS = (-0.9, 0.0, 0.95)
 BETAS = (-800.0, -101.0, -6.6, 0.5, 30.0)
 BASELINES = (Exponential(0.8), Weibull(0.8, 1.3))
+TAGS = {Exponential: "pte", Weibull: "ptw"}  # the PT-G fit tag of each baseline
 
 
 class TestLogLikelihood:
@@ -199,7 +200,7 @@ class TestFit:
         assert np.max(np.abs(grad)) < 1e-3
         # the analytic score in the search coordinates (asin alpha, beta, log lam)
         z_search = np.array([[math.asin(a_hat), b_hat, math.log(lam_hat)]])
-        _, score = _ptg_loglik_score(data_I, Exponential)(z_search)
+        _, score = _loglik_score(data_I, "pte")(z_search)
         assert np.max(np.abs(score)) < 1e-6
 
     def test_profile_sanity(self, synthetic_fit):
@@ -273,6 +274,12 @@ class TestFit:
         with pytest.raises(ValueError, match="nonempty, finite and strictly positive"):
             fit([1.0, bad, 2.0, 3.5, 4.0], "pte")
 
+    @pytest.mark.parametrize("model", ["pte", "ptw", "exp", "me", "moe"])
+    def test_estimates_are_python_floats(self, data_I, model):
+        # closed forms and exp-mapped coordinates alike: no np.float64
+        values = fit(data_I, model, FitOptions(n_starts=4)).estimates.values
+        assert [type(v) for v in values] == [float] * len(values)
+
     def test_result_invariants(self, fit_I):
         info = fit_I.info_matrix
         assert np.allclose(info, info.T, rtol=1e-8)
@@ -290,7 +297,7 @@ class TestObservedInformation:
     def test_matches_differences_of_the_score(self, data_I, baseline, alpha, beta):
         # the analytic score in natural coordinates: the search-coordinate
         # score divided by the Jacobian of (asin alpha, beta, log baseline)
-        f = _ptg_loglik_score(data_I, type(baseline))
+        f = _loglik_score(data_I, TAGS[type(baseline)])
 
         def score(theta):
             z = np.array([math.asin(theta[0]), theta[1], *np.log(theta[2:])])
@@ -445,7 +452,7 @@ class TestScore:
 
     @pytest.mark.parametrize("baseline", BASELINES, ids=("exponential", "weibull"))
     def test_loglik_equals_sum_of_log_pdf(self, data_I, baseline):
-        f = _ptg_loglik_score(data_I, type(baseline))
+        f = _loglik_score(data_I, TAGS[type(baseline)])
         rows = [(a, b) for a in ALPHAS for b in BETAS]
         ll, _ = f(np.array([self._z(a, b, baseline) for a, b in rows]))
         for (a, b), value in zip(rows, ll):
@@ -456,14 +463,14 @@ class TestScore:
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("beta", BETAS)
     def test_score_matches_central_differences(self, data_I, baseline, alpha, beta):
-        f = _ptg_loglik_score(data_I, type(baseline))
+        f = _loglik_score(data_I, TAGS[type(baseline)])
         z = self._z(alpha, beta, baseline)
         _, score = f(z[None])
         numeric = richardson_gradient(lambda v: f(v[None])[0][0], z)
         assert np.allclose(score[0], numeric, rtol=1e-7, atol=1e-7)
 
     def test_rows_outside_the_domain_are_minus_inf(self, data_I):
-        f = _ptg_loglik_score(data_I, Exponential)
+        f = _loglik_score(data_I, "pte")
         ll, _ = f(np.array([[0.3, 1e-9, 0.0], [0.3, -2.0, 0.0]]))
         assert ll[0] == -np.inf and np.isfinite(ll[1])
 
@@ -494,7 +501,7 @@ class TestLoglikDerivatives:
 
 
 def test_multistart_refuses_empty_start_set(data_I):
-    f = _ptg_loglik_score(data_I, Exponential)
+    f = _loglik_score(data_I, "pte")
     box = (np.full(3, -np.inf), np.full(3, np.inf))
     with pytest.raises(ValueError, match="need at least one start"):
         multistart_maximize(f, np.empty((0, 3)), box=box)

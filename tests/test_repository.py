@@ -1,7 +1,8 @@
 """Checks that tie the package to the repository's other files: the README's
-Python example runs, every name the benchmark's tracer rebinds exists, and
-``import ptgfit`` stays light."""
+Python example runs, every name the benchmark's tracer rebinds exists,
+``import ptgfit`` stays light, and every module uses what it imports."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -62,3 +63,28 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "ptgfit").glob("*.py")), ids=lambda path: path.name
+)
+def test_every_import_is_used(path):
+    # a linter's unused-import rule (F401) with the stdlib: an imported name
+    # is used in its module, exported by __all__, or marked "# noqa: F401"
+    # (the names only the benchmark's tracer rebinds)
+    source = path.read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used |= set(ast.literal_eval(node.value))
+    unused = [
+        f"{path.name}:{alias.lineno}: {alias.asname or alias.name.split('.')[0]}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in used
+        and "# noqa: F401" not in lines[alias.lineno - 1]
+    ]
+    assert unused == []

@@ -19,9 +19,10 @@ parameter-batched ``d_cdf`` and ``d_log_pdf``: given observations ``x`` of
 shape (n,) and parameter rows ``params`` of shape (S, q), columns in
 ``names`` order, they return the value, shape (S, n), and its derivative in
 each parameter, shape (q, S, n); ``d2`` returns both second derivatives,
-each of shape (q, q, S, n), for the observed information.  Weibull's batched
-forms take x**theta as exp(theta log x), so they can differ from its ``cdf``
-and ``log_pdf`` (``x**theta``, ``xlogy``) in the last bit or two.
+each of shape (q, q, S, n), for the observed information.  ``cdf`` and
+``log_pdf`` share these forms' formulas, so the two agree bit for bit; for
+Weibull x**theta is exp(theta log x), except at theta = 1, where the scalar
+forms take x itself and equal ``Exponential``'s.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .data import check_sample
 
@@ -40,6 +40,14 @@ def _nonnegative(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):  # also refuses NaN
         raise ValueError("x must be nonnegative (and not NaN)")
+    return arr
+
+
+def _probability(u):
+    """``u`` as a float array; ``ValueError`` outside [0, 1] or for NaN."""
+    arr = np.asarray(u, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also refuses NaN
+        raise ValueError("u must lie in [0, 1] (and not be NaN)")
     return arr
 
 
@@ -123,28 +131,24 @@ class Weibull:
         return (self.lam, self.theta)
 
     def pdf(self, x):
+        return np.exp(self.log_pdf(x))
+
+    def _log_and_power(self, x):
+        """log x and x**theta, the power as exp(theta log x) like the batched
+        forms, except at theta = 1, where it is x itself like Exponential's."""
         x = _nonnegative(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.lam * self.theta * x ** (self.theta - 1.0) * np.exp(
-                -self.lam * x**self.theta
-            )
-        if self.theta > 1.0:
-            out = np.where(x == 0.0, 0.0, out)
-        return out
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            log_x = np.log(x)
+        return log_x, x if self.theta == 1.0 else np.exp(self.theta * log_x)
 
     def log_pdf(self, x):
-        x = _nonnegative(x)
-        # xlogy: the factor x**(theta-1) is 1 at x = 0 when theta = 1
-        with np.errstate(divide="ignore"):
-            return (
-                np.log(self.lam)
-                + np.log(self.theta)
-                + xlogy(self.theta - 1.0, x)
-                - self.lam * x**self.theta
-            )
+        log_x, xt = self._log_and_power(x)
+        # the factor x**(theta-1) is 1 at x = 0 when theta = 1
+        shape_term = 0.0 if self.theta == 1.0 else (self.theta - 1.0) * log_x
+        return np.log(self.lam) + np.log(self.theta) + shape_term - self.lam * xt
 
     def cdf(self, x):
-        return -np.expm1(-self.lam * _nonnegative(x) ** self.theta)
+        return -np.expm1(-self.lam * self._log_and_power(x)[1])
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -213,13 +217,48 @@ class MomentExponential:
         return np.log(x) - x / self.sigma - 2.0 * math.log(self.sigma)
 
     def quantile(self, u):
-        from scipy.stats import gamma
-
-        return gamma.ppf(np.asarray(u, dtype=float), a=2, scale=self.sigma)
+        return self.sigma * _gamma2_quantile(_probability(u))
 
     @property
     def values(self):
         return (self.sigma,)
+
+
+_NEWTON_MAX = 50
+_NEWTON_RTOL = 1e-15  # relative Newton step at which a level has converged
+
+# log1p(y) - y = -y t + 2 t^3 sum_k t^(2k) / (2k + 3) with t = y / (2 + y), from
+# log1p(y) = 2 atanh(t); t <= 1/5 below y = 1/2, so 13 terms reach 1e-18
+_LOG1PMX_SERIES = 1.0 / np.arange(27.0, 1.0, -2.0)
+
+
+def _log1pmx(y):
+    """log1p(y) - y for y >= 0, without the cancellation of the direct form
+    below y = 1/2."""
+    t = y / (2.0 + y)
+    t2 = t * t
+    series = np.zeros_like(t)
+    for c in _LOG1PMX_SERIES:
+        series = series * t2 + c
+    return np.where(y < 0.5, 2.0 * t * t2 * series - y * t, np.log1p(y) - y)
+
+
+def _gamma2_quantile(u):
+    """The quantile y of the unit-scale gamma(2) law: (1 + y) e^(-y) = 1 - u,
+    solved as log1p(y) - y = log1p(-u) by Newton's method.  The left side is
+    concave and decreasing, so from the first step on the iterates fall
+    monotonically to the root."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 or 1: a NaN step
+        target = np.log1p(-u)
+        # starts below the root: log1p(y) - y >= -y^2/2, and log1p(y) >= 0
+        y = np.where(target > -1.0, np.sqrt(-2.0 * target), -target)
+        for _ in range(_NEWTON_MAX):
+            step = (_log1pmx(y) - target) * (1.0 + y) / y
+            live = np.isfinite(step) & (np.abs(step) > _NEWTON_RTOL * y)
+            if not live.any():
+                break
+            y = np.where(live, y + step, y)
+    return y  # the starts are already exact at u = 0 (y = 0) and u = 1 (y = inf)
 
 
 def _moe_log_density(tilt, lam, x):
@@ -257,9 +296,10 @@ class MarshallOlkinExponential:
 
     def quantile(self, u):
         # invert S(x) = a*y / (1 - (1-a)*y) with y = exp(-lam*x)
-        s = 1.0 - np.asarray(u, dtype=float)
+        s = 1.0 - _probability(u)
         y = s / (self.tilt + s * (1.0 - self.tilt))
-        return -np.log(y) / self.lam
+        with np.errstate(divide="ignore"):  # u = 1: x = inf
+            return -np.log(y) / self.lam
 
     @property
     def values(self):

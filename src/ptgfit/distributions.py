@@ -114,8 +114,8 @@ def _validated_x(x):
 
 def _validated_u(u):
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("u must lie strictly inside (0, 1)")
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # also refuses NaN
+        raise ValueError("u must lie strictly inside (0, 1) (and not be NaN)")
     return arr, np.isscalar(u) or arr.ndim == 0
 
 

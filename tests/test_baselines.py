@@ -119,3 +119,55 @@ def test_negative_or_nan_x_rejected(model):
             with pytest.raises(ValueError):
                 method(bad)
         assert np.isfinite(method(0.5))
+
+
+def test_weibull_scalar_forms_are_the_batched_forms(data_I):
+    # one formula, x**theta = exp(theta log x): at the dataset-I PT-W estimate
+    # 5 of the 72 cdf values and 14 of the log-densities differed in the last
+    # bits when cdf and log_pdf took x**theta and xlogy
+    from ptgfit.mle import fit
+
+    lam, theta = fit(data_I, "ptw").estimates.baseline.values
+    w, params = Weibull(lam, theta), np.array([[lam, theta]])
+    assert np.array_equal(w.cdf(data_I), Weibull.d_cdf(data_I, params)[0][0])
+    assert np.array_equal(w.log_pdf(data_I), Weibull.d_log_pdf(data_I, params)[0][0])
+    assert np.array_equal(w.pdf(data_I), np.exp(w.log_pdf(data_I)))
+
+
+def _gamma2_quantile_mpmath(u):
+    """The unit-scale gamma(2) quantile, log1p(y) - y = log1p(-u), solved by
+    mpmath with enough digits to resolve y^2/2 next to y when u is tiny."""
+    import mpmath
+
+    u = mpmath.mpf(u)
+    with mpmath.workdps(40 + int(max(0.0, -mpmath.log10(u)))):
+        target = mpmath.log1p(-u)
+        y = mpmath.findroot(lambda y: mpmath.log1p(y) - y - target, mpmath.sqrt(-2 * target))
+        return float(y)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.5])
+def test_moment_exponential_quantile_against_mpmath(sigma):
+    # seed and bound fixed before the first run: 4e-15 relative, about 18 ulp
+    rng = np.random.default_rng(12)
+    u = np.concatenate([
+        rng.uniform(size=100),
+        10.0 ** rng.uniform(-300.0, -12.0, 40),  # u <= 1e-12
+        1.0 - 10.0 ** rng.uniform(-16.0, -12.0, 40),  # 1 - u <= 1e-12
+    ])
+    want = sigma * np.array([_gamma2_quantile_mpmath(v) for v in u])
+    assert np.allclose(MomentExponential(sigma).quantile(u), want, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "model", [MomentExponential(1.0), MarshallOlkinExponential(2.0, 1.0)],
+    ids=["moment-exponential", "marshall-olkin"],
+)
+def test_competitor_quantile_refuses_bad_levels(model):
+    # MarshallOlkinExponential(2, 1).quantile(-0.1) was -0.2007 and
+    # MomentExponential(1).quantile(1.5) was NaN
+    for bad in (-0.1, 1.5, np.nan, [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            model.quantile(bad)
+    assert model.quantile(0.0) == 0.0 and model.quantile(1.0) == np.inf
+    assert np.array_equal(model.quantile([0.0, 1.0]), [0.0, np.inf])

@@ -288,6 +288,15 @@ class TestQuantile:
             with pytest.raises(ValueError):
                 ptg_quantile(u, p)
 
+    def test_nan_level_refused(self):
+        # pte_params(0.5, 2, 1).quantile(nan) returned nan
+        p = pte_params(0.5, 2.0, 1.0)
+        for u in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                p.quantile(u)
+        with pytest.raises(ValueError, match="NaN"):
+            tg_quantile(np.nan, 0.5, EXP1)
+
 
 def _log_space_reference(x, alpha, b, lam, theta=1.0):
     """log F and log f of PT-G at tilt -b < 0, written from the definition

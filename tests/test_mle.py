@@ -11,7 +11,9 @@ from ptgfit.distributions import PtgParams, pte_params, ptg_log_pdf, ptg_loglik_
 from ptgfit.mle import (
     FitOptions,
     FitResult,
+    _latin_hypercube,
     _loglik_score,
+    _ndtri,
     fit,
     log_likelihood,
     multistart_maximize,
@@ -430,6 +432,49 @@ class TestWaldCi:
         # an estimate far below one ulp of z: the upper bound is z itself
         res = _result_from(Exponential(1e-300), [1.0])
         assert wald_ci(res, level)[1][0] == norm.ppf(0.5 * (1.0 + level))
+
+    def test_ndtri_is_scipy_special_bit_for_bit(self):
+        from scipy.special import ndtri
+
+        # the centre, both tails on a log scale down to the smallest
+        # subnormal, the edges 0 and 1, and outside [0, 1] (NaN)
+        rng = np.random.default_rng(20261018)
+        levels = np.concatenate([
+            rng.uniform(size=2000),
+            10.0 ** rng.uniform(-300.0, -1.0, 500),
+            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 500),
+            [0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 0.5, 0.975, np.exp(-2.0)],
+            [-0.5, 1.5, np.nan],
+        ])
+        ours = np.array([_ndtri(float(y)) for y in levels])
+        with np.errstate(invalid="ignore"):
+            ref = ndtri(levels)
+        assert np.array_equal(ours, ref, equal_nan=True)
+        assert _ndtri(0.0) == -np.inf and _ndtri(1.0) == np.inf
+
+
+class TestLatinHypercube:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_is_scipy_qmc_bit_for_bit(self, d):
+        from scipy.stats import qmc
+
+        for seed in range(10):
+            for n in (1, 6, 20, 40):
+                ref = qmc.LatinHypercube(d=d, seed=seed).random(n)
+                assert np.array_equal(_latin_hypercube(n, d, seed), ref)
+
+    @pytest.mark.parametrize("n, d, seed, want", [
+        (4, 2, 0, [[0.09075957816963642, 0.6825533215590325],
+                   [0.7397566190159514, 0.9958680911178677],
+                   [0.2966824401999319, 0.27181110568056954],
+                   [0.848341056058205, 0.0676258597540004]]),
+        (3, 3, 12345, [[0.2575546591776101, 0.22774722009674905, 0.0675448475557553],
+                       [0.7745817764163418, 0.8696301497993636, 0.5557286907112052],
+                       [0.46723041547093674, 0.6044219381320955, 0.7757479853284596]]),
+    ])
+    def test_pinned_draws(self, n, d, seed, want):
+        # scipy 1.17.1's draws, frozen: a later scipy cannot move the fit starts unseen
+        assert np.array_equal(_latin_hypercube(n, d, seed), np.array(want))
 
 
 class TestFitOptions:

@@ -52,17 +52,47 @@ def test_traced_name_is_bound(owner, attr):
     assert attr in TRACING._resolve(MODULES, owner).__dict__
 
 
-def test_import_leaves_scipy_stats_and_integrate_unloaded():
-    # scipy.stats alone roughly doubles the resident memory of an import
-    src = str(Path(distributions.__file__).resolve().parents[1])
-    code = (
-        "import sys, ptgfit; "
-        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
-    )
-    env = {**os.environ, "PYTHONPATH": src}
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter on this checkout's source; its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(distributions.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_and_fit_load_no_scipy():
+    # numpy is the only runtime dependency: importing scipy.stats for a fit
+    # cost more time and memory than the fit itself
+    code = (
+        "import sys, ptgfit; "
+        "ptgfit.fit([0.5, 1.0, 1.7, 2.2, 3.1], 'pte', ptgfit.FitOptions(n_starts=2)); "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert _fresh_python(code) == "[]"
+
+
+def test_cli_runs_without_scipy():
+    # a scipy import anywhere on these paths raises ModuleNotFoundError
+    commands = [
+        *(f"fit --model {tag} --data embedded:I" for tag in ("pte", "ptw", "exp", "me", "moe")),
+        "gof --model pte --data embedded:II",
+        "props --model pte --params 0.5,2,1",
+        "reproduce",
+        *(f"{cmd} --model {tag} --params {params} --format csv"
+          for cmd in ("sample", "curves") for tag, params in (("me", "1.5"), ("pte", "0.5,2,1"))),
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ptgfit.cli import main\n"
+        "codes = []\n"
+        f"for argv in {[c.split() for c in commands]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(codes)"
+    )
+    # reproduce exits 3: the 8 documented dataset-II gate failures
+    assert _fresh_python(code) == str([0] * 7 + [3] + [0] * 4)
 
 
 @pytest.mark.parametrize(

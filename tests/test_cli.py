@@ -364,3 +364,201 @@ class TestOutputFiles:
         assert sidecar.exists()
         header, rows = read_csv(sidecar.read_text())
         assert header == ["bin_left", "bin_right", "bin_density"]
+
+
+# Byte-exact output of cases whose six significant digits are stable.  Each
+# text is the whole of stdout, except that CSV rows end in "\r\n" (the csv
+# module's default line terminator), which the test restores.
+PINNED = {
+    "fit --model exp --data embedded:I --format json": """\
+{
+  "command": "fit",
+  "model": "exp",
+  "dataset": "guinea_pigs_I",
+  "n": 72,
+  "converged": true,
+  "loglik": -116.315,
+  "estimates": {
+    "lam": 0.540378
+  },
+  "std_errors": {
+    "lam": 0.0636842
+  },
+  "ci_low": {
+    "lam": 0.41556
+  },
+  "ci_high": {
+    "lam": 0.665197
+  },
+  "n_restarts_used": 0
+}
+""",
+    "fit --model exp --data embedded:I --format csv": """\
+model,dataset,n,converged,loglik,lam,se_lam,ci_low_lam,ci_high_lam
+exp,guinea_pigs_I,72,True,-116.315,0.540378,0.0636842,0.41556,0.665197
+""",
+    "fit --model exp --data embedded:I --format table": """\
+maximum-likelihood fit
+  model      exp
+  dataset    guinea_pigs_I
+  n          72
+  converged  True
+  loglik     -116.315
+  lam        0.540378 (se 0.0636842) [0.41556, 0.665197]
+""",
+    "fit --model pte --data embedded:I --format csv": """\
+model,dataset,n,converged,loglik,alpha,se_alpha,ci_low_alpha,ci_high_alpha,beta,se_beta,ci_low_beta,ci_high_beta,lam,se_lam,ci_low_lam,ci_high_lam
+pte,guinea_pigs_I,72,True,-98.0468,0.813341,0.182578,0.455495,1,-6.58782,1.4485,-9.42683,-3.74881,0.840957,0.192357,0.463943,1.21797
+""",
+    "fit --model pte --data embedded:I --format table": """\
+maximum-likelihood fit
+  model      pte
+  dataset    guinea_pigs_I
+  n          72
+  converged  True
+  loglik     -98.0468
+  alpha      0.813341 (se 0.182578) [0.455495, 1]
+  beta       -6.58782 (se 1.4485) [-9.42683, -3.74881]
+  lam        0.840957 (se 0.192357) [0.463943, 1.21797]
+""",
+    "gof --model me --data embedded:II --format csv": """\
+command,model,dataset,n,k,converged,loglik,aic,bic,caic,hqic,ad,cvm,ks,ks_pvalue
+gof,me,relief_times_II,20,1,True,-26.1632,54.3264,55.3221,54.5486,54.5207,2.76058,0.528388,0.322104,0.0315273
+""",
+    "props --model pte --params 0.5,2,1 --format json": """\
+{
+  "command": "props",
+  "model": "pte",
+  "params": {
+    "alpha": 0.5,
+    "beta": 2.0,
+    "lam": 1.0
+  },
+  "moments": {
+    "1": 0.419575,
+    "2": 0.506673,
+    "3": 1.17925,
+    "4": 4.18397
+  },
+  "renyi_entropy": {
+    "2.0": -0.389885
+  },
+  "mean_deviation_mean": 0.365019,
+  "mean_deviation_median": 0.324016,
+  "stress_strength_vs_params2": 0.5,
+  "mean_residual_life": {
+    "0.5": 0.618894,
+    "1.0": 0.756315,
+    "2.0": 0.903941
+  }
+}
+""",
+    "props --model pte --params 0.5,2,1 --format table": """\
+distribution properties
+  model              pte
+  param alpha        0.5
+  param beta         2
+  param lam          1
+  moment 1           0.419575
+  moment 2           0.506673
+  moment 3           1.17925
+  moment 4           4.18397
+  renyi(2.0)         -0.389885
+  mean dev (mean)    0.365019
+  mean dev (median)  0.324016
+  P(X2 <= X1)        0.5
+  MRL(0.5)           0.618894
+  MRL(1.0)           0.756315
+  MRL(2.0)           0.903941
+""",
+    "sample --model pte --params 0.5,2,1 --n 5 --seed 3 --format csv": """\
+x
+0.0262115
+0.0816669
+0.626927
+0.294341
+0.0289859
+""",
+    "sample --model pte --params 0.5,2,1 --n 5 --seed 3 --format json": """\
+{
+  "command": "sample",
+  "model": "pte",
+  "n": 5,
+  "seed": 3,
+  "samples": [
+    0.0262115,
+    0.0816669,
+    0.626927,
+    0.294341,
+    0.0289859
+  ]
+}
+""",
+    "curves --model exp --params 1.5 --grid 4 --format csv": """\
+x,pdf,cdf,hrf
+0.000667,1.4985,0.001,1.5
+1.5355,0.1499,0.900067,1.5
+3.07034,0.014995,0.990003,1.5
+4.60517,0.0015,0.999,1.5
+""",
+    "ttt --data embedded:II --format json": """\
+{
+  "command": "ttt",
+  "dataset": "relief_times_II",
+  "u": [
+    0.05,
+    0.1,
+    0.15,
+    0.2,
+    0.25,
+    0.3,
+    0.35,
+    0.4,
+    0.45,
+    0.5,
+    0.55,
+    0.6,
+    0.65,
+    0.7,
+    0.75,
+    0.8,
+    0.85,
+    0.9,
+    0.95,
+    1.0
+  ],
+  "t": [
+    0.578947,
+    0.628947,
+    0.676316,
+    0.721053,
+    0.721053,
+    0.760526,
+    0.797368,
+    0.797368,
+    0.828947,
+    0.828947,
+    0.828947,
+    0.852632,
+    0.852632,
+    0.871053,
+    0.886842,
+    0.913158,
+    0.923684,
+    0.955263,
+    0.971053,
+    1.0
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED))
+def test_output_is_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    expected = PINNED[argv]
+    if argv.endswith("--format csv"):
+        expected = expected.replace("\n", "\r\n")
+    assert (code, err) == (0, "")
+    assert out == expected

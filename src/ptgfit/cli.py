@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Subcommands: fit, gof, sample, props, curves, ttt, reproduce; the models are
-the tags of ``mle.MODELS``.  Output is human-readable on a terminal (a table,
-or CSV for the grids of sample, curves and ttt) and JSON when piped;
-``--format`` overrides, offering only the formats the subcommand writes.  All
-numbers are printed to 6 significant digits.  Exit codes: 0 ok, 1 usage or
-I/O error, 2 non-convergence, 3 reproduction gate failure.
+the tags of ``mle.MODELS``.  Each subcommand builds one payload of raw values
+and hands it, with its CSV and table views, to ``_emit``, the one place that
+knows the output policy: human-readable on a terminal (a table, or CSV where
+a subcommand has no table) and JSON when piped; ``--format`` overrides,
+offering only the formats the subcommand writes.  All numbers are printed to
+6 significant digits; JSON writes NaN and infinities as ``null``.  Exit
+codes: 0 ok, 1 usage or I/O error, 2 non-convergence, 3 reproduction gate
+failure.
 """
 
 from __future__ import annotations
@@ -42,17 +45,6 @@ _EMBEDDED_ALIASES = {
 }
 
 
-def _sig6(x):
-    if isinstance(x, (bool, int, np.bool_, np.integer)):
-        return int(x) if not isinstance(x, (bool, np.bool_)) else bool(x)
-    if x is None or isinstance(x, str):
-        return x
-    v = float(x)
-    if not np.isfinite(v):
-        return v
-    return float(f"{v:.6g}")
-
-
 def _fmt(x):
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
@@ -75,12 +67,6 @@ def _resolve_seed(args):
     return 0
 
 
-def _resolve_format(args):
-    if args.format:
-        return args.format
-    return "table" if sys.stdout.isatty() else "json"
-
-
 def _load_data(args):
     source = args.data
     if source is None:
@@ -92,11 +78,7 @@ def _load_data(args):
         raise ValueError(f"unknown embedded dataset {source!r}; use embedded:I or embedded:II")
     if not os.path.exists(source):
         raise OSError(f"data file not found: {source}")
-    fmt = args.data_format
-    if fmt is None:
-        with open(source) as fh:
-            fmt = "csv_single_column" if "," in fh.read() else "whitespace"
-    return load_observations(source, fmt)
+    return load_observations(source, args.data_format)
 
 
 def _parse_float_list(text, what):
@@ -128,42 +110,59 @@ def _model(args, data=None):
     return _fit(args, data if data is not None else _load_data(args)).estimates
 
 
-def _emit(args, text):
+def _json_data(obj):
+    """``obj`` as plain JSON data: every float rounded to 6 significant
+    digits, NaN and infinities as ``None``, numpy scalars, arrays and tuples
+    as Python numbers and lists."""
+    if isinstance(obj, dict):
+        return {k: _json_data(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_json_data(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{obj:.6g}") if math.isfinite(obj) else None
+    return obj
+
+
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _emit(args, payload, csv=None, table=None):
+    """Write ``payload`` in the ``--format`` asked for, to ``--out`` or stdout,
+    and return that format.
+
+    ``csv`` is ``(header, rows)`` and ``table`` is ``(title, pairs)`` or the
+    finished text; a subcommand passes the views it offers.  Without
+    ``--format``, a terminal gets the table, else the CSV, and a pipe JSON.
+    """
+    fmt = args.format
+    if fmt is None:
+        fmt = ("csv" if table is None else "table") if sys.stdout.isatty() else "json"
+    if fmt == "json":
+        text = json.dumps(_json_data(payload), indent=2, allow_nan=False) + "\n"
+    elif fmt == "csv":
+        header, rows = csv
+        text = _csv_text(header, ([_fmt(v) for v in row] for row in rows))
+    elif isinstance(table, str):
+        text = table
+    else:
+        title, pairs = table
+        width = max(len(k) for k, _ in pairs)
+        text = "\n".join([title] + [f"  {k:<{width}}  {_fmt(v)}" for k, v in pairs]) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_safe(obj):
-    """``obj`` with every NaN or infinite float replaced by ``None`` (JSON null)."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
-def _emit_json(args, payload):
-    _emit(args, json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n")
-
-
-def _emit_csv(args, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _emit(args, buf.getvalue())
-
-
-def _emit_kv_table(args, title, pairs):
-    width = max(len(k) for k, _ in pairs)
-    lines = [title] + [f"  {k:<{width}}  {_fmt(v)}" for k, v in pairs]
-    _emit(args, "\n".join(lines) + "\n")
+    return fmt
 
 
 # ---------------------------------------------------------------------------
@@ -173,99 +172,64 @@ def _emit_kv_table(args, title, pairs):
 
 def cmd_fit(args):
     data = _load_data(args)
-    fmt = _resolve_format(args)
     res = _fit(args, data)
-    names = res.param_names
-    payload = {
-        "command": "fit",
-        "model": args.model,
-        "dataset": data.id,
-        "n": res.n_obs,
-        "converged": bool(res.converged),
-        "loglik": _sig6(res.loglik),
-        "estimates": {k: _sig6(v) for k, v in zip(names, res.estimates.values)},
-        "std_errors": {k: _sig6(v) for k, v in zip(names, res.std_errors)},
-        "ci_low": {k: _sig6(v) for k, v in zip(names, res.ci_low)},
-        "ci_high": {k: _sig6(v) for k, v in zip(names, res.ci_high)},
-        "n_restarts_used": res.n_restarts_used,
-    }
-
-    if fmt == "json":
-        _emit_json(args, payload)
-    elif fmt == "csv":
-        header = ["model", "dataset", "n", "converged", "loglik"]
-        row = [payload["model"], payload["dataset"], payload["n"],
-               payload["converged"], payload["loglik"]]
-        for k in payload["estimates"]:
-            header += [k, f"se_{k}", f"ci_low_{k}", f"ci_high_{k}"]
-            row += [payload["estimates"][k], payload["std_errors"][k],
-                    payload["ci_low"][k], payload["ci_high"][k]]
-        _emit_csv(args, header, [row])
-    else:
-        pairs = [("model", payload["model"]), ("dataset", payload["dataset"]),
-                 ("n", payload["n"]), ("converged", payload["converged"]),
-                 ("loglik", payload["loglik"])]
-        for k in payload["estimates"]:
-            pairs.append(
-                (k, f"{_fmt(payload['estimates'][k])} "
-                    f"(se {_fmt(payload['std_errors'][k])}) "
-                    f"[{_fmt(payload['ci_low'][k])}, {_fmt(payload['ci_high'][k])}]")
-            )
-        _emit_kv_table(args, "maximum-likelihood fit", pairs)
+    head = {"model": args.model, "dataset": data.id, "n": res.n_obs,
+            "converged": res.converged, "loglik": res.loglik}
+    columns = {"estimates": res.estimates.values, "std_errors": res.std_errors,
+               "ci_low": res.ci_low, "ci_high": res.ci_high}
+    payload = {"command": "fit", **head,
+               **{key: dict(zip(res.param_names, v)) for key, v in columns.items()},
+               "n_restarts_used": res.n_restarts_used}
+    params = list(zip(res.param_names, *columns.values()))  # (name, est, se, lo, hi)
+    header = [*head, *(f"{pre}{k}" for k, *_ in params
+                       for pre in ("", "se_", "ci_low_", "ci_high_"))]
+    row = [*head.values(), *(v for _, *values in params for v in values)]
+    pairs = [*head.items(), *((k, f"{_fmt(est)} (se {_fmt(se)}) [{_fmt(lo)}, {_fmt(hi)}]")
+                              for k, est, se, lo, hi in params)]
+    _emit(args, payload, csv=(header, [row]), table=("maximum-likelihood fit", pairs))
     return 0 if res.converged else 2
 
 
 def cmd_gof(args):
     data = _load_data(args)
-    fmt = _resolve_format(args)
     res = _fit(args, data)
     rep = evaluate_gof(data.values, res.estimates.cdf, res.k, res.loglik)
-    payload = {
-        "command": "gof",
-        "model": args.model,
-        "dataset": data.id,
-        "n": rep.n,
-        "k": rep.k,
-        "converged": bool(res.converged),
-        "loglik": _sig6(rep.loglik),
-        "aic": _sig6(rep.aic),
-        "bic": _sig6(rep.bic),
-        "caic": _sig6(rep.caic),
-        "hqic": _sig6(rep.hqic),
-        "ad": _sig6(rep.ad),
-        "cvm": _sig6(rep.cvm),
-        "ks": _sig6(rep.ks),
-        "ks_pvalue": _sig6(rep.ks_pvalue),
-    }
-    if fmt == "json":
-        _emit_json(args, payload)
-    elif fmt == "csv":
-        keys = list(payload)
-        _emit_csv(args, keys, [[payload[k_] for k_ in keys]])
-    else:
-        _emit_kv_table(args, "goodness of fit", [(k_, payload[k_]) for k_ in payload])
+    payload = {"command": "gof", "model": args.model, "dataset": data.id, "n": rep.n,
+               "k": rep.k, "converged": res.converged}
+    for key in ("loglik", "aic", "bic", "caic", "hqic", "ad", "cvm", "ks", "ks_pvalue"):
+        payload[key] = getattr(rep, key)
+    _emit(args, payload, csv=(list(payload), [list(payload.values())]),
+          table=("goodness of fit", list(payload.items())))
     return 0 if res.converged else 2
 
 
 def cmd_sample(args):
     if args.n < 1:  # before a --data fit, not after it
         raise ValueError("--n must be a positive integer")
-    fmt = _resolve_format(args)
     x = ptg_sample(args.n, _model(args), _resolve_seed(args))
-    if fmt == "json":
-        _emit_json(args, {"command": "sample", "model": args.model, "n": args.n,
-                          "seed": _resolve_seed(args),
-                          "samples": [_sig6(v) for v in x]})
-    else:
-        _emit_csv(args, ["x"], [[v] for v in x])
+    payload = {"command": "sample", "model": args.model, "n": args.n,
+               "seed": _resolve_seed(args), "samples": x}
+    _emit(args, payload, csv=(["x"], zip(payload["samples"])))
     return 0
+
+
+# table labels of the props payload; "{}" takes the key of a nested entry
+_PROPS_LABELS = {
+    "model": "model",
+    "params": "param {}",
+    "moments": "moment {}",
+    "renyi_entropy": "renyi({})",
+    "mean_deviation_mean": "mean dev (mean)",
+    "mean_deviation_median": "mean dev (median)",
+    "stress_strength_vs_params2": "P(X2 <= X1)",
+    "mean_residual_life": "MRL({})",
+}
 
 
 def cmd_props(args):
     pt_models = [tag for tag, spec in MODELS.items() if "alpha" in spec.search]
     if args.model not in pt_models:
         raise ValueError(f"props applies to the PT models ({', '.join(pt_models)})")
-    fmt = _resolve_format(args)
     p = _model(args)
     p2 = _model_from_params(args.model, args.params2, "params2") if args.params2 else p
     deltas = _parse_float_list(args.delta, "delta")
@@ -273,138 +237,99 @@ def cmd_props(args):
     payload = {
         "command": "props",
         "model": args.model,
-        "params": {k: _sig6(v) for k, v in zip(p.names, p.values)},
-        "moments": {str(s): _sig6(raw_moment(s, p)) for s in (1, 2, 3, 4)},
-        "renyi_entropy": {str(d): _sig6(renyi_entropy(d, p)) for d in deltas},
-        "mean_deviation_mean": _sig6(mean_deviation("mean", p)),
-        "mean_deviation_median": _sig6(mean_deviation("median", p)),
-        "stress_strength_vs_params2": _sig6(stress_strength(p, p2)),
-        "mean_residual_life": {str(t): _sig6(residual_moment(1, t, p)) for t in tlist},
+        "params": dict(zip(p.names, p.values)),
+        "moments": {str(s): raw_moment(s, p) for s in (1, 2, 3, 4)},
+        "renyi_entropy": {str(d): renyi_entropy(d, p) for d in deltas},
+        "mean_deviation_mean": mean_deviation("mean", p),
+        "mean_deviation_median": mean_deviation("median", p),
+        "stress_strength_vs_params2": stress_strength(p, p2),
+        "mean_residual_life": {str(t): residual_moment(1, t, p) for t in tlist},
     }
-    if fmt == "json":
-        _emit_json(args, payload)
-    else:
-        pairs = [("model", payload["model"])]
-        pairs += [(f"param {k}", v) for k, v in payload["params"].items()]
-        pairs += [(f"moment {s}", v) for s, v in payload["moments"].items()]
-        pairs += [(f"renyi({d})", v) for d, v in payload["renyi_entropy"].items()]
-        pairs += [
-            ("mean dev (mean)", payload["mean_deviation_mean"]),
-            ("mean dev (median)", payload["mean_deviation_median"]),
-            ("P(X2 <= X1)", payload["stress_strength_vs_params2"]),
-        ]
-        pairs += [(f"MRL({t})", v) for t, v in payload["mean_residual_life"].items()]
-        _emit_kv_table(args, "distribution properties", pairs)
+    pairs = []
+    for key, label in _PROPS_LABELS.items():
+        entries = payload[key].items() if isinstance(payload[key], dict) else [("", payload[key])]
+        pairs += [(label.format(k), v) for k, v in entries]
+    _emit(args, payload, table=("distribution properties", pairs))
     return 0
 
 
 def cmd_curves(args):
-    fmt = _resolve_format(args)
     data = _load_data(args) if args.data else None
     model = _model(args, data)
     grid = np.linspace(model.quantile(0.001), model.quantile(0.999), args.grid)
     pdf_v, cdf_v = model.pdf(grid), model.cdf(grid)
-    hrf_v = pdf_v / (1.0 - cdf_v)
-
-    rows = list(zip(grid, pdf_v, cdf_v, hrf_v))
-    hist_block = None
+    payload = {"command": "curves", "model": args.model, "x": grid, "pdf": pdf_v,
+               "cdf": cdf_v, "hrf": pdf_v / (1.0 - cdf_v)}
     if data is not None:
         counts, edges = np.histogram(data.values, bins="auto", density=True)
         xs = np.sort(data.values)
-        hist_block = {
-            "bin_left": [_sig6(v) for v in edges[:-1]],
-            "bin_right": [_sig6(v) for v in edges[1:]],
-            "bin_density": [_sig6(v) for v in counts],
-            "ogive_x": [_sig6(v) for v in xs],
-            "ogive_y": [_sig6(v) for v in np.arange(1, xs.size + 1) / xs.size],
+        payload["histogram"] = {
+            "bin_left": edges[:-1],
+            "bin_right": edges[1:],
+            "bin_density": counts,
+            "ogive_x": xs,
+            "ogive_y": np.arange(1, xs.size + 1) / xs.size,
         }
-
-    if fmt == "json":
-        payload = {
-            "command": "curves",
-            "model": args.model,
-            "x": [_sig6(v) for v in grid],
-            "pdf": [_sig6(v) for v in pdf_v],
-            "cdf": [_sig6(v) for v in cdf_v],
-            "hrf": [_sig6(v) for v in hrf_v],
-        }
-        if hist_block:
-            payload["histogram"] = hist_block
-        _emit_json(args, payload)
-    else:
-        _emit_csv(args, ["x", "pdf", "cdf", "hrf"], rows)
-        if hist_block and args.out:
-            hist_rows = list(zip(hist_block["bin_left"], hist_block["bin_right"],
-                                 hist_block["bin_density"]))
-            base, ext = os.path.splitext(args.out)
-            with open(f"{base}.hist{ext or '.csv'}", "w") as fh:
-                w = csv.writer(fh)
-                w.writerow(["bin_left", "bin_right", "bin_density"])
-                w.writerows(hist_rows)
+    columns = ["x", "pdf", "cdf", "hrf"]
+    fmt = _emit(args, payload, csv=(columns, zip(*(payload[c] for c in columns))))
+    if fmt == "csv" and args.out and data is not None:
+        # the sidecar holds the JSON values, each written as its str()
+        hist = _json_data(payload["histogram"])
+        bins = ["bin_left", "bin_right", "bin_density"]
+        base, ext = os.path.splitext(args.out)
+        with open(f"{base}.hist{ext or '.csv'}", "w") as fh:
+            fh.write(_csv_text(bins, zip(*(hist[c] for c in bins))))
     return 0
 
 
 def cmd_ttt(args):
     data = _load_data(args)
-    fmt = _resolve_format(args)
     pts = ttt_points(data.values)
-    if fmt == "json":
-        _emit_json(args, {"command": "ttt", "dataset": data.id,
-                          "u": [_sig6(v) for v in pts[:, 0]],
-                          "t": [_sig6(v) for v in pts[:, 1]]})
-    else:
-        _emit_csv(args, ["u", "t"], pts.tolist())
+    payload = {"command": "ttt", "dataset": data.id, "u": pts[:, 0], "t": pts[:, 1]}
+    _emit(args, payload, csv=(["u", "t"], zip(payload["u"], payload["t"])))
     return 0
 
 
+def _reproduce_text(report):
+    lines = ["reproduction report", "=" * 67]
+    current = None
+    for g in report.gates:
+        section = f"{g.table} / dataset {g.dataset}" + (f" / {g.model}" if g.model else "")
+        if section != current:
+            lines.append(f"\n-- {section}")
+            current = section
+        mark = "PASS" if g.passed else "FAIL"
+        lines.append(
+            f"  [{mark}] {g.quantity:<12} computed {_fmt(g.computed):>12}  "
+            f"reference {_fmt(g.reference):>10}  tol {_fmt(g.tol)}"
+        )
+    lines.append("\n-- published criterion values of unimplemented families (context)")
+    for ds, rows in report.reference_constants.items():
+        lines.append(f"  dataset {ds}: AIC BIC CAIC HQIC A W KS p")
+        for m, v in rows.items():
+            lines.append(f"    {m:<7} " + " ".join(f"{x:g}" for x in v))
+    n_fail = len(report.failures)
+    lines.append(f"\ngates: {len(report.gates) - n_fail} passed, {n_fail} failed "
+                 f"({report.elapsed_seconds:.1f}s)")
+    if n_fail:
+        lines.append("failing cells: " + ", ".join(g.label for g in report.failures))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_reproduce(args):
-    fmt = _resolve_format(args)
     report = run_reproduction(seed=_resolve_seed(args), n_starts=args.starts)
-    if fmt == "json":
-        payload = {
-            "command": "reproduce",
-            "all_passed": report.all_passed,
-            "elapsed_seconds": _sig6(report.elapsed_seconds),
-            "gates": [
-                {
-                    "label": g.label,
-                    "computed": _sig6(g.computed),
-                    "reference": _sig6(g.reference),
-                    "tol": _sig6(g.tol),
-                    "passed": g.passed,
-                }
-                for g in report.gates
-            ],
-            "reference_constants": {
-                ds: {m: list(v) for m, v in rows.items()}
-                for ds, rows in report.reference_constants.items()
-            },
-        }
-        _emit_json(args, payload)
-    else:
-        lines = ["reproduction report", "=" * 67]
-        current = None
-        for g in report.gates:
-            section = f"{g.table} / dataset {g.dataset}" + (f" / {g.model}" if g.model else "")
-            if section != current:
-                lines.append(f"\n-- {section}")
-                current = section
-            mark = "PASS" if g.passed else "FAIL"
-            lines.append(
-                f"  [{mark}] {g.quantity:<12} computed {_fmt(g.computed):>12}  "
-                f"reference {_fmt(g.reference):>10}  tol {_fmt(g.tol)}"
-            )
-        lines.append("\n-- published criterion values of unimplemented families (context)")
-        for ds, rows in report.reference_constants.items():
-            lines.append(f"  dataset {ds}: AIC BIC CAIC HQIC A W KS p")
-            for m, v in rows.items():
-                lines.append(f"    {m:<7} " + " ".join(f"{x:g}" for x in v))
-        n_fail = len(report.failures)
-        lines.append(f"\ngates: {len(report.gates) - n_fail} passed, {n_fail} failed "
-                     f"({report.elapsed_seconds:.1f}s)")
-        if n_fail:
-            lines.append("failing cells: " + ", ".join(g.label for g in report.failures))
-        _emit(args, "\n".join(lines) + "\n")
+    payload = {
+        "command": "reproduce",
+        "all_passed": report.all_passed,
+        "elapsed_seconds": report.elapsed_seconds,
+        "gates": [
+            {"label": g.label, "computed": g.computed, "reference": g.reference,
+             "tol": g.tol, "passed": g.passed}
+            for g in report.gates
+        ],
+        "reference_constants": report.reference_constants,
+    }
+    _emit(args, payload, table=_reproduce_text(report))
     return 0 if report.all_passed else 3
 
 

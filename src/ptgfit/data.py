@@ -135,19 +135,25 @@ def embedded_dataset(dataset_id):
     return d
 
 
-def load_observations(path, fmt="whitespace"):
+def load_observations(path, fmt=None):
     """Read positive finite observations from a text file.
 
     ``fmt`` is ``"whitespace"`` (any blank-separated layout) or
-    ``"csv_single_column"``.  Blank lines and ``#`` comments are skipped;
-    parse, sign and non-finite errors name the offending line.
+    ``"csv_single_column"``; ``None`` picks the CSV reading when a comma
+    appears outside the comments.  Blank lines and ``#`` comments are
+    skipped; parse, sign and non-finite errors name the offending line.
     """
-    if fmt not in ("whitespace", "csv_single_column"):
+    if fmt not in (None, "whitespace", "csv_single_column"):
         raise ValueError(f"unknown format {fmt!r}")
     path = Path(path)
+    lines = [
+        (lineno, line.split("#", 1)[0].strip())
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+    ]
+    if fmt is None:
+        fmt = "csv_single_column" if any("," in body for _, body in lines) else "whitespace"
     values = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+    for lineno, body in lines:
         if not body:
             continue
         tokens = body.split(",") if fmt == "csv_single_column" else body.split()

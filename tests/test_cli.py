@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -364,6 +365,49 @@ class TestOutputFiles:
         assert sidecar.exists()
         header, rows = read_csv(sidecar.read_text())
         assert header == ["bin_left", "bin_right", "bin_density"]
+
+
+class TestDataFiles:
+    def test_comma_in_comment_keeps_whitespace_format(self, capsys, tmp_path):
+        # the format is decided from the lines outside the # comments
+        f = tmp_path / "obs_comment.txt"
+        f.write_text("# relief times, minutes\n1.1 1.4 1.3\n1.7 1.9\n")
+        code, payload, err = run_json(capsys, "fit", "--model", "exp", "--data", str(f))
+        assert (code, err) == (0, "")
+        assert payload["n"] == 5
+        assert payload["estimates"]["lam"] == pytest.approx(5 / 7.4, rel=1e-5)
+
+    def test_commas_outside_comments_read_as_csv(self, capsys, tmp_path):
+        f = tmp_path / "obs.csv"
+        f.write_text("# one value per row\n1.1,\n1.4\n")
+        code, payload, _ = run_json(capsys, "fit", "--model", "exp", "--data", str(f))
+        assert code == 0 and payload["n"] == 2
+
+
+class TestDefaultFormat:
+    CASES = [
+        (("fit", "--model", "exp", "--data", "embedded:I"), "maximum-likelihood fit"),
+        (("gof", "--model", "exp", "--data", "embedded:I"), "goodness of fit"),
+        (("props", "--model", "pte", "--params", "0.5,2,1"), "distribution properties"),
+        (("reproduce",), "reproduction report"),
+        (("sample", "--model", "exp", "--params", "1.5", "--n", "3"), "x"),
+        (("curves", "--model", "exp", "--params", "1.5", "--grid", "3"), "x,pdf,cdf,hrf"),
+        (("ttt", "--data", "embedded:II"), "u,t"),
+    ]
+
+    @pytest.mark.parametrize("argv, first_line", CASES, ids=[a[0] for a, _ in CASES])
+    def test_terminal_gets_the_table_else_csv(self, capsys, monkeypatch, argv, first_line):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == (3 if argv[0] == "reproduce" else 0)
+        assert out.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize("argv", [a for a, _ in CASES], ids=[a[0] for a, _ in CASES])
+    def test_pipe_gets_json(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: False)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == (3 if argv[0] == "reproduce" else 0)
+        assert json.loads(out)["command"] == argv[0]
 
 
 # Byte-exact output of cases whose six significant digits are stable.  Each

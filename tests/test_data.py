@@ -96,6 +96,13 @@ class TestLoadObservations:
         d = load_observations(f, "csv_single_column")
         assert np.array_equal(d.values, [0.5, 1.5])
 
+    def test_format_sniffed_outside_comments(self, tmp_path):
+        f = tmp_path / "obs.txt"
+        f.write_text("# relief times, minutes\n1.1 1.4\n")
+        assert np.array_equal(load_observations(f).values, [1.1, 1.4])
+        f.write_text("# one value per row\n0.5,\n1.5\n")
+        assert np.array_equal(load_observations(f).values, [0.5, 1.5])
+
     def test_nonpositive_value_names_line(self, tmp_path):
         f = tmp_path / "obs.txt"
         f.write_text("-1.0\n")

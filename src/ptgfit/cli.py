@@ -107,6 +107,8 @@ def _model(args, data=None):
     """The ``--model`` distribution: from ``--params``, else fitted to ``--data``."""
     if args.params:
         return _model_from_params(args.model, args.params)
+    if data is None and args.data is None:
+        raise ValueError("either --params or --data is required for this command")
     return _fit(args, data if data is not None else _load_data(args)).estimates
 
 

@@ -85,7 +85,7 @@ class Dataset:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescriptiveStats:
     n: int
     min: float

@@ -40,7 +40,7 @@ class InformationCriteria(NamedTuple):
     hqic: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GofReport:
     """All criteria and EDF statistics for one fitted model on one dataset."""
 

@@ -8,13 +8,16 @@ from many Latin-hypercube starting points at once (``_latin_hypercube``,
 numpy's generator seeded by ``FitOptions.seed``): one lockstep
 quasi-Newton engine (``minimize``, BFGS steps with a backtracking line
 search) advances every start on one (starts x n) array, driven by the
-model's analytic score.  The search runs in transformed coordinates that
-keep every iterate inside the parameter domain: alpha = sin(z0), which
-reaches the edges alpha = +-1 at finite z0 and has no flat tail to strand a
-start in, beta unconstrained (with a small exclusion band around zero), and
-positive parameters via log.  Standard errors come from inverting the
-observed information matrix, the exact negated Hessian in the original
-coordinates.
+model's analytic score.  A start stops on a small score, a failed search, a
+stalled step, an exit from the search box or its step budget, and is frozen
+once its log-likelihood lies far below the best start's and has stopped
+closing the gap (dataset II's runaways to beta -> +inf).  The search runs in
+transformed coordinates that keep every iterate inside the parameter domain:
+alpha = sin(z0), which reaches the edges alpha = +-1 at finite z0 and has no
+flat tail to strand a start in, beta unconstrained (with a small exclusion
+band around zero), and positive parameters via log.  Standard errors come
+from inverting the observed information matrix, the exact negated Hessian in
+the original coordinates.
 
 A numerical model supplies only its batched kernel, ``kernel(data, theta,
 order=1)`` (``ptg_loglik_derivatives`` with its baseline family bound, or
@@ -72,7 +75,7 @@ class FitOptions:
             raise ValueError("n_starts must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     """Outcome of a maximum-likelihood fit; ``estimates`` is the fitted model."""
 
@@ -155,6 +158,12 @@ _XTOL = 1e-10  # relative step below which a start has stopped moving
 _GTOL = 1e-10  # score max-norm at which a start stops
 _MAX_ITER = 2000  # quasi-Newton steps of each start; the polish takes twice as many
 _CONVERGED_SCORE = 1e-3  # score max-norm below which a fit counts as converged
+# freeze of dead starts (see minimize): a gap of 1 froze the PT-W start on
+# dataset II (seed 17, 6 starts) that later climbs the flat beta ridge to the
+# optimum
+_FREEZE_GAP = 5.0
+_FREEZE_WINDOW = 10
+_FREEZE_CLOSE = 0.1
 # search box, as half-widths in transformed coordinates: a start that leaves
 # it stops (beta -> +inf with lambda -> 0 is a runaway on dataset II).  The
 # log rate is centred on the data's scale.  z0 = asin(alpha) needs no box:
@@ -190,8 +199,12 @@ def minimize(fun, z0, box, max_iter=_MAX_ITER):
     A row stops when its gradient's max-norm falls below ``_GTOL``, when its
     line search fails along steepest descent, when a step no longer moves it
     (relative change below ``_XTOL``), when it leaves ``box`` (lower and
-    upper bounds, each of length k), or after ``max_iter`` steps.  Returns
-    the final points, values and gradients.
+    upper bounds, each of length k), when it is frozen, or after ``max_iter``
+    steps.  A row is frozen when its value lies more than ``_FREEZE_GAP``
+    above the lowest finite value of any row and it closed less than
+    ``_FREEZE_CLOSE`` of that gap over its last ``_FREEZE_WINDOW`` steps: a
+    dead start that can no longer win.  The lowest row is never frozen.
+    Returns the final points, values and gradients.
     """
     z = np.array(z0, dtype=float)
     f, g = fun(z)
@@ -201,8 +214,16 @@ def minimize(fun, z0, box, max_iter=_MAX_ITER):
     fresh = np.ones(n_rows, dtype=bool)  # inverse Hessian still the identity
     active = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
     lo, hi = box
-    for _ in range(max_iter):
+    past = np.empty((_FREEZE_WINDOW, n_rows))  # the values of the last steps
+    for it in range(max_iter):
         active &= np.max(np.abs(g), axis=1) >= _GTOL
+        slot = it % _FREEZE_WINDOW
+        if it >= _FREEZE_WINDOW:  # active rows hold finite values: no inf - inf
+            rows = np.flatnonzero(active)
+            gap = f[rows] - np.min(f, where=np.isfinite(f), initial=np.inf)
+            closed = past[slot, rows] - f[rows]
+            active[rows] = (gap <= _FREEZE_GAP) | (closed >= _FREEZE_CLOSE * gap)
+        past[slot] = f
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break

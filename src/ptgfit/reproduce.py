@@ -105,7 +105,7 @@ _FIT_REFERENCE = {
 _DATASET_IDS = {"I": "guinea_pigs_I", "II": "relief_times_II"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One reproduction check: a computed value against its reference."""
 

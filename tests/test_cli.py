@@ -224,6 +224,13 @@ class TestSampleCommand:
         assert f"{name} must be a positive finite real" in err
 
 
+@pytest.mark.parametrize("argv", [("sample", "--n", "3"), ("props",), ("curves",)])
+def test_model_needs_params_or_data(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--model", "pte", *argv[1:])
+    assert code == 1 and out == ""
+    assert "either --params or --data is required" in err
+
+
 class TestPropsCommand:
     def test_moment_matches_quadrature_mean(self, capsys):
         from scipy.integrate import quad

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptgfit import mle
 from ptgfit.baselines import Exponential, Weibull
 from ptgfit.competitors import MarshallOlkinExponential
 from ptgfit.distributions import PtgParams, pte_params, ptg_log_pdf, ptg_loglik_derivatives
@@ -13,9 +14,11 @@ from ptgfit.mle import (
     FitResult,
     _latin_hypercube,
     _loglik_score,
+    _FREEZE_WINDOW,
     _ndtri,
     fit,
     log_likelihood,
+    minimize,
     multistart_maximize,
     observed_information,
     wald_ci,
@@ -543,6 +546,81 @@ class TestLoglikDerivatives:
         second = ptg_loglik_derivatives(data_I, Weibull, theta, order=2)
         assert len(first) == 2 and second[2].shape == (2, 4, 4)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def _counted(fun, calls):
+    def counted(z):
+        calls.append(len(z))
+        return fun(z)
+
+    return counted
+
+
+def _well_and_tail(z):
+    """A well near z = -1 (value about -7.37) beside a tail 10 + e^-z that
+    flattens towards 10 as z grows: a start right of the rim runs away."""
+    x = z[:, 0]
+    bump = 20.0 * np.exp(-((x + 1.0) ** 2))
+    return 10.0 + np.exp(-x) - bump, (-np.exp(-x) + 2.0 * (x + 1.0) * bump)[:, None]
+
+
+def _rosenbrock(z):
+    """Ten times Rosenbrock's valley: from (-1.2, 1) the quasi-Newton steps
+    descend it for about 40 steps to its minimum 0 at (1, 1)."""
+    x, y = z[:, 0], z[:, 1]
+    grad = np.column_stack([-20.0 * (1.0 - x) - 4000.0 * x * (y - x * x), 2000.0 * (y - x * x)])
+    return 10.0 * ((1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2), grad
+
+
+class TestFreeze:
+    """A start far above the best value that has stopped closing the gap stops."""
+
+    def test_runaway_far_below_the_incumbent_stops(self):
+        box = (np.full(1, -1e6), np.full(1, 1e6))
+        alone, beside = [], []
+        z, f, _ = minimize(_counted(_well_and_tail, alone), np.array([[3.0]]), box)
+        assert z[0, 0] > 20.0 and f[0] == pytest.approx(10.0)  # the best row is never frozen
+        z, f, _ = minimize(_counted(_well_and_tail, beside), np.array([[3.0], [-1.0]]), box)
+        assert f[1] == pytest.approx(-7.3684856, abs=1e-6)
+        assert f[0] > 10.0 and z[0, 0] < 10.0  # stopped on the tail, 17 above the well
+        assert len(beside) <= _FREEZE_WINDOW + 5 and len(alone) >= 2 * len(beside)
+
+    def test_row_closing_the_gap_fast_is_not_frozen(self):
+        starts, box = np.array([[-1.2, 1.0], [1.0, 1.0]]), (np.full(2, -1e6), np.full(2, 1e6))
+        _, f, _ = minimize(_rosenbrock, starts, box, max_iter=_FREEZE_WINDOW)
+        assert f[0] > 20.0  # still far above the incumbent when the freeze first looks
+        z, f, _ = minimize(_rosenbrock, starts, box)
+        np.testing.assert_allclose(z[0], [1.0, 1.0], rtol=1e-8)
+        assert f[0] < 1e-12
+
+    def test_non_finite_rows_raise_no_warning(self):
+        def fun(z):
+            f, g = _well_and_tail(z)
+            bad = z[:, 0] < -5.0
+            return np.where(bad, np.inf, f), np.where(bad[:, None], np.nan, g)
+
+        starts, box = np.array([[-10.0], [3.0], [-1.0]]), (np.full(1, -1e6), np.full(1, 1e6))
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, f, _ = minimize(_counted(fun, calls), starts, box)
+        assert len(calls) > _FREEZE_WINDOW  # the freeze looked at least once
+        assert f[0] == np.inf and z[0, 0] == -10.0
+        assert f[1] > 10.0 and f[2] == pytest.approx(-7.3684856, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "model, dataset, ceiling",  # the ceilings sum to 450; without the freeze 131, 141, 98, 300
+        [("moe", "I", 90), ("pte", "I", 80), ("moe", "II", 75), ("pte", "II", 205)],
+    )
+    def test_batched_calls_of_the_reproduction_fits(
+        self, monkeypatch, data_I, data_II, model, dataset, ceiling
+    ):
+        calls = []
+        monkeypatch.setattr(
+            mle, "minimize", lambda fun, *args: minimize(_counted(fun, calls), *args)
+        )
+        fit({"I": data_I, "II": data_II}[dataset], model, FitOptions(seed=0))
+        assert len(calls) <= ceiling
 
 
 def test_multistart_refuses_empty_start_set(data_I):

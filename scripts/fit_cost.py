@@ -15,10 +15,9 @@ import sys
 import warnings
 
 from ptgfit import mle
-from ptgfit.data import embedded_dataset
+from ptgfit.data import EMBEDDED, embedded_dataset
 
-FITS = [(model, key) for key in ("I", "II") for model in ("pte", "ptw", "moe")]
-DATASETS = {"I": "guinea_pigs_I", "II": "relief_times_II"}
+FITS = [(model, key) for key in EMBEDDED for model in ("pte", "ptw", "moe")]
 
 
 def fit_cost(model, key, seed):
@@ -40,7 +39,7 @@ def fit_cost(model, key, seed):
     try:
         with warnings.catch_warnings():  # PT-W on dataset II lands beyond |beta| = 700
             warnings.simplefilter("ignore")
-            result = mle.fit(embedded_dataset(DATASETS[key]).values, model,
+            result = mle.fit(embedded_dataset(EMBEDDED[key]).values, model,
                              mle.FitOptions(seed=seed))
     finally:
         mle.minimize = minimize

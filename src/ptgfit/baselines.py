@@ -14,15 +14,17 @@ Every model exposes the protocol shared with ``PtgParams``: ``names``,
 refuse a negative or NaN x with ``ValueError``.  The baselines also have
 ``isf``, the inverse survival function, for the upper-tail quantiles.
 
-For the PT-G score and information each baseline also has the class-level,
-parameter-batched ``d_cdf`` and ``d_log_pdf``: given observations ``x`` of
-shape (n,) and parameter rows ``params`` of shape (S, q), columns in
-``names`` order, they return the value, shape (S, n), and its derivative in
-each parameter, shape (q, S, n); ``d2`` returns both second derivatives,
-each of shape (q, q, S, n), for the observed information.  ``cdf`` and
-``log_pdf`` share these forms' formulas, so the two agree bit for bit; for
-Weibull x**theta is exp(theta log x), except at theta = 1, where the scalar
-forms take x itself and equal ``Exponential``'s.
+For the PT-G score and information each baseline also has one class-level,
+parameter-batched method, ``derivatives(x, params, order=1)``: given
+observations ``x`` of shape (n,) and parameter rows ``params`` of shape
+(S, q), columns in ``names`` order, it returns ``(cdf, d_cdf, log_pdf,
+d_log_pdf)``, the values of shape (S, n) and their derivatives in each
+parameter of shape (q, S, n); at ``order`` 2 it adds ``(d2_cdf, d2_log_pdf)``,
+each of shape (q, q, S, n), for the observed information.  The shared terms
+(Exponential's exp(-lam x), Weibull's log x, x**theta and dG/dlam) are
+computed once.  ``cdf`` and ``log_pdf`` share its formulas, so the two agree
+bit for bit; for Weibull x**theta is exp(theta log x), except at theta = 1,
+where the scalar forms take x itself and equal ``Exponential``'s.
 """
 
 from __future__ import annotations
@@ -92,21 +94,15 @@ class Exponential:
         return self.lam
 
     @staticmethod
-    def d_cdf(x, params):
+    def derivatives(x, params, order=1):
         lam = params[:, 0:1]
-        tail = np.exp(-lam * x)
-        return -np.expm1(-lam * x), (x * tail)[None]
-
-    @staticmethod
-    def d_log_pdf(x, params):
-        lam = params[:, 0:1]
-        return np.log(lam) - lam * x, (1.0 / lam - x)[None]
-
-    @staticmethod
-    def d2(x, params):
-        lam = params[:, 0:1]
+        lam_x = lam * x
+        tail = np.exp(-lam_x)
+        first = -np.expm1(-lam_x), (x * tail)[None], np.log(lam) - lam_x, (1.0 / lam - x)[None]
+        if order == 1:
+            return first
         d2_log_pdf = np.broadcast_to(-1.0 / lam**2, (1, 1, len(lam), x.size))
-        return (-x * x * np.exp(-lam * x))[None, None], d2_log_pdf
+        return (*first, (-x * x * tail)[None, None], d2_log_pdf)
 
 
 @dataclass(frozen=True)
@@ -166,32 +162,22 @@ class Weibull:
         return 0.0  # sub-exponential tail: no positive exponential moment
 
     @staticmethod
-    def d_cdf(x, params):
+    def derivatives(x, params, order=1):
         lam, theta = params[:, 0:1], params[:, 1:2]
         log_x = np.log(x)
         xt = np.exp(theta * log_x)
-        d_lam = xt * np.exp(-lam * xt)
-        return -np.expm1(-lam * xt), np.stack([d_lam, lam * log_x * d_lam])
-
-    @staticmethod
-    def d_log_pdf(x, params):
-        lam, theta = params[:, 0:1], params[:, 1:2]
-        log_x = np.log(x)
-        xt = np.exp(theta * log_x)
-        value = np.log(lam) + np.log(theta) + (theta - 1.0) * log_x - lam * xt
-        return value, np.stack([1.0 / lam - xt, 1.0 / theta + log_x * (1.0 - lam * xt)])
-
-    @staticmethod
-    def d2(x, params):
-        lam, theta = params[:, 0:1], params[:, 1:2]
-        log_x = np.log(x)
-        xt = np.exp(theta * log_x)
-        d_lam = xt * np.exp(-lam * xt)
-        cross = log_x * d_lam * (1.0 - lam * xt)
-        d2_cdf = np.array([[-xt * d_lam, cross], [cross, lam * log_x * cross]])
+        lam_xt, lam_log_x = lam * xt, lam * log_x
+        d_lam, one_less = xt * np.exp(-lam_xt), 1.0 - lam_xt
+        log_pdf = np.log(lam) + np.log(theta) + (theta - 1.0) * log_x - lam_xt
+        first = (-np.expm1(-lam_xt), np.stack([d_lam, lam_log_x * d_lam]),
+                 log_pdf, np.stack([1.0 / lam - xt, 1.0 / theta + log_x * one_less]))
+        if order == 1:
+            return first
+        cross = log_x * d_lam * one_less
+        d2_cdf = np.array([[-xt * d_lam, cross], [cross, lam_log_x * cross]])
         lam_lam, log_cross = np.broadcast_to(-1.0 / lam**2, xt.shape), -log_x * xt
-        theta_theta = -1.0 / theta**2 + lam * log_x * log_cross
-        return d2_cdf, np.array([[lam_lam, log_cross], [log_cross, theta_theta]])
+        theta_theta = -1.0 / theta**2 + lam_log_x * log_cross
+        return (*first, d2_cdf, np.array([[lam_lam, log_cross], [log_cross, theta_theta]]))
 
 
 @dataclass(frozen=True)

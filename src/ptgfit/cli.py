@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .data import embedded_dataset, load_observations
+from .data import EMBEDDED, embedded_dataset, load_observations
 from .distributions import ptg_sample
 from .expansions import (
     mean_deviation,
@@ -35,14 +35,11 @@ from .expansions import (
 )
 from .gof import evaluate_gof, ttt_points
 from .mle import MODELS, FitOptions, fit
-from .reproduce import run_reproduction
+from .reproduce import REFERENCE_CONSTANTS, run_reproduction
 
-_EMBEDDED_ALIASES = {
-    "embedded:i": "guinea_pigs_I",
-    "embedded:ii": "relief_times_II",
-    "embedded:guinea_pigs_i": "guinea_pigs_I",
-    "embedded:relief_times_ii": "relief_times_II",
-}
+# embedded:I or embedded:guinea_pigs_I (any case), and likewise for II
+_EMBEDDED_ALIASES = {f"embedded:{name.lower()}": ds_id
+                     for key, ds_id in EMBEDDED.items() for name in (key, ds_id)}
 
 
 def _fmt(x):
@@ -131,7 +128,7 @@ def _json_data(obj):
 
 def _csv_text(header, rows):
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
@@ -306,7 +303,7 @@ def _reproduce_text(report):
             f"reference {_fmt(g.reference):>10}  tol {_fmt(g.tol)}"
         )
     lines.append("\n-- published criterion values of unimplemented families (context)")
-    for ds, rows in report.reference_constants.items():
+    for ds, rows in REFERENCE_CONSTANTS.items():
         lines.append(f"  dataset {ds}: AIC BIC CAIC HQIC A W KS p")
         for m, v in rows.items():
             lines.append(f"    {m:<7} " + " ".join(f"{x:g}" for x in v))
@@ -329,7 +326,7 @@ def cmd_reproduce(args):
              "tol": g.tol, "passed": g.passed}
             for g in report.gates
         ],
-        "reference_constants": report.reference_constants,
+        "reference_constants": REFERENCE_CONSTANTS,
     }
     _emit(args, payload, table=_reproduce_text(report))
     return 0 if report.all_passed else 3

@@ -5,8 +5,8 @@ Two classic failure-time datasets ship with the package:
 * ``guinea_pigs_I``: survival times (days/100) of 72 guinea pigs infected
   with virulent tubercle bacilli, Bjerkedal (1960).  Several transcriptions
   of this series circulate; the one embedded here is gated at load time
-  against frozen reference statistics (n, min, max, mean, median) and the
-  loader fails loudly on any mismatch rather than fitting wrong data.
+  against its published n, min, max, mean and median (``PUBLISHED``) and
+  the loader fails loudly on any mismatch rather than fitting wrong data.
 * ``relief_times_II``: relief times (minutes) of 20 patients receiving an
   analgesic, Gross & Clark (1975).
 """
@@ -28,9 +28,13 @@ __all__ = [
     "describe",
     "check_sample",
     "DATASET_IDS",
+    "EMBEDDED",
+    "PUBLISHED",
 ]
 
-DATASET_IDS = ("guinea_pigs_I", "relief_times_II")
+# the embedded datasets by the names the published tables give them
+EMBEDDED = {"I": "guinea_pigs_I", "II": "relief_times_II"}
+DATASET_IDS = tuple(EMBEDDED.values())
 
 _GUINEA_PIGS = (
     0.1, 0.33, 0.44, 0.56, 0.59, 0.72, 0.74, 0.77, 0.92, 0.93, 0.96, 1.0,
@@ -46,15 +50,9 @@ _RELIEF_TIMES = (
     4.1, 1.8, 1.5, 1.2, 1.4, 3.0, 1.7, 2.3, 1.6, 2.0,
 )
 
-# load-time gate: n, min, max, mean, median of each embedded series
-_REFERENCE_GATE = {
-    "guinea_pigs_I": (72, 0.100, 7.000, 1.851, 1.560),
-    "relief_times_II": (20, 1.100, 4.100, 1.900, 1.700),
-}
-
-_SOURCES = {
-    "guinea_pigs_I": "Bjerkedal (1960), guinea pig survival times, days/100",
-    "relief_times_II": "Gross & Clark (1975), analgesic relief times, minutes",
+_SERIES = {
+    "guinea_pigs_I": (_GUINEA_PIGS, "Bjerkedal (1960), guinea pig survival times, days/100"),
+    "relief_times_II": (_RELIEF_TIMES, "Gross & Clark (1975), analgesic relief times, minutes"),
 }
 
 
@@ -76,7 +74,7 @@ class Dataset:
     source: str
 
     def __post_init__(self):
-        values = check_sample(self.values)
+        values = check_sample(self.values).copy()  # never freeze the caller's array
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -99,6 +97,16 @@ class DescriptiveStats:
     max: float
 
 
+# the published summary of each embedded series: its n, min, max, mean and
+# median gate the series at load time, and ``reproduce`` gates every field
+PUBLISHED = {
+    "guinea_pigs_I": DescriptiveStats(
+        72, 0.100, 1.851, 1.560, 1.200, 1.788, 4.157, 1.080, 2.303, 7.000),
+    "relief_times_II": DescriptiveStats(
+        20, 1.100, 1.900, 1.700, 0.704, 1.592, 2.346, 1.475, 2.050, 4.100),
+}
+
+
 @lru_cache(maxsize=None)
 def embedded_dataset(dataset_id):
     """Return one of the embedded reference datasets (cached, immutable).
@@ -106,27 +114,23 @@ def embedded_dataset(dataset_id):
     The returned object is the same instance on every call.  Each series is
     validated against its frozen reference summary before first use.
     """
-    if dataset_id == "guinea_pigs_I":
-        raw = _GUINEA_PIGS
-    elif dataset_id == "relief_times_II":
-        raw = _RELIEF_TIMES
-    else:
+    if dataset_id not in _SERIES:
         raise ValueError(f"unknown dataset id {dataset_id!r}; expected {DATASET_IDS}")
-    d = Dataset(dataset_id, np.array(raw), _SOURCES[dataset_id])
+    raw, source = _SERIES[dataset_id]
+    d = Dataset(dataset_id, np.array(raw), source)
 
-    n_ref, min_ref, max_ref, mean_ref, med_ref = _REFERENCE_GATE[dataset_id]
-    st = describe(d)
+    ref, st = PUBLISHED[dataset_id], describe(d)
     problems = []
-    if st.n != n_ref:
-        problems.append(f"n={st.n} != {n_ref}")
-    if abs(st.min - min_ref) > 1e-9:
-        problems.append(f"min={st.min} != {min_ref}")
-    if abs(st.max - max_ref) > 1e-9:
-        problems.append(f"max={st.max} != {max_ref}")
-    if abs(st.mean - mean_ref) > 0.001:
-        problems.append(f"mean={st.mean:.4f} not within 0.001 of {mean_ref}")
-    if abs(st.median - med_ref) > 0.001:
-        problems.append(f"median={st.median:.4f} not within 0.001 of {med_ref}")
+    if st.n != ref.n:
+        problems.append(f"n={st.n} != {ref.n}")
+    if abs(st.min - ref.min) > 1e-9:
+        problems.append(f"min={st.min} != {ref.min}")
+    if abs(st.max - ref.max) > 1e-9:
+        problems.append(f"max={st.max} != {ref.max}")
+    if abs(st.mean - ref.mean) > 0.001:
+        problems.append(f"mean={st.mean:.4f} not within 0.001 of {ref.mean}")
+    if abs(st.median - ref.median) > 0.001:
+        problems.append(f"median={st.median:.4f} not within 0.001 of {ref.median}")
     if problems:
         raise RuntimeError(
             f"embedded dataset {dataset_id!r} failed its reference gate: "

@@ -243,7 +243,9 @@ def _c2(beta):
 def ptg_loglik_derivatives(data, family, theta, order=1):
     """Log-likelihoods (S,) and scores (S, k) of ``data`` at the parameter
     rows ``theta`` (S, k) = (alpha, beta, baseline ``family`` parameters),
-    and at ``order`` 2 the Hessians (S, k, k).  Rows with |beta| below
+    and at ``order`` 2 the Hessians (S, k, k).  G, log g and their
+    derivatives in the baseline parameters come from one call,
+    ``family.derivatives(x, phi, order)``.  Rows with |beta| below
     ``DEFAULT_BETA_FLOOR`` or a nonpositive fac = 1 + alpha - 2 alpha G get
     ``-inf``.  With baseline parameters phi, psi: l_aa = -sum (1-2G)^2/fac^2,
     l_ab = -sum G(1-G), l_bb = n c''(beta), l_a,phi = sum G_phi (-2/fac^2 -
@@ -255,8 +257,7 @@ def ptg_loglik_derivatives(data, family, theta, order=1):
     with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
         alpha, beta, phi = theta[:, 0:1], theta[:, 1], theta[:, 2:]
         beta_col = beta[:, None]
-        cdf, d_cdf = family.d_cdf(x, phi)
-        log_g, d_log_g = family.d_log_pdf(x, phi)
+        cdf, d_cdf, log_g, d_log_g, *second = family.derivatives(x, phi, order)
         body, fac, t = _log_body(alpha, beta_col, cdf, log_g)
         bad = (np.abs(beta) < DEFAULT_BETA_FLOOR) | np.any(fac <= 0.0, axis=1)
         ll = np.where(bad, -np.inf, n * _log_c(beta) + np.sum(body, axis=1))
@@ -268,7 +269,7 @@ def ptg_loglik_derivatives(data, family, theta, order=1):
         score[:, 2:] = np.sum(d_log_g - weight * d_cdf, axis=2).T
         if order == 1:
             return ll, score
-        d2_cdf, d2_log_g = family.d2(x, phi)
+        d2_cdf, d2_log_g = second
         hess = np.empty(theta.shape + theta.shape[1:])
         hess[:, 0, 0] = -np.sum(slope**2, axis=1)
         hess[:, 0, 1] = hess[:, 1, 0] = -np.sum(spread, axis=1)

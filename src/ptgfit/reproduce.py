@@ -21,10 +21,10 @@ exit status is the honest outcome.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .competitors import fit_competitor  # noqa: F401  (rebound by perfbench/tracing.py)
-from .data import describe, embedded_dataset
+from .data import EMBEDDED, PUBLISHED, describe, embedded_dataset
 from .distributions import ptg_cdf  # noqa: F401  (rebound by perfbench/tracing.py)
 from .gof import evaluate_gof
 from .mle import FitOptions, fit
@@ -55,13 +55,8 @@ REFERENCE_CONSTANTS = {
     },
 }
 
-_DESCRIPTIVE_REFERENCE = {
-    # n, min, mean, median, sd, skewness, kurtosis, q1, q3, max / tolerance
-    "I": ((72, 0.100, 1.851, 1.560, 1.200, 1.788, 4.157, 1.080, 2.303, 7.000), 0.001),
-    "II": ((20, 1.100, 1.900, 1.700, 0.704, 1.592, 2.346, 1.475, 2.050, 4.100), 0.0005),
-}
-
-_STAT_FIELDS = ("n", "min", "mean", "median", "sd", "skewness", "kurtosis", "q1", "q3", "max")
+# tolerance of each dataset's descriptive gates against ``data.PUBLISHED``
+_DESCRIPTIVE_TOL = {"I": 0.001, "II": 0.0005}
 
 # the published tables truncate rather than round the moment ratios, so
 # skewness/kurtosis carry the looser formula-variant tolerance
@@ -102,9 +97,6 @@ _FIT_REFERENCE = {
     ],
 }
 
-_DATASET_IDS = {"I": "guinea_pigs_I", "II": "relief_times_II"}
-
-
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One reproduction check: a computed value against its reference."""
@@ -127,10 +119,7 @@ class Gate:
 @dataclass
 class ReproductionReport:
     gates: list = field(default_factory=list)
-    descriptives: dict = field(default_factory=dict)
     fit_rows: dict = field(default_factory=dict)
-    gof_rows: dict = field(default_factory=dict)
-    reference_constants: dict = field(default_factory=lambda: REFERENCE_CONSTANTS)
     elapsed_seconds: float = 0.0
 
     @property
@@ -164,20 +153,18 @@ def run_reproduction(seed=0, n_starts=20):
     t0 = time.perf_counter()
     report = ReproductionReport()
 
-    for ds_key, ds_id in _DATASET_IDS.items():
+    for ds_key, ds_id in EMBEDDED.items():
         data = embedded_dataset(ds_id)
-        st = describe(data)
-        report.descriptives[ds_key] = st
-        refs, tol = _DESCRIPTIVE_REFERENCE[ds_key]
-        for name, ref in zip(_STAT_FIELDS, refs):
-            value = getattr(st, name)
+        st, published, tol = describe(data), PUBLISHED[ds_id], _DESCRIPTIVE_TOL[ds_key]
+        for name in (f.name for f in fields(st)):
             if name == "n":
                 this_tol = 0
             elif name in ("skewness", "kurtosis"):
                 this_tol = max(tol, _MOMENT_RATIO_TOL) if ds_key == "II" else tol
             else:
                 this_tol = tol
-            _abs_gate(report.gates, "descriptives", ds_key, "", name, value, ref, this_tol)
+            _abs_gate(report.gates, "descriptives", ds_key, "", name, getattr(st, name),
+                      getattr(published, name), this_tol)
 
         opts = FitOptions(seed=seed, n_starts=n_starts)
         fits = {tag: fit(data.values, tag, opts) for tag, key in _FIT_REFERENCE if key == ds_key}
@@ -185,7 +172,6 @@ def run_reproduction(seed=0, n_starts=20):
         for tag, res in fits.items():
             gof = evaluate_gof(data.values, res.estimates.cdf, res.k, res.loglik)
             report.fit_rows[(tag, ds_key)] = res
-            report.gof_rows[(tag, ds_key)] = gof
             aic_by_model[tag] = gof.aic
             available = dict(zip(res.param_names, res.estimates.values))
             available.update({f"se_{n}": s for n, s in zip(res.param_names, res.std_errors)})

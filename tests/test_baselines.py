@@ -76,13 +76,17 @@ def test_mgf_boundaries():
     (Weibull, [(0.3, 0.5), (1.0, 1.0), (4.0, 2.5)]),
 ])
 def test_batched_derivatives(cls, rows):
-    # d_cdf / d_log_pdf: values equal the scalar methods row by row, and each
-    # parameter derivative matches a central difference of that method; d2's
-    # second derivatives match central differences of the batched first ones
+    # derivatives: the values equal the scalar methods row by row, and each
+    # parameter derivative matches a central difference of that method; order
+    # 2 repeats order 1 bit for bit, and its second derivatives match central
+    # differences of the first
     x = np.linspace(0.05, 3.0, 17)
     params = np.array(rows, dtype=float)
-    for batched, method in ((cls.d_cdf, "cdf"), (cls.d_log_pdf, "log_pdf")):
-        value, deriv = batched(x, params)
+    cdf, d_cdf, log_pdf, d_log_pdf, d2_cdf, d2_log_pdf = cls.derivatives(x, params, 2)
+    first = cls.derivatives(x, params)
+    assert len(first) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(first, (cdf, d_cdf, log_pdf, d_log_pdf)))
+    for value, deriv, method in ((cdf, d_cdf, "cdf"), (log_pdf, d_log_pdf, "log_pdf")):
         assert value.shape == (len(rows), x.size)
         assert deriv.shape == (len(cls.names), len(rows), x.size)
         for s, row in enumerate(rows):
@@ -95,14 +99,14 @@ def test_batched_derivatives(cls, rows):
                 numeric = (getattr(cls(*up), method)(x) - getattr(cls(*down), method)(x)) / (2 * h)
                 assert np.allclose(deriv[j, s], numeric, rtol=1e-6, atol=1e-8)
     q = len(cls.names)
-    for batched, second in zip((cls.d_cdf, cls.d_log_pdf), cls.d2(x, params)):
+    for k, second in ((1, d2_cdf), (3, d2_log_pdf)):
         assert second.shape == (q, q, len(rows), x.size)
         for j in range(q):
             h = 1e-6 * params[:, j:j + 1]
             up, down = params.copy(), params.copy()
             up[:, j:j + 1] += h
             down[:, j:j + 1] -= h
-            numeric = (batched(x, up)[1] - batched(x, down)[1]) / (2 * h)
+            numeric = (cls.derivatives(x, up)[k] - cls.derivatives(x, down)[k]) / (2 * h)
             assert np.allclose(second[:, j], numeric, rtol=1e-6, atol=1e-8)
 
 
@@ -129,8 +133,9 @@ def test_weibull_scalar_forms_are_the_batched_forms(data_I):
 
     lam, theta = fit(data_I, "ptw").estimates.baseline.values
     w, params = Weibull(lam, theta), np.array([[lam, theta]])
-    assert np.array_equal(w.cdf(data_I), Weibull.d_cdf(data_I, params)[0][0])
-    assert np.array_equal(w.log_pdf(data_I), Weibull.d_log_pdf(data_I, params)[0][0])
+    cdf, _, log_pdf, _ = Weibull.derivatives(data_I, params)
+    assert np.array_equal(w.cdf(data_I), cdf[0])
+    assert np.array_equal(w.log_pdf(data_I), log_pdf[0])
     assert np.array_equal(w.pdf(data_I), np.exp(w.log_pdf(data_I)))
 
 

@@ -418,8 +418,7 @@ class TestDefaultFormat:
 
 
 # Byte-exact output of cases whose six significant digits are stable.  Each
-# text is the whole of stdout, except that CSV rows end in "\r\n" (the csv
-# module's default line terminator), which the test restores.
+# text is the whole of stdout; every format, CSV too, ends its lines in "\n".
 PINNED = {
     "fit --model exp --data embedded:I --format json": """\
 {
@@ -608,8 +607,5 @@ x,pdf,cdf,hrf
 @pytest.mark.parametrize("argv", list(PINNED))
 def test_output_is_pinned(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
-    expected = PINNED[argv]
-    if argv.endswith("--format csv"):
-        expected = expected.replace("\n", "\r\n")
     assert (code, err) == (0, "")
-    assert out == expected
+    assert out == PINNED[argv]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ptgfit import data
 from ptgfit.data import Dataset, check_sample, describe, embedded_dataset, load_observations
 
 RELIEF_REFERENCE = {
@@ -52,6 +53,18 @@ class TestEmbeddedDatasets:
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown dataset id"):
             embedded_dataset("user")
+
+    def test_load_time_gate_names_the_failing_field(self, monkeypatch):
+        # the first value 0.1 corrupted to 0.2 moves the minimum
+        values, source = data._SERIES["guinea_pigs_I"]
+        monkeypatch.setitem(data._SERIES, "guinea_pigs_I", ((0.2,) + values[1:], source))
+        embedded_dataset.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="'guinea_pigs_I' failed its reference "
+                                                   "gate: min=0.2 != 0.1"):
+                embedded_dataset("guinea_pigs_I")
+        finally:
+            embedded_dataset.cache_clear()
 
 
 class TestDescribe:
@@ -157,6 +170,14 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             d.values[0] = 5.0
         assert d.n == 2
+
+    def test_leaves_the_callers_array_alone(self):
+        # the values were the caller's own array, frozen in place
+        a = np.array([1.0, 2.0])
+        d = Dataset("user", a, "nowhere")
+        assert d.values is not a and a.flags.writeable
+        a[0] = 5.0
+        assert d.values[0] == 1.0 and not d.values.flags.writeable
 
 
 @pytest.mark.parametrize(

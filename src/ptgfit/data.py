@@ -186,8 +186,9 @@ def describe(d):
     datasets to printed precision.
 
     Constant data yields sd 0 with skewness and kurtosis flagged as NaN.
+    Raw values pass :func:`check_sample` first.
     """
-    x = np.asarray(getattr(d, "values", d), dtype=float)
+    x = check_sample(getattr(d, "values", d))
     if x.size < 2:
         raise ValueError("need at least two observations")
     mean = float(x.mean())

@@ -298,20 +298,22 @@ def ptg_hrf(x, p):
     return _ret(p.beta * f_tg / (-np.expm1(-p.beta * (1.0 - t))), scalar)
 
 
-def ptg_quantile(u, p):
-    """Inverse of :func:`ptg_cdf` on (0, 1), in closed form.
+def _poisson_invert(w, beta):
+    """T = -log1p(w * expm1(-beta)) / beta, the Poisson layer's inverse at
+    the probability ``w``.  At beta <= -700, where expm1(-beta) nears
+    overflow, the same T is taken as ``1 + log(w + (1-w) * exp(beta)) /
+    -beta``, exp(-beta) divided out."""
+    if beta > -700.0:
+        return -np.log1p(w * np.expm1(-beta)) / beta
+    return 1.0 + np.log(w + (1.0 - w) * np.exp(beta)) / -beta
 
-    First unwinds the Poisson layer, t = -log1p(u * expm1(-beta)) / beta,
-    then the transmuted layer via the conjugate quadratic root.  Below
-    beta = -700, where expm1(-beta) approaches overflow, the same t is taken
-    as ``1 + log(u + (1-u) * exp(beta)) / -beta``, exp(-beta) divided out.
-    """
+
+def ptg_quantile(u, p):
+    """Inverse of :func:`ptg_cdf` on (0, 1), in closed form: the Poisson
+    layer unwound by :func:`_poisson_invert`, then the transmuted layer via
+    the conjugate quadratic root."""
     u, scalar = _validated_u(u)
-    if p.beta > -700.0:
-        t = -np.log1p(u * np.expm1(-p.beta)) / p.beta
-    else:
-        b = -p.beta
-        t = 1.0 + np.log(u + (1.0 - u) * np.exp(-b)) / b
+    t = _poisson_invert(u, p.beta)
     return _ret(p.baseline.quantile(_tg_invert(t, p.alpha)), scalar)
 
 
@@ -319,16 +321,11 @@ def _ptg_upper_quantile(v, p):
     """The quantile at u = 1 - v from the upper-tail probability ``v`` (an
     array in (0, 1/2]), accurate where 1 - v rounds to 1.
 
-    1 - T = log1p(v * expm1(beta)) / beta, and x follows from 1 - T by
-    :func:`_tg_upper_quantile`.  Past beta = 700, where expm1(beta) nears
-    overflow, the same 1 - T is taken as
-    ``1 + log(v + (1-v) * exp(-beta)) / beta``, exp(beta) divided out.
+    1 - F is the Poisson layer at -beta in 1 - T, so 1 - T is
+    :func:`_poisson_invert` at -beta, and x follows from 1 - T by
+    :func:`_tg_upper_quantile`.
     """
-    if p.beta <= 700.0:
-        t_bar = np.log1p(v * np.expm1(p.beta)) / p.beta
-    else:
-        t_bar = 1.0 + np.log(v + (1.0 - v) * np.exp(-p.beta)) / p.beta
-    return _tg_upper_quantile(t_bar, p.alpha, p.baseline)
+    return _tg_upper_quantile(_poisson_invert(v, -p.beta), p.alpha, p.baseline)
 
 
 def ptg_sample(n, model, seed):

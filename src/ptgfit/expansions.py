@@ -1,13 +1,4 @@
-"""Series expansions and derived quantities of the Poisson transmuted-G family.
-
-The compounded density and cdf admit expansions in powers of the transmuted
-cdf T:
-
-* density:  ``f = f_tg(x) * sum_i delta_i * T^i`` with
-  ``delta_i = (-1)^i beta^(i+1) / ((1 - exp(-beta)) * i!)``;
-* cdf:      ``F = sum_{j>=1} xi_j * T^j`` with
-  ``xi_j = (-1)^(j+1) beta^j / ((1 - exp(-beta)) * j!)`` and ``xi_0 = 0``
-  (the Taylor expansion of the compounding has no constant term).
+"""Derived quantities of the Poisson transmuted-G family.
 
 Moments, the mgf, probability weighted moments, order statistics,
 stress-strength reliability, residual life, Renyi entropy and mean
@@ -18,19 +9,17 @@ stress-strength reliability and residual life are integrated in
 probability space, E[h(X)] = int_a^b h(Q(u)) du, by the tanh-sinh map, with
 Q the closed-form quantile below u = 1/2 and its upper-tail form, taken
 from v = 1 - u, above; the mgf and the Renyi entropy are integrated over
-x by the exp-sinh map, with log-space integrands.  The series forms
-(``series_pdf``, ``series_cdf`` and ``order_stat_pdf`` in series mode) are
-the paper's expansions, kept as cross-checks of the closed forms.
+x by the exp-sinh map, with log-space integrands.  The order-statistic
+density is the direct form C * f * F^(r-1) * (1-F)^(n-r).  The paper's
+series expansions live in :mod:`series`, as cross-checks of these forms.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .baselines import Weibull
 from .distributions import (
@@ -40,23 +29,11 @@ from .distributions import (
     ptg_log_pdf,
     ptg_pdf,
     ptg_quantile,
-    tg_cdf,
-    tg_pdf,
     tg_quantile,
 )
 
 __all__ = [
-    "TruncationWarning",
     "QuadratureWarning",
-    "SeriesCoeffs",
-    "PowerSeries",
-    "delta_coeffs",
-    "xi_coeffs",
-    "default_truncation",
-    "series_tail_bound",
-    "series_pdf",
-    "series_cdf",
-    "raise_series",
     "quad",
     "raw_moment",
     "mgf",
@@ -68,164 +45,6 @@ __all__ = [
     "renyi_entropy",
     "mean_deviation",
 ]
-
-HARD_CAP = 200
-
-
-class TruncationWarning(UserWarning):
-    """A requested series truncation leaves a non-negligible tail."""
-
-
-# ---------------------------------------------------------------------------
-# coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeriesCoeffs:
-    """Coefficient vector of one of the family expansions.
-
-    ``kind`` is ``"delta"`` (density) or ``"xi"`` (cdf).  ``values[i]`` is
-    the coefficient of T^i; ``truncation_n`` is the largest retained index.
-    """
-
-    kind: str
-    beta: float
-    values: np.ndarray
-    truncation_n: int
-
-
-def _check_beta(beta):
-    if not np.isfinite(beta) or beta == 0.0:
-        raise ValueError("beta must be a nonzero real")
-
-
-def delta_coeffs(beta, n_max):
-    """Density-expansion coefficients delta_0 .. delta_{n_max}.
-
-    Built iteratively from delta_0 = beta / (1 - exp(-beta)) with ratio
-    -beta / i, which avoids forming beta^i and i! separately.
-    """
-    _check_beta(beta)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    vals = np.empty(n_max + 1)
-    vals[0] = beta / (-np.expm1(-beta))
-    for i in range(1, n_max + 1):
-        vals[i] = vals[i - 1] * (-beta) / i
-    return SeriesCoeffs("delta", float(beta), vals, n_max)
-
-
-def xi_coeffs(beta, n_max):
-    """Cdf-expansion coefficients xi_0 .. xi_{n_max}, with xi_0 forced to 0."""
-    _check_beta(beta)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    vals = np.zeros(n_max + 1)
-    if n_max >= 1:
-        vals[1] = beta / (-np.expm1(-beta))
-        for j in range(2, n_max + 1):
-            vals[j] = vals[j - 1] * (-beta) / j
-    return SeriesCoeffs("xi", float(beta), vals, n_max)
-
-
-def series_tail_bound(beta, n_max):
-    """Analytic bound |beta|^(n_max+1) / ((n_max+1)! |1 - exp(-beta)|) on the next term."""
-    _check_beta(beta)
-    log_b = (n_max + 1) * math.log(abs(beta)) - math.lgamma(n_max + 2)
-    return math.exp(log_b - math.log(abs(math.expm1(-beta))))
-
-
-def default_truncation(beta):
-    """Adaptive truncation order: stop once the next-term bound is negligible.
-
-    The term bounds |beta|^(i+1)/(i+1)! grow until i ~ |beta| before the
-    factorial wins, so the stop rule only engages past that peak.
-    """
-    _check_beta(beta)
-    scale = abs(math.expm1(-beta))
-    term = abs(beta)  # |beta|^(i+1) / (i+1)! at i = 0
-    for i in range(HARD_CAP + 1):
-        if i + 1 > abs(beta) and term < 1e-14 * scale:
-            return i
-        term *= abs(beta) / (i + 2)
-    return HARD_CAP
-
-
-def _resolve_n_max(beta, n_max):
-    if n_max is None:
-        return default_truncation(beta)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if series_tail_bound(beta, n_max) > 1e-8:
-        warnings.warn(
-            f"series truncated at n_max={n_max} with tail bound "
-            f"{series_tail_bound(beta, n_max):.3g} > 1e-8",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    return n_max
-
-
-def series_pdf(x, p, n_max=None):
-    """Density via the truncated expansion in powers of the transmuted cdf."""
-    n = _resolve_n_max(p.beta, n_max)
-    t = tg_cdf(x, p.alpha, p.baseline)
-    return tg_pdf(x, p.alpha, p.baseline) * npoly.polyval(
-        t, delta_coeffs(p.beta, n).values
-    )
-
-
-def series_cdf(x, p, n_max=None):
-    """Cdf via the truncated expansion; exact 0 at T = 0 since xi_0 = 0."""
-    n = _resolve_n_max(p.beta, n_max)
-    t = tg_cdf(x, p.alpha, p.baseline)
-    return npoly.polyval(t, xi_coeffs(p.beta, n).values)
-
-
-# ---------------------------------------------------------------------------
-# formal power series raised to integer powers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PowerSeries:
-    """Formal power series with cached integer powers of itself."""
-
-    coeffs: np.ndarray
-    _raised: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-
-    def raised(self, n):
-        if n not in self._raised:
-            self._raised[n] = _raise_coeffs(self.coeffs, n)
-        return self._raised[n]
-
-
-def _raise_coeffs(a, n):
-    """Coefficients of (sum_i a_i u^i)^n, truncated to len(a) terms.
-
-    Repeated convolution, cut to len(a) after every product.  No step
-    divides by a_0: the classical recurrence does, and its rounding grows
-    like (max|a| / |a_0|)^i.
-    """
-    a = np.asarray(a, dtype=float)
-    if a[0] == 0.0:
-        raise ValueError("power raising requires a nonzero leading coefficient")
-    if n < 1:
-        raise ValueError("power must be a positive integer")
-    c = a.copy()
-    for _ in range(n - 1):
-        c = np.convolve(c, a)[: len(a)]
-    return c
-
-
-def raise_series(series, n):
-    """Raise a :class:`PowerSeries` to the positive integer power ``n``."""
-    return PowerSeries(series.raised(n))
-
 
 # ---------------------------------------------------------------------------
 # quadrature backbone: one double-exponential rule
@@ -377,8 +196,8 @@ def mgf(s, p):
     if s == 0.0:
         return 1.0
     sup = p.baseline.mgf_sup()
-    if s >= sup:
-        raise ValueError(f"mgf diverges for s >= {sup} with this baseline")
+    if not -np.inf < s < sup:  # also refuses NaN
+        raise ValueError(f"mgf needs a finite s < {sup} with this baseline, got {s!r}")
     return _over_x(lambda x: s * x + ptg_log_pdf(x, p), p)
 
 
@@ -388,50 +207,20 @@ def mgf(s, p):
 
 
 def _order_const(r, n):
+    """n! / ((r-1)! (n-r)!), the constant of the r-th of n order statistics."""
+    if int(r) != r or int(n) != n or not 1 <= r <= n:
+        raise ValueError("need integers 1 <= r <= n")
     return math.exp(math.lgamma(n + 1) - math.lgamma(r) - math.lgamma(n - r + 1))
 
 
-def order_stat_pdf(x, r, n, p, mode="direct", n_max=None):
-    """Density of the r-th order statistic in a sample of size n.
-
-    ``direct`` evaluates C * f * F^(r-1) * (1-F)^(n-r); ``series`` evaluates
-    the expansion whose coefficients come from the delta/xi vectors and
-    truncated power raising.  The two agree to the series truncation error.
-    """
-    if int(r) != r or int(n) != n or not 1 <= r <= n:
-        raise ValueError("need integers 1 <= r <= n")
-    r, n = int(r), int(n)
+def order_stat_pdf(x, r, n, p):
+    """Density C * f * F^(r-1) * (1-F)^(n-r) of the r-th order statistic in a
+    sample of size n."""
     c = _order_const(r, n)
-    if mode == "direct":
-        f = ptg_pdf(x, p)
-        big_f = ptg_cdf(x, p)
-        return c * f * big_f ** (r - 1) * (1.0 - big_f) ** (n - r)
-    if mode != "series":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    # the composite expansion of f * F^(m+r-1) grows like exp(n*|beta|*T),
-    # so the adaptive truncation is taken at the inflated rate
-    n_trunc = default_truncation(n * p.beta) if n_max is None else _resolve_n_max(p.beta, n_max)
-    dvals = delta_coeffs(p.beta, n_trunc).values
-    xvals = xi_coeffs(p.beta, n_trunc).values
-    shifted = PowerSeries(xvals[1:]) if n_trunc >= 1 else None
-
-    # D[j] = sum_m (-1)^m C(n-r, m) * [coeff of T^j in (sum_j xi_j T^j)^(m+r-1)]
-    big_d = np.zeros(n_trunc + 1)
-    for m in range(0, n - r + 1):
-        k = m + r - 1
-        w = (-1.0) ** m * math.comb(n - r, m)
-        if k == 0:
-            big_d[0] += w
-        else:
-            # xi_0 = 0, so the k-th power carries a T^k prefactor and the
-            # shifted series (leading coefficient xi_1) is raised instead
-            ck = shifted.raised(k)
-            big_d[k : n_trunc + 1] += w * ck[: n_trunc + 1 - k]
-    pow_coeffs = c * np.convolve(dvals, big_d)[: n_trunc + 1]
-
-    t = tg_cdf(x, p.alpha, p.baseline)
-    return tg_pdf(x, p.alpha, p.baseline) * npoly.polyval(t, pow_coeffs)
+    r, n = int(r), int(n)
+    f = ptg_pdf(x, p)
+    big_f = ptg_cdf(x, p)
+    return c * f * big_f ** (r - 1) * (1.0 - big_f) ** (n - r)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +245,8 @@ def residual_moment(n, t, p):
     """n-th moment of the residual life at age t, E[(X-t)^n | X > t]."""
     if int(n) != n or n < 1:
         raise ValueError("moment order must be a positive integer")
-    if t < 0:
-        raise ValueError("age t must be nonnegative")
+    if not 0.0 <= t < np.inf:  # also refuses NaN
+        raise ValueError(f"age t must be nonnegative and finite, got {t!r}")
     big_f = ptg_cdf(t, p) if t > 0 else 0.0
     if big_f >= 1.0 - 1e-15:
         raise ValueError("residual life undefined where the cdf has reached 1")
@@ -469,8 +258,8 @@ def reversed_residual_moment(n, t, p):
     """n-th moment of the reversed residual life, E[(t-X)^n | X <= t]."""
     if int(n) != n or n < 1:
         raise ValueError("moment order must be a positive integer")
-    if t <= 0:
-        raise ValueError("age t must be positive")
+    if not 0.0 < t < np.inf:  # also refuses NaN
+        raise ValueError(f"age t must be positive and finite, got {t!r}")
     big_f = ptg_cdf(t, p)
     if big_f <= 1e-300:
         raise ValueError("reversed residual life undefined where the cdf is 0")
@@ -481,8 +270,8 @@ def reversed_residual_moment(n, t, p):
 def renyi_entropy(delta, p):
     """Renyi entropy (1-delta)^(-1) * log integral f^delta, integrated over x
     on [0, inf) in log space."""
-    if delta <= 0 or delta == 1.0:
-        raise ValueError("delta must be positive and != 1")
+    if not 0.0 < delta < np.inf or delta == 1.0:  # also refuses NaN
+        raise ValueError(f"delta must be positive, finite and != 1, got {delta!r}")
     base = p.baseline
     if isinstance(base, Weibull) and delta * (base.theta - 1.0) <= -1.0:
         raise ValueError("Renyi integral diverges at 0 for this shape/delta")

@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import check_sample
+
 __all__ = [
     "InformationCriteria",
     "GofReport",
@@ -123,8 +125,9 @@ def ttt_points(data):
     Returns the n pairs (i/n, T_i) with
     T_i = [sum_{j<=i} x_(j) + (n-i) x_(i)] / sum_j x_(j); T_n = 1 exactly.
     A concave curve indicates increasing hazard, the diagonal constant hazard.
+    The data pass :func:`data.check_sample` first.
     """
-    x = np.sort(np.asarray(data, dtype=float))
+    x = np.sort(check_sample(data))
     n = x.size
     if n < 2:
         raise ValueError("need at least two observations")

@@ -27,20 +27,22 @@ from ptgfit.distributions import (
     ptg_sample,
 )
 from ptgfit.expansions import (
-    PowerSeries,
-    delta_coeffs,
-    raise_series,
+    order_stat_pdf,
     renyi_entropy,
     residual_moment,
-    series_cdf,
-    series_pdf,
-    series_tail_bound,
     stress_strength,
     raw_moment,
-    xi_coeffs,
 )
 from ptgfit.gof import evaluate_gof
 from ptgfit.mle import log_likelihood
+from ptgfit.series import (
+    delta_coeffs,
+    series_cdf,
+    series_order_stat_pdf,
+    series_pdf,
+    series_tail_bound,
+    xi_coeffs,
+)
 
 
 def _report(name, checks):
@@ -269,7 +271,7 @@ def test_criterion_7_distribution_validity_grid():
 
 
 # ---------------------------------------------------------------------------
-# 8-9. series machinery
+# 8-9. series cross-checks
 # ---------------------------------------------------------------------------
 
 
@@ -296,8 +298,8 @@ def test_criterion_8_series_equivalence():
                          f"pdf {pdf_err}, cdf {cdf_err}, tail {tail}")
                     )
     for beta in (-10.0, -6.6, -0.5, 0.5, 6.6, 10.0):
-        d = delta_coeffs(beta, 200).values
-        x = xi_coeffs(beta, 200).values
+        d = delta_coeffs(beta, 200)
+        x = xi_coeffs(beta, 200)
         s1 = math.fsum(d[i] / (i + 1) for i in range(d.size))
         s2 = math.fsum(x)
         checks.append(_within(s1, 1.0, 1e-12, f"sum delta b={beta}"))
@@ -305,36 +307,19 @@ def test_criterion_8_series_equivalence():
     _report("criterion 8: series forms match the closed forms", checks)
 
 
-def test_criterion_9_power_raising_and_order_statistics():
-    rng = np.random.default_rng(2718)
+def test_criterion_9_order_statistic_series():
     checks = []
-    for trial in range(25):
-        length = int(rng.integers(2, 13))
-        n = int(rng.integers(1, 7))
-        a = rng.uniform(-2, 2, size=length)
-        a[0] = a[0] if abs(a[0]) > 0.1 else 1.0
-        ref = np.array([1.0])
-        for _ in range(n):
-            ref = np.convolve(ref, a)
-        ref = ref[:length]
-        got = raise_series(PowerSeries(a), n).coeffs
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        rel = float(np.max(np.abs(got - ref))) / scale
-        if rel > 1e-12:
-            checks.append((f"trial {trial}", False, f"rel {rel}"))
-    from ptgfit.expansions import order_stat_pdf
-
     p = pte_params(0.5, 1.0, 1.0)
     xs = np.linspace(0.1, 4.0, 25)
     gap = float(
         np.max(
             np.abs(
-                order_stat_pdf(xs, 2, 4, p, "series") - order_stat_pdf(xs, 2, 4, p, "direct")
+                series_order_stat_pdf(xs, 2, 4, p) - order_stat_pdf(xs, 2, 4, p)
             )
         )
     )
     checks.append(("order stats series vs direct", gap <= 1e-6, f"gap {gap}"))
-    _report("criterion 9: power raising and order-statistic series", checks)
+    _report("criterion 9: order-statistic series", checks)
 
 
 # ---------------------------------------------------------------------------

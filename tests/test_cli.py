@@ -259,6 +259,15 @@ class TestPropsCommand:
             ["P(X2", "<=", "X1)", "0.720309"]
         ]
 
+    @pytest.mark.parametrize("option", ["--tlist", "--delta"])
+    def test_nan_argument_is_an_error(self, capsys, option):
+        # a NaN age or order once printed null and exited 0
+        code, out, err = run_cli(
+            capsys, "props", "--model", "pte", "--params", "0.5,2,1", option, "nan"
+        )
+        assert code == 1 and out == ""
+        assert "got nan" in err
+
     def test_rejected_for_competitors(self, capsys):
         code, _, err = run_cli(capsys, "props", "--model", "exp", "--params", "1.0")
         assert code == 1 and "PT models" in err

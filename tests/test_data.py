@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,12 @@ class TestDescribe:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             describe(np.array([1.0]))
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [1.0, -3.0, 2.0], [0.0, 1.0]])
+    def test_invalid_data_rejected(self, values):
+        # NaN gave an all-NaN summary
+        with pytest.raises(ValueError):
+            describe(values)
 
     def test_quartile_order_invariant(self):
         rng = np.random.default_rng(0)

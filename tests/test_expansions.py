@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -18,23 +17,24 @@ from ptgfit.distributions import (
     tg_pdf,
 )
 from ptgfit.expansions import (
-    PowerSeries,
-    TruncationWarning,
-    default_truncation,
-    delta_coeffs,
     mean_deviation,
     mgf,
     order_stat_pdf,
     pwm,
-    raise_series,
     raw_moment,
     renyi_entropy,
     residual_moment,
     reversed_residual_moment,
+    stress_strength,
+)
+from ptgfit.series import (
+    TruncationWarning,
+    default_truncation,
+    delta_coeffs,
     series_cdf,
+    series_order_stat_pdf,
     series_pdf,
     series_tail_bound,
-    stress_strength,
     xi_coeffs,
 )
 
@@ -65,34 +65,34 @@ SERIES_GRID = [
 class TestCoefficients:
     def test_delta_leading_value(self):
         c = delta_coeffs(1.0, 5)
-        assert c.values[0] == pytest.approx(1.0 / -math.expm1(-1.0), rel=1e-14)
-        assert c.values[0] == pytest.approx(1.5820, abs=1e-4)
+        assert c[0] == pytest.approx(1.0 / -math.expm1(-1.0), rel=1e-14)
+        assert c[0] == pytest.approx(1.5820, abs=1e-4)
 
     def test_delta_matches_factorial_formula(self):
         beta = -2.5
-        c = delta_coeffs(beta, 12).values
+        c = delta_coeffs(beta, 12)
         for i in (0, 1, 5, 12):
             ref = (-1.0) ** i * beta ** (i + 1) / (-math.expm1(-beta) * math.factorial(i))
             assert c[i] == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [-10.0, -6.587, -0.5, 0.3, 2.0, 6.6, 10.0])
     def test_delta_normalization_identity(self, beta):
-        c = delta_coeffs(beta, 200).values
+        c = delta_coeffs(beta, 200)
         total = math.fsum(c[i] / (i + 1) for i in range(len(c)))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [-10.0, -6.587, -0.5, 0.3, 2.0, 6.6, 10.0])
     def test_xi_normalization_identity(self, beta):
-        c = xi_coeffs(beta, 200).values
+        c = xi_coeffs(beta, 200)
         assert math.fsum(c) == pytest.approx(1.0, abs=1e-12)
 
     def test_xi_zeroth_forced_to_zero(self):
         c = xi_coeffs(1.0, 8)
-        assert c.values[0] == 0.0
-        assert c.values[1] == pytest.approx(1.0 / -math.expm1(-1.0), rel=1e-14)
+        assert c[0] == 0.0
+        assert c[1] == pytest.approx(1.0 / -math.expm1(-1.0), rel=1e-14)
 
     def test_terms_eventually_decay(self):
-        c = delta_coeffs(6.6, 60).values
+        c = delta_coeffs(6.6, 60)
         ratios = np.abs(c[41:] / c[40:-1])
         assert np.all(ratios < 0.2)  # |beta|/(i+1) at i >= 40
 
@@ -168,54 +168,6 @@ class TestSeriesEvaluation:
         p = pte_params(0.9, -101.0, 1.6)
         xs = np.linspace(0.5, 3.0, 7)
         assert np.max(np.abs(series_pdf(xs, p) - ptg_pdf(xs, p))) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# power series raised to integer powers
-# ---------------------------------------------------------------------------
-
-
-class TestRaiseSeries:
-    def test_identity_power(self):
-        a = np.array([2.0, -1.0, 0.5, 0.25])
-        assert np.allclose(raise_series(PowerSeries(a), 1).coeffs, a, rtol=1e-15)
-
-    def test_binomial_square(self):
-        out = raise_series(PowerSeries(np.array([1.0, 1.0, 0.0])), 2)
-        assert np.allclose(out.coeffs, [1.0, 2.0, 1.0], atol=1e-14)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=12),
-        n=st.integers(1, 6),
-    )
-    # a recurrence that divides by a_0 at every order grows its rounding like
-    # (max|a| / |a_0|)^i and misses the zeros here by 2.9e-12
-    @example(coeffs=[0.24893875830996892, 2.0, 0.453125] + [0.0] * 7, n=1)
-    def test_matches_polynomial_convolution(self, coeffs, n):
-        coeffs[0] = coeffs[0] if abs(coeffs[0]) > 0.1 else 1.0
-        a = np.asarray(coeffs)
-        ref = np.array([1.0])
-        for _ in range(n):
-            ref = np.convolve(ref, a)
-        ref = ref[: len(a)]
-        got = raise_series(PowerSeries(a), n).coeffs
-        # 1e-12 relative to the series scale: exact-zero true coefficients
-        # carry the cancellation residue of the recurrence
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
-
-    def test_zero_leading_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            raise_series(PowerSeries(np.array([0.0, 1.0])), 2)
-
-    def test_nonpositive_power_rejected(self):
-        with pytest.raises(ValueError):
-            raise_series(PowerSeries(np.array([1.0, 1.0])), 0)
-
-    def test_power_cache_reused(self):
-        ps = PowerSeries(np.array([1.0, 0.5, 0.25]))
-        assert raise_series(ps, 3).coeffs is ps.raised(3)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +346,12 @@ class TestMgf:
         with pytest.raises(ValueError):
             mgf(0.1, ptw_params(0.0, 1.0, 1.0, 0.5))
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, s):
+        # NaN passed the old s >= sup check and came back as NaN
+        with pytest.raises(ValueError):
+            mgf(s, P_HALF_1_1)
+
 
 class TestPwm:
     def test_normalization(self):
@@ -440,24 +398,34 @@ class TestOrderStatistics:
     def test_series_matches_direct(self):
         xs = np.linspace(0.1, 4.0, 25)
         for r, n in ((2, 4), (1, 3), (4, 4)):
-            direct = order_stat_pdf(xs, r, n, P_HALF_2_1, "direct")
-            series = order_stat_pdf(xs, r, n, P_HALF_2_1, "series")
+            direct = order_stat_pdf(xs, r, n, P_HALF_2_1)
+            series = series_order_stat_pdf(xs, r, n, P_HALF_2_1)
             assert np.max(np.abs(series - direct)) < 1e-6
 
     def test_series_matches_direct_negative_beta(self):
         p = pte_params(0.3, -2.0, 1.0)
         xs = np.linspace(0.1, 5.0, 25)
-        direct = order_stat_pdf(xs, 2, 4, p, "direct")
-        series = order_stat_pdf(xs, 2, 4, p, "series")
+        direct = order_stat_pdf(xs, 2, 4, p)
+        series = series_order_stat_pdf(xs, 2, 4, p)
         assert np.max(np.abs(series - direct)) < 1e-6
+
+    @pytest.mark.parametrize("alpha,beta", SERIES_GRID)
+    @pytest.mark.parametrize("base", [Exponential(1.0), Weibull(1.2, 1.6)])
+    def test_series_tracks_direct_across_grid(self, alpha, beta, base):
+        from ptgfit.distributions import PtgParams
+
+        p = PtgParams(alpha, beta, base)
+        xs = ptg_quantile(np.linspace(0.05, 0.95, 19), p)
+        for r, n in ((1, 3), (2, 4), (4, 4), (3, 5)):
+            direct = order_stat_pdf(xs, r, n, p)
+            gap = np.max(np.abs(series_order_stat_pdf(xs, r, n, p) - direct))
+            assert gap <= 1e-6 * np.max(direct), (r, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             order_stat_pdf(1.0, 0, 3, P_HALF_2_1)
         with pytest.raises(ValueError):
             order_stat_pdf(1.0, 4, 3, P_HALF_2_1)
-        with pytest.raises(ValueError):
-            order_stat_pdf(1.0, 1, 3, P_HALF_2_1, mode="other")
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +489,11 @@ class TestResidualLife:
         with pytest.raises(ValueError):
             residual_moment(1, 5000.0, P_HALF_2_1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_age_rejected(self, t):
+        with pytest.raises(ValueError):
+            residual_moment(1, t, P_HALF_2_1)
+
 
 class TestReversedResidualLife:
     def test_bounded_by_age_power(self):
@@ -547,6 +520,11 @@ class TestReversedResidualLife:
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             reversed_residual_moment(1, 1e-310, P_HALF_2_1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_age_rejected(self, t):
+        with pytest.raises(ValueError):
+            reversed_residual_moment(1, t, P_HALF_2_1)
 
 
 class TestRenyiEntropy:
@@ -581,7 +559,8 @@ class TestRenyiEntropy:
         assert renyi_entropy(delta, p) == pytest.approx(want, abs=1e-9)
 
     def test_domain_validation(self):
-        for bad in (0.0, -1.0, 1.0):
+        # NaN came back as NaN, and inf as NaN with a RuntimeWarning
+        for bad in (0.0, -1.0, 1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 renyi_entropy(bad, P_HALF_2_1)
 
@@ -646,7 +625,7 @@ class TestReparameterizationInvariance:
         xs = np.linspace(0.1, 4.0, 9)
         assert np.allclose(series_pdf(xs, self.PW), series_pdf(xs, self.PE), atol=1e-12)
         assert np.allclose(
-            order_stat_pdf(xs, 2, 4, self.PW, "series"),
-            order_stat_pdf(xs, 2, 4, self.PE, "series"),
+            series_order_stat_pdf(xs, 2, 4, self.PW),
+            series_order_stat_pdf(xs, 2, 4, self.PE),
             atol=1e-10,
         )

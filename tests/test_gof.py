@@ -255,6 +255,12 @@ class TestTtt:
         with pytest.raises(ValueError):
             ttt_points([1.0])
 
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [1.0, -3.0, 2.0]])
+    def test_invalid_data_rejected(self, values):
+        # NaN gave a NaN column, and -3 a division by a zero total
+        with pytest.raises(ValueError):
+            ttt_points(values)
+
 
 class TestEvaluateGof:
     def test_report_assembly(self, data_II):

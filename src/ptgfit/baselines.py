@@ -16,11 +16,12 @@ refuse a negative or NaN x with ``ValueError``.  The baselines also have
 
 For the PT-G score and information each baseline also has one class-level,
 parameter-batched method, ``derivatives(x, params, order=1)``: given
-observations ``x`` of shape (n,) and parameter rows ``params`` of shape
-(S, q), columns in ``names`` order, it returns ``(cdf, d_cdf, log_pdf,
-d_log_pdf)``, the values of shape (S, n) and their derivatives in each
-parameter of shape (q, S, n); at ``order`` 2 it adds ``(d2_cdf, d2_log_pdf)``,
-each of shape (q, q, S, n), for the observed information.  The shared terms
+observations ``x`` of shape (1, n), or (S, n) with one row of observations
+per parameter row, and parameter rows ``params`` of shape (S, q), columns in
+``names`` order, it returns ``(cdf, d_cdf, log_pdf, d_log_pdf)``, the values
+of shape (S, n) and their derivatives in each parameter of shape (q, S, n);
+at ``order`` 2 it adds ``(d2_cdf, d2_log_pdf)``, each of shape (q, q, S, n),
+for the observed information.  The shared terms
 (Exponential's exp(-lam x), Weibull's log x, x**theta and dG/dlam) are
 computed once.  ``cdf`` and ``log_pdf`` share its formulas, so the two agree
 bit for bit; for Weibull x**theta is exp(theta log x), except at theta = 1,
@@ -29,6 +30,7 @@ where the scalar forms take x itself and equal ``Exponential``'s.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,7 +103,7 @@ class Exponential:
         first = -np.expm1(-lam_x), (x * tail)[None], np.log(lam) - lam_x, (1.0 / lam - x)[None]
         if order == 1:
             return first
-        d2_log_pdf = np.broadcast_to(-1.0 / lam**2, (1, 1, len(lam), x.size))
+        d2_log_pdf = np.broadcast_to(-1.0 / lam**2, (1, 1, *lam_x.shape))
         return (*first, (-x * x * tail)[None, None], d2_log_pdf)
 
 
@@ -292,26 +294,63 @@ class MarshallOlkinExponential:
         return (self.tilt, self.lam)
 
 
-def moe_loglik_derivatives(data, theta, order=1):
+def _runs(n_obs, width):
+    """``(rows, n)`` for each run of consecutive rows of the same own length n
+    in ``n_obs``; one run of every row at ``width`` when n_obs is None."""
+    if n_obs is None:
+        return [(slice(None), width)]
+    runs, lo = [], 0
+    for n, run in itertools.groupby(n_obs.tolist()):
+        hi = lo + len(list(run))
+        runs.append((slice(lo, hi), n))
+        lo = hi
+    return runs
+
+
+def _own_sums(a, runs):
+    """Sums of ``a`` (..., S, width) over its last axis, each run of rows of
+    ``_runs`` over its own first n entries: the terms of each sample alone,
+    in their order (a sum over a padded row would group numpy's pairwise
+    summation differently and move last digits)."""
+    out = np.empty(a.shape[:-1])
+    for rows, n in runs:
+        np.add.reduce(a[..., rows, :n], axis=-1, out=out[..., rows])
+    return out
+
+
+def _own_dots(u, v, runs):
+    """The products u (S, q, width) @ v (S, width), each run of rows of
+    ``_runs`` over its own first n entries: (S, q)."""
+    out = np.empty(u.shape[:-1])
+    for rows, n in runs:
+        out[rows] = (u[rows, :, :n] @ v[rows, :n, None])[..., 0]
+    return out
+
+
+def moe_loglik_derivatives(data, theta, order=1, n_obs=None):
     """Log-likelihoods (S,) and scores (S, 2) of ``data`` at the parameter
     rows ``theta`` (S, 2) = (tilt, lam), and at ``order`` 2 the Hessians
-    (S, 2, 2)."""
-    x = np.asarray(data, dtype=float)
-    n = x.size
+    (S, 2, 2).  ``data`` is one sample (n,) for every row, or one row of
+    observations per parameter row (S, n); ``n_obs`` (S,), if given, holds
+    each row's own sample size, its sample in the row's first n_obs entries
+    and padding after them that every sum leaves out."""
+    x = np.atleast_2d(np.asarray(data, dtype=float))
+    runs = _runs(n_obs, x.shape[1])
+    n = x.shape[1] if n_obs is None else n_obs
     with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
         tilt, lam = theta.T
         log_f, tail, denom = _moe_log_density(tilt[:, None], lam[:, None], x)
         w = tail / denom
-        ll = np.sum(log_f, axis=1)
+        ll = _own_sums(log_f, runs)
         score = np.column_stack([
-            n / tilt - 2.0 * np.sum(w, axis=1),
-            n / lam - np.sum(x) - 2.0 * (1.0 - tilt) * np.sum(x * w, axis=1),
+            n / tilt - 2.0 * _own_sums(w, runs),
+            n / lam - _own_sums(x, runs) - 2.0 * (1.0 - tilt) * _own_sums(x * w, runs),
         ])
         if order == 1:
             return ll, score
         w2 = w / denom
         hess = np.empty((len(theta), 2, 2))
-        hess[:, 0, 0] = -n / tilt**2 + 2.0 * np.sum(tail * w2, axis=1)
-        hess[:, 0, 1] = hess[:, 1, 0] = 2.0 * np.sum(x * w2, axis=1)
-        hess[:, 1, 1] = -n / lam**2 + 2.0 * (1.0 - tilt) * np.sum(x**2 * w2, axis=1)
+        hess[:, 0, 0] = -n / tilt**2 + 2.0 * _own_sums(tail * w2, runs)
+        hess[:, 0, 1] = hess[:, 1, 0] = 2.0 * _own_sums(x * w2, runs)
+        hess[:, 1, 1] = -n / lam**2 + 2.0 * (1.0 - tilt) * _own_sums(x**2 * w2, runs)
     return ll, score, hess

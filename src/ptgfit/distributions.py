@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Exponential, Weibull, _nonnegative
+from .baselines import Exponential, Weibull, _nonnegative, _own_dots, _own_sums, _runs
 
 __all__ = [
     "PtgParams",
@@ -240,11 +240,15 @@ def _c2(beta):
     return np.where(b < 1e-2, -1.0 / 12.0 + b**2 / 240.0 - b**4 / 6048.0, closed)
 
 
-def ptg_loglik_derivatives(data, family, theta, order=1):
+def ptg_loglik_derivatives(data, family, theta, order=1, n_obs=None):
     """Log-likelihoods (S,) and scores (S, k) of ``data`` at the parameter
     rows ``theta`` (S, k) = (alpha, beta, baseline ``family`` parameters),
-    and at ``order`` 2 the Hessians (S, k, k).  G, log g and their
-    derivatives in the baseline parameters come from one call,
+    and at ``order`` 2 the Hessians (S, k, k).  ``data`` is one sample (n,)
+    for every row, or one row of observations per parameter row (S, n);
+    ``n_obs`` (S,), if given, holds each row's own sample size, its sample in
+    the row's first n_obs entries and, after them, padding taken from that
+    sample, which every sum leaves out.  G, log g and their derivatives in
+    the baseline parameters come from one call,
     ``family.derivatives(x, phi, order)``.  Rows with |beta| below
     ``DEFAULT_BETA_FLOOR`` or a nonpositive fac = 1 + alpha - 2 alpha G get
     ``-inf``.  With baseline parameters phi, psi: l_aa = -sum (1-2G)^2/fac^2,
@@ -252,34 +256,36 @@ def ptg_loglik_derivatives(data, family, theta, order=1):
     beta (1-2G)), l_b,phi = -sum fac G_phi, l_phi,psi = sum [(log g)_phi,psi
     - (2 alpha/fac + beta fac) G_phi,psi + (2 alpha beta - 4 alpha^2/fac^2)
     G_phi G_psi]."""
-    x = np.asarray(data, dtype=float)
-    n = x.size
+    x = np.atleast_2d(np.asarray(data, dtype=float))
+    runs = _runs(n_obs, x.shape[1])
+    n = x.shape[1] if n_obs is None else n_obs
     with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
         alpha, beta, phi = theta[:, 0:1], theta[:, 1], theta[:, 2:]
         beta_col = beta[:, None]
         cdf, d_cdf, log_g, d_log_g, *second = family.derivatives(x, phi, order)
         body, fac, t = _log_body(alpha, beta_col, cdf, log_g)
+        # the padding repeats values of the row's sample: it adds no bad point
         bad = (np.abs(beta) < DEFAULT_BETA_FLOOR) | np.any(fac <= 0.0, axis=1)
-        ll = np.where(bad, -np.inf, n * _log_c(beta) + np.sum(body, axis=1))
+        ll = np.where(bad, -np.inf, n * _log_c(beta) + _own_sums(body, runs))
         slope, spread = (1.0 - 2.0 * cdf) / fac, cdf * (1.0 - cdf)
         weight = 2.0 * alpha / fac + beta_col * fac
         score = np.empty_like(theta)
-        score[:, 0] = np.sum(slope, axis=1) - beta * np.sum(spread, axis=1)
-        score[:, 1] = n * (1.0 / beta - 1.0 / np.expm1(beta)) - np.sum(t, axis=1)
-        score[:, 2:] = np.sum(d_log_g - weight * d_cdf, axis=2).T
+        score[:, 0] = _own_sums(slope, runs) - beta * _own_sums(spread, runs)
+        score[:, 1] = n * (1.0 / beta - 1.0 / np.expm1(beta)) - _own_sums(t, runs)
+        score[:, 2:] = _own_sums(d_log_g - weight * d_cdf, runs).T
         if order == 1:
             return ll, score
         d2_cdf, d2_log_g = second
         hess = np.empty(theta.shape + theta.shape[1:])
-        hess[:, 0, 0] = -np.sum(slope**2, axis=1)
-        hess[:, 0, 1] = hess[:, 1, 0] = -np.sum(spread, axis=1)
+        hess[:, 0, 0] = -_own_sums(slope**2, runs)
+        hess[:, 0, 1] = hess[:, 1, 0] = -_own_sums(spread, runs)
         hess[:, 1, 1] = n * _c2(beta)
         d_cdf_rows = d_cdf.transpose(1, 0, 2)  # (S, q, n): one matrix product per row
         a_phi = -2.0 / fac**2 - beta_col * (1.0 - 2.0 * cdf)
-        hess[:, 0, 2:] = hess[:, 2:, 0] = (d_cdf_rows @ a_phi[:, :, None])[..., 0]
-        hess[:, 1, 2:] = hess[:, 2:, 1] = -(d_cdf_rows @ fac[:, :, None])[..., 0]
+        hess[:, 0, 2:] = hess[:, 2:, 0] = _own_dots(d_cdf_rows, a_phi, runs)
+        hess[:, 1, 2:] = hess[:, 2:, 1] = -_own_dots(d_cdf_rows, fac, runs)
         cross = (2.0 * alpha * beta_col - 4.0 * alpha**2 / fac**2) * d_cdf[:, None]
-        phi_phi = np.sum(d2_log_g - weight * d2_cdf + cross * d_cdf[None], axis=3)
+        phi_phi = _own_sums(d2_log_g - weight * d2_cdf + cross * d_cdf[None], runs)
         hess[:, 2:, 2:] = phi_phi.transpose(2, 0, 1)
     return ll, score, hess
 

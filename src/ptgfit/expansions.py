@@ -166,13 +166,21 @@ def _over_x(log_h, p):
     return quad(lambda y: log_h(m * y) + math.log(m), 0.0, np.inf)
 
 
+def _integer(value, low, message):
+    """``value`` as an int; ``ValueError(message)`` unless it is an integer
+    of at least ``low`` (NaN and +-inf are not)."""
+    if not (math.isfinite(value) and int(value) == value and value >= low):
+        raise ValueError(message)
+    return int(value)
+
+
 def pwm(p_exp, q_exp, r_exp, dist):
     """Probability weighted moment of the transmuted layer of ``dist``,
     integrated in probability space: integral_0^1 Q_tg(u)^p u^q (1-u)^r du."""
-    for name, v in (("p", p_exp), ("q", q_exp), ("r", r_exp)):
-        if int(v) != v or v < 0:
-            raise ValueError(f"{name} exponent must be a nonnegative integer")
-    p_exp, q_exp, r_exp = int(p_exp), int(q_exp), int(r_exp)
+    p_exp, q_exp, r_exp = (
+        _integer(v, 0, f"{name} exponent must be a nonnegative integer")
+        for name, v in (("p", p_exp), ("q", q_exp), ("r", r_exp))
+    )
     alpha, base = dist.alpha, dist.baseline
 
     def integrand(u, v):
@@ -185,9 +193,7 @@ def pwm(p_exp, q_exp, r_exp, dist):
 
 def raw_moment(s, p):
     """s-th raw moment E[X^s], integrated in probability space over the quantile."""
-    if int(s) != s or s < 1:
-        raise ValueError("moment order must be a positive integer")
-    s = int(s)
+    s = _integer(s, 1, "moment order must be a positive integer")
     return quad(lambda u, v: _quantile(u, v, p) ** s, 0.0, 1.0)
 
 
@@ -208,8 +214,8 @@ def mgf(s, p):
 
 def _order_const(r, n):
     """n! / ((r-1)! (n-r)!), the constant of the r-th of n order statistics."""
-    if int(r) != r or int(n) != n or not 1 <= r <= n:
-        raise ValueError("need integers 1 <= r <= n")
+    r = _integer(r, 1, "need integers 1 <= r <= n")
+    n = _integer(n, r, "need integers 1 <= r <= n")
     return math.exp(math.lgamma(n + 1) - math.lgamma(r) - math.lgamma(n - r + 1))
 
 
@@ -243,8 +249,7 @@ def stress_strength(p1, p2):
 
 def residual_moment(n, t, p):
     """n-th moment of the residual life at age t, E[(X-t)^n | X > t]."""
-    if int(n) != n or n < 1:
-        raise ValueError("moment order must be a positive integer")
+    n = _integer(n, 1, "moment order must be a positive integer")
     if not 0.0 <= t < np.inf:  # also refuses NaN
         raise ValueError(f"age t must be nonnegative and finite, got {t!r}")
     big_f = ptg_cdf(t, p) if t > 0 else 0.0
@@ -256,8 +261,7 @@ def residual_moment(n, t, p):
 
 def reversed_residual_moment(n, t, p):
     """n-th moment of the reversed residual life, E[(t-X)^n | X <= t]."""
-    if int(n) != n or n < 1:
-        raise ValueError("moment order must be a positive integer")
+    n = _integer(n, 1, "moment order must be a positive integer")
     if not 0.0 < t < np.inf:  # also refuses NaN
         raise ValueError(f"age t must be positive and finite, got {t!r}")
     big_f = ptg_cdf(t, p)

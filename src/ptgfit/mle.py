@@ -8,23 +8,32 @@ from many Latin-hypercube starting points at once (``_latin_hypercube``,
 numpy's generator seeded by ``FitOptions.seed``): one lockstep
 quasi-Newton engine (``minimize``, BFGS steps with a backtracking line
 search) advances every start on one (starts x n) array, driven by the
-model's analytic score.  A start stops on a small score, a failed search, a
-stalled step, an exit from the search box or its step budget, and is frozen
-once its log-likelihood lies far below the best start's and has stopped
-closing the gap (dataset II's runaways to beta -> +inf).  The search runs in
-transformed coordinates that keep every iterate inside the parameter domain:
-alpha = sin(z0), which reaches the edges alpha = +-1 at finite z0 and has no
-flat tail to strand a start in, beta unconstrained (with a small exclusion
-band around zero), and positive parameters via log.  Standard errors come
-from inverting the observed information matrix, the exact negated Hessian in
-the original coordinates.
+model's analytic score.  ``fit_samples(samples, model)`` fits one tag to
+several samples in the same lockstep search, and ``fit`` is its one-sample
+case: every start row carries the label of its sample, its own search box
+and its sample's data, so that each sample's rows follow exactly the path
+they follow alone.  A start stops on a small score, a failed search, a
+stalled step, an exit from its search box or its step budget, and is
+frozen once its log-likelihood lies far below the best start's of its own
+sample and has stopped closing the gap (dataset II's runaways to
+beta -> +inf).  The search runs in transformed coordinates that keep every
+iterate inside the parameter domain: alpha = sin(z0), which reaches the
+edges alpha = +-1 at finite z0 and has no flat tail to strand a start in,
+beta unconstrained (with a small exclusion band around zero), and positive
+parameters via log.  Standard errors come from inverting the observed
+information matrix, the exact negated Hessian in the original coordinates.
 
 A numerical model supplies only its batched kernel, ``kernel(data, theta,
-order=1)`` (``ptg_loglik_derivatives`` with its baseline family bound, or
-``moe_loglik_derivatives``).  One adapter turns any kernel into the search
-objective by the chain rule, from the table of coordinate kinds
-(``_KINDS``: each kind's map back to its parameter and that map's
-derivative), and the information is the negated order-2 kernel.
+order=1, n_obs=None)`` (``ptg_loglik_derivatives`` with its baseline family
+bound, or ``moe_loglik_derivatives``), which takes one sample (n,) for
+every parameter row or one row of data per parameter row (S, n).  One
+adapter turns any kernel into the search objective ``f(Z, labels)`` by the
+chain rule, from the table of coordinate kinds (``_KINDS``: each kind's map
+back to its parameter and that map's derivative), with one kernel call per
+evaluation: the samples are stacked into one array, a shorter one padded
+with its own first observation, and ``n_obs`` gives each row's own sample
+size, over which alone the kernel sums.  The information is the negated
+order-2 kernel.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -35,6 +44,7 @@ built from the estimates and their observed information alike.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,11 +66,21 @@ __all__ = [
     "FitResult",
     "log_likelihood",
     "fit",
+    "fit_samples",
     "MODELS",
     "observed_information",
     "wald_ci",
     "multistart_maximize",
 ]
+
+
+def _warn(message):
+    """A ``UserWarning`` located at the first caller outside this module, so
+    that ``fit`` and ``fit_samples`` warn at the line that called them."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -104,7 +124,7 @@ class FitResult:
         ``info`` and 95% Wald intervals; warns when the fit did not converge
         or the information is singular."""
         if not converged:
-            warnings.warn("fit did not fully converge; results are flagged", stacklevel=3)
+            _warn("fit did not fully converge; results are flagged")
         k = len(estimates.values)
         if np.all(np.isfinite(info)):
             eigvals = np.linalg.eigvalsh(info)
@@ -117,7 +137,7 @@ class FitResult:
             degenerate = True
             se = np.full(k, np.nan)
         if degenerate:
-            warnings.warn("observed information is singular to tolerance", stacklevel=3)
+            _warn("observed information is singular to tolerance")
         low, high = _wald_bounds(estimates, se, 0.95)
         return cls(
             estimates=estimates,
@@ -184,43 +204,52 @@ def _bfgs_update(h, s, y):
     return left @ h @ left.transpose(0, 2, 1) + rho * s[:, :, None] * s[:, None, :]
 
 
-def minimize(fun, z0, box, max_iter=_MAX_ITER):
+def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
     """Minimize a batched objective from every row of ``z0`` in lockstep.
 
-    ``fun(Z)`` maps an (S, k) array of points to their values (S,) and
-    gradients (S, k).  All rows advance together: a BFGS direction, then a
-    backtracking line search that evaluates only the rows still searching.
-    A trial point is accepted on Armijo's sufficient decrease or, where the
-    decrease is lost in the value's rounding, on a smaller gradient.  A row
-    starts from the identity inverse Hessian with a step of at most unit
-    max-norm and rescales it by its first curvature pair; a failed search
-    along a quasi-Newton direction sends the row back to that start.
+    Each row belongs to a sample, its label in ``labels`` (nonnegative
+    integers, all 0 when omitted); ``fun(Z, labels)`` maps an (S, k) array of
+    points and their labels (S,) to their values (S,) and gradients (S, k).
+    All rows advance together: a BFGS direction, then a backtracking line
+    search that evaluates only the rows still searching.  A trial point is
+    accepted on Armijo's sufficient decrease or, where the decrease is lost
+    in the value's rounding, on a smaller gradient.  A row starts from the
+    identity inverse Hessian with a step of at most unit max-norm and
+    rescales it by its first curvature pair; a failed search along a
+    quasi-Newton direction sends the row back to that start.
 
     A row stops when its gradient's max-norm falls below ``_GTOL``, when its
     line search fails along steepest descent, when a step no longer moves it
     (relative change below ``_XTOL``), when it leaves ``box`` (lower and
-    upper bounds, each of length k), when it is frozen, or after ``max_iter``
-    steps.  A row is frozen when its value lies more than ``_FREEZE_GAP``
-    above the lowest finite value of any row and it closed less than
-    ``_FREEZE_CLOSE`` of that gap over its last ``_FREEZE_WINDOW`` steps: a
-    dead start that can no longer win.  The lowest row is never frozen.
-    Returns the final points, values and gradients.
+    upper bounds, each of length k or one row per start), when it is frozen,
+    or after ``max_iter`` steps.  A row is frozen when its value lies more
+    than ``_FREEZE_GAP`` above the lowest finite value among the rows of its
+    sample and it closed less than ``_FREEZE_CLOSE`` of that gap over its
+    last ``_FREEZE_WINDOW`` steps: a dead start that can no longer win.  The
+    lowest row of a sample is never frozen.  A row's path depends on the
+    rows of its own sample alone.  Returns the final points, values and
+    gradients.
     """
     z = np.array(z0, dtype=float)
-    f, g = fun(z)
     n_rows, k = z.shape
+    labels = np.zeros(n_rows, dtype=int) if labels is None else np.asarray(labels)
+    f, g = fun(z, labels)
     eye = np.eye(k)
     h = np.tile(eye, (n_rows, 1, 1))
     fresh = np.ones(n_rows, dtype=bool)  # inverse Hessian still the identity
     active = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
-    lo, hi = box
+    lo, hi = (np.broadcast_to(bound, z.shape) for bound in box)
+    best = np.empty(labels.max() + 1)  # the lowest finite value of each sample
     past = np.empty((_FREEZE_WINDOW, n_rows))  # the values of the last steps
     for it in range(max_iter):
         active &= np.max(np.abs(g), axis=1) >= _GTOL
         slot = it % _FREEZE_WINDOW
         if it >= _FREEZE_WINDOW:  # active rows hold finite values: no inf - inf
             rows = np.flatnonzero(active)
-            gap = f[rows] - np.min(f, where=np.isfinite(f), initial=np.inf)
+            finite = np.isfinite(f)
+            best.fill(np.inf)
+            np.minimum.at(best, labels[finite], f[finite])
+            gap = f[rows] - best[labels[rows]]
             closed = past[slot, rows] - f[rows]
             active[rows] = (gap <= _FREEZE_GAP) | (closed >= _FREEZE_CLOSE * gap)
         past[slot] = f
@@ -242,7 +271,7 @@ def minimize(fun, z0, box, max_iter=_MAX_ITER):
         for _ in range(_MAX_HALVINGS):
             p = np.flatnonzero(~done)
             zt = z[rows[p]] + step[p, None] * d[p]
-            ft, gt = fun(zt)
+            ft, gt = fun(zt, labels[rows[p]])
             f0 = f[rows[p]]
             noise = _ROUNDING * np.maximum(np.abs(f0), 1.0)
             ok = (
@@ -276,39 +305,45 @@ def minimize(fun, z0, box, max_iter=_MAX_ITER):
         fresh[moved] = False
         z[moved], f[moved], g[moved] = z_new[m], f_new[m], g_new[m]
         still = np.max(np.abs(s) / np.maximum(np.abs(z[moved]), 1.0), axis=1) > _XTOL
-        active[moved] &= still & np.all((z[moved] >= lo) & (z[moved] <= hi), axis=1)
+        inside = (z[moved] >= lo[moved]) & (z[moved] <= hi[moved])
+        active[moved] &= still & np.all(inside, axis=1)
     return z, f, g
 
 
-def multistart_maximize(loglik_score, starts, box):
+def multistart_maximize(loglik_score, starts, box, labels=None):
     """Maximize a batched log-likelihood from every start, in lockstep.
 
-    ``loglik_score(Z)`` maps an (S, k) array of transformed coordinates to
-    the log-likelihoods (S,) and scores (S, k).  :func:`minimize` climbs
-    from all starts at once inside ``box``; the best end point is then
+    ``loglik_score(Z, labels)`` maps an (S, k) array of transformed
+    coordinates and their sample labels to the log-likelihoods (S,) and
+    scores (S, k).  :func:`minimize` climbs from all starts of all samples
+    at once inside ``box``; the best end point of each sample is then
     polished by two further restarts from it, each with a fresh inverse
-    Hessian.  Returns ``(z_best, loglik_best, n_launches, converged)``:
-    ``n_launches`` counts the starts and the two polishing restarts, and
-    ``converged`` requires the score's max-norm at ``z_best`` to be below
-    ``_CONVERGED_SCORE``.
+    Hessian and each one :func:`minimize` call for every sample.  Returns
+    ``(z_best, loglik_best, n_launches, converged)``, one row or entry per
+    sample in the order of its label: ``n_launches`` counts the sample's
+    starts and the two polishing restarts, and ``converged`` requires the
+    score's max-norm at ``z_best`` to be below ``_CONVERGED_SCORE``.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or len(starts) == 0:
         raise ValueError("need at least one start")
+    labels = np.zeros(len(starts), dtype=int) if labels is None else np.asarray(labels)
+    lo, hi = (np.broadcast_to(bound, starts.shape) for bound in box)
 
-    def neg(z):
-        ll, score = loglik_score(z)
+    def neg(z, labels):
+        ll, score = loglik_score(z, labels)
         return np.where(np.isnan(ll), np.inf, -ll), -score
 
-    z, f, g = minimize(neg, starts, box)
-    i = int(np.argmin(f))
-    z_best, f_best, g_best = z[i], f[i], g[i]
-    for _ in range(2):  # polish: a fresh inverse Hessian at the incumbent
-        z, f, g = minimize(neg, z_best[None], box, 2 * _MAX_ITER)
-        if f[0] <= f_best:
-            z_best, f_best, g_best = z[0], f[0], g[0]
-    converged = bool(np.max(np.abs(g_best)) < _CONVERGED_SCORE)
-    return z_best, -f_best, len(starts) + 2, converged
+    z, f, g = minimize(neg, starts, (lo, hi), labels)
+    samples = np.unique(labels)
+    best = np.array([np.flatnonzero(labels == s)[np.argmin(f[labels == s])] for s in samples])
+    z_best, f_best, g_best = z[best], f[best], g[best]
+    for _ in range(2):  # polish: a fresh inverse Hessian at each incumbent
+        z, f, g = minimize(neg, z_best, (lo[best], hi[best]), samples, 2 * _MAX_ITER)
+        better = f <= f_best
+        z_best[better], f_best[better], g_best[better] = z[better], f[better], g[better]
+    converged = np.max(np.abs(g_best), axis=1) < _CONVERGED_SCORE
+    return z_best, -f_best, np.bincount(labels)[samples] + 2, converged
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +401,10 @@ class _Model:
     """One tag of :func:`fit`: the model from its parameter values, its exact
     observed information ``(data, model) -> matrix``, and either the
     closed-form estimate ``data -> values`` or the kinds of its search
-    coordinates with its batched ``kernel(data, theta, order=1)``, the
-    log-likelihoods (S,), scores (S, k) and at ``order`` 2 Hessians
-    (S, k, k) at the parameter rows ``theta`` (S, k)."""
+    coordinates with its batched ``kernel(data, theta, order=1, n_obs=None)``,
+    the log-likelihoods (S,), scores (S, k) and at ``order`` 2 Hessians
+    (S, k, k) at the parameter rows ``theta`` (S, k), ``data`` one sample or
+    one padded row per parameter row with its own size in ``n_obs``."""
 
     make: object
     information: object
@@ -377,15 +413,21 @@ class _Model:
     kernel: object = None
 
 
+def _ptg_kernel(family):
+    """The batched PT-G kernel with the baseline ``family`` bound."""
+    def kernel(data, theta, order=1, n_obs=None):
+        return ptg_loglik_derivatives(data, family, theta, order, n_obs)
+
+    return kernel
+
+
 # the PT-G information is looked up at call time, so that a rebinding of
 # ``observed_information`` (perfbench/tracing.py) is seen
 MODELS = {
     "pte": _Model(pte_params, lambda x, p: observed_information(x, p),
-                  search=("alpha", "beta", "rate"),
-                  kernel=lambda x, t, order=1: ptg_loglik_derivatives(x, Exponential, t, order)),
+                  search=("alpha", "beta", "rate"), kernel=_ptg_kernel(Exponential)),
     "ptw": _Model(ptw_params, lambda x, p: observed_information(x, p),
-                  search=("alpha", "beta", "rate", "shape"),
-                  kernel=lambda x, t, order=1: ptg_loglik_derivatives(x, Weibull, t, order)),
+                  search=("alpha", "beta", "rate", "shape"), kernel=_ptg_kernel(Weibull)),
     "exp": _Model(Exponential, lambda x, m: np.array([[x.size / m.lam**2]]),
                   closed_form=lambda x: (1.0 / x.mean(),)),
     "me": _Model(MomentExponential, lambda x, m: np.array([[2.0 * x.size / m.sigma**2]]),
@@ -396,23 +438,27 @@ MODELS = {
 }
 
 
-def _loglik_score(data, model):
-    """``f(Z) -> (loglik (S,), score (S, k))`` of the numerical model tagged
-    ``model`` at rows Z of its search coordinates: its kernel at the
-    parameters the kinds map Z to, the score chained through each map's
-    derivative."""
+def _loglik_score(samples, model):
+    """``f(Z, labels) -> (loglik (S,), score (S, k))`` of the numerical model
+    tagged ``model`` at rows Z of its search coordinates, row s on the sample
+    ``samples[labels[s]]``: one kernel call at the parameters the kinds map Z
+    to, the score chained through each map's derivative.  The samples are
+    stacked into one array, each shorter one padded with its own first
+    observation, and the kernel sums each row over its own sample size."""
     spec = MODELS[model]
     kinds = [_KINDS[kind] for kind in spec.search]
     # one exp of all of Z maps the log-parameters; the other columns are set over it
     maps = [(j, kind.value) for j, kind in enumerate(kinds) if kind.value is not np.exp]
     slopes = [(j, kind.slope) for j, kind in enumerate(kinds) if kind.slope is not None]
+    sizes = np.array([x.size for x in samples])
+    stacked = np.array([np.append(x, np.full(sizes.max() - x.size, x[0])) for x in samples])
 
-    def loglik_score(z):
+    def loglik_score(z, labels):
         with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
             theta = np.exp(z)
             for j, value in maps:
                 theta[:, j] = value(z[:, j])
-            ll, score = spec.kernel(data, theta)
+            ll, score = spec.kernel(stacked[labels], theta, n_obs=sizes[labels])
             for j, slope in slopes:
                 score[:, j] *= slope(z[:, j], theta[:, j])
         return ll, score
@@ -420,8 +466,66 @@ def _loglik_score(data, model):
     return loglik_score
 
 
+def fit_samples(samples, model="pte", opts=None):
+    """Fit the model tagged ``model`` to each sample of ``samples`` by
+    maximum likelihood: the list of their :func:`fit` results, bit for bit.
+
+    A numerical model runs one lockstep multistart for all samples: each
+    sample's Latin-hypercube starts and search box are built as if it were
+    fitted alone, its rows carry its label, and each row's path depends on
+    its own sample's rows alone.  The closed-form models fit each sample in
+    turn.
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {list(MODELS)}")
+    spec, opts = MODELS[model], opts or FitOptions()
+    samples = [check_sample(x) for x in samples]
+    if not samples:
+        raise ValueError("need at least one sample")
+    if spec.closed_form is not None:
+        fitted = [(spec.closed_form(x), 0, True) for x in samples]
+    else:
+        if min(x.size for x in samples) < len(spec.search) + 1:
+            raise ValueError("need at least one more observation than parameters")
+        kinds = [_KINDS[kind] for kind in spec.search]
+        u = _latin_hypercube(opts.n_starts, len(kinds), opts.seed)
+        half = np.array([kind.half for kind in kinds])
+        starts, centres = [], []
+        for x in samples:
+            xbar = float(x.mean())
+            starts.append(np.column_stack([kind.start(u[:, j], xbar)
+                                           for j, kind in enumerate(kinds)]))
+            centres.append([-math.log(xbar) if kind.centred else 0.0 for kind in kinds])
+        centre = np.repeat(centres, opts.n_starts, axis=0)
+        z_best, _, n_launches, converged = multistart_maximize(
+            _loglik_score(samples, model),
+            np.concatenate(starts),
+            box=(centre - half, centre + half),
+            labels=np.repeat(np.arange(len(samples)), opts.n_starts),
+        )
+        # each best start has a finite log-likelihood: a valid parameter point
+        fitted = [
+            ([kind.value(z) for kind, z in zip(kinds, z_row)], int(n), bool(ok))
+            for z_row, n, ok in zip(z_best, n_launches, converged)
+        ]
+    results = []
+    for x, (values, n_launches, converged) in zip(samples, fitted):
+        estimates = spec.make(*map(float, values))
+        if "beta" in spec.search and abs(estimates.beta) > _BETA_WARN:
+            _warn(
+                f"fitted beta = {estimates.beta:.6g} lies outside the documented "
+                f"|beta| <= {_BETA_WARN:g}"
+            )
+        info = spec.information(x, estimates)
+        results.append(FitResult.from_information(
+            estimates, log_likelihood(x, estimates), info, converged, n_launches, x.size
+        ))
+    return results
+
+
 def fit(data, model="pte", opts=None):
-    """Fit the model tagged ``model`` by maximum likelihood.
+    """Fit the model tagged ``model`` by maximum likelihood:
+    ``fit_samples([data], model, opts)[0]``.
 
     Parameters
     ----------
@@ -440,37 +544,7 @@ def fit(data, model="pte", opts=None):
         ``converged`` is False (never silent) when the search did not reach
         a stationary point; a closed-form fit counts no launches.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {list(MODELS)}")
-    spec, opts, data = MODELS[model], opts or FitOptions(), check_sample(data)
-    if spec.closed_form is not None:
-        values, n_launches, converged = spec.closed_form(data), 0, True
-    else:
-        if data.size < len(spec.search) + 1:
-            raise ValueError("need at least one more observation than parameters")
-        xbar = float(data.mean())
-        kinds = [_KINDS[kind] for kind in spec.search]
-        u = _latin_hypercube(opts.n_starts, len(kinds), opts.seed)
-        centre = np.array([-math.log(xbar) if kind.centred else 0.0 for kind in kinds])
-        half = np.array([kind.half for kind in kinds])
-        z_best, _, n_launches, converged = multistart_maximize(
-            _loglik_score(data, model),
-            np.column_stack([kind.start(u[:, j], xbar) for j, kind in enumerate(kinds)]),
-            box=(centre - half, centre + half),
-        )
-        # the best start has a finite log-likelihood: a valid parameter point
-        values = [kind.value(z) for kind, z in zip(kinds, z_best)]
-    estimates = spec.make(*map(float, values))
-    if "beta" in spec.search and abs(estimates.beta) > _BETA_WARN:
-        warnings.warn(
-            f"fitted beta = {estimates.beta:.6g} lies outside the documented "
-            f"|beta| <= {_BETA_WARN:g}",
-            stacklevel=2,
-        )
-    info = spec.information(data, estimates)
-    return FitResult.from_information(
-        estimates, log_likelihood(data, estimates), info, converged, n_launches, data.size
-    )
+    return fit_samples([data], model, opts)[0]
 
 
 def observed_information(data, p_hat):

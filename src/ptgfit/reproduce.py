@@ -27,7 +27,8 @@ from .competitors import fit_competitor  # noqa: F401  (rebound by perfbench/tra
 from .data import EMBEDDED, PUBLISHED, describe, embedded_dataset
 from .distributions import ptg_cdf  # noqa: F401  (rebound by perfbench/tracing.py)
 from .gof import evaluate_gof
-from .mle import FitOptions, fit
+from .mle import FitOptions, fit_samples
+from .mle import fit  # noqa: F401  (rebound by perfbench/tracing.py)
 
 __all__ = ["Gate", "ReproductionReport", "run_reproduction", "REFERENCE_CONSTANTS"]
 
@@ -148,14 +149,24 @@ def _abs_gate(gates, table, dataset, model, quantity, computed, reference, tol):
 
 def run_reproduction(seed=0, n_starts=20):
     """Run the full reproduction and return a gated report; ``seed`` and
-    ``n_starts`` drive both numerical fits, PT-E and Marshall-Olkin.  The
-    models are fitted, and their gates listed, in ``_FIT_REFERENCE``'s order."""
+    ``n_starts`` drive both numerical fits, PT-E and Marshall-Olkin.  Each
+    model is fitted to both datasets at once (``mle.fit_samples``: one
+    lockstep multistart per numerical model), and the gates are listed in
+    ``_FIT_REFERENCE``'s order."""
     t0 = time.perf_counter()
     report = ReproductionReport()
+    datasets = {ds_key: embedded_dataset(ds_id) for ds_key, ds_id in EMBEDDED.items()}
+    opts = FitOptions(seed=seed, n_starts=n_starts)
+    samples = [data.values for data in datasets.values()]
+    fitted = {
+        (tag, ds_key): res
+        for tag in dict.fromkeys(tag for tag, _ in _FIT_REFERENCE)
+        for ds_key, res in zip(datasets, fit_samples(samples, tag, opts))
+    }
 
-    for ds_key, ds_id in EMBEDDED.items():
-        data = embedded_dataset(ds_id)
-        st, published, tol = describe(data), PUBLISHED[ds_id], _DESCRIPTIVE_TOL[ds_key]
+    for ds_key, data in datasets.items():
+        st, published = describe(data), PUBLISHED[EMBEDDED[ds_key]]
+        tol = _DESCRIPTIVE_TOL[ds_key]
         for name in (f.name for f in fields(st)):
             if name == "n":
                 this_tol = 0
@@ -166,8 +177,7 @@ def run_reproduction(seed=0, n_starts=20):
             _abs_gate(report.gates, "descriptives", ds_key, "", name, getattr(st, name),
                       getattr(published, name), this_tol)
 
-        opts = FitOptions(seed=seed, n_starts=n_starts)
-        fits = {tag: fit(data.values, tag, opts) for tag, key in _FIT_REFERENCE if key == ds_key}
+        fits = {tag: fitted[tag, key] for tag, key in _FIT_REFERENCE if key == ds_key}
         aic_by_model = {}
         for tag, res in fits.items():
             gof = evaluate_gof(data.values, res.estimates.cdf, res.k, res.loglik)

@@ -76,8 +76,8 @@ class TestFitCommand:
         real = mle_mod.multistart_maximize
 
         def not_converged(*args, **kwargs):
-            z, ll, n_launches, _ = real(*args, **kwargs)
-            return z, ll, n_launches, False
+            z, ll, n_launches, converged = real(*args, **kwargs)
+            return z, ll, n_launches, np.zeros_like(converged)
 
         monkeypatch.setattr(mle_mod, "multistart_maximize", not_converged)
         with pytest.warns(UserWarning, match="did not fully converge"):

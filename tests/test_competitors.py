@@ -9,6 +9,13 @@ from ptgfit.competitors import MarshallOlkinExponential, MomentExponential, fit_
 from ptgfit.mle import MODELS, _loglik_score
 
 
+def _objective(data, model):
+    """The search objective of ``model`` on the one sample ``data``, every
+    row of Z under label 0."""
+    f = _loglik_score([data], model)
+    return lambda z: f(z, np.zeros(len(z), dtype=int))
+
+
 class TestExponential:
     def test_dataset_closed_forms(self, data_I, data_II):
         res_i = fit_competitor(data_I, "exp")
@@ -177,7 +184,7 @@ def richardson(f, z, steps):
 class TestMarshallOlkinScore:
     def test_loglik_equals_sum_of_log_pdf(self, data_II):
         rows = [(a, lam) for a in TILTS for lam in LAMS]
-        ll, _ = _loglik_score(data_II, "moe")(np.log(rows))
+        ll, _ = _objective(data_II, "moe")(np.log(rows))
         for (a, lam), value in zip(rows, ll):
             direct = float(np.sum(MarshallOlkinExponential(a, lam).log_pdf(data_II)))
             assert value == pytest.approx(direct, rel=1e-12), (a, lam)
@@ -185,7 +192,7 @@ class TestMarshallOlkinScore:
     @pytest.mark.parametrize("tilt", TILTS)
     @pytest.mark.parametrize("lam", LAMS)
     def test_score_matches_central_differences(self, data_II, tilt, lam):
-        f = _loglik_score(data_II, "moe")
+        f = _objective(data_II, "moe")
         z = np.log([tilt, lam])
         _, score = f(z[None])
         numeric = richardson(lambda v: f(v[None])[0][0], z, (1e-4, 1e-4))
@@ -196,7 +203,7 @@ class TestMarshallOlkinScore:
     def test_information_matches_differences_of_the_score(self, data_II, tilt, lam):
         # the analytic score in natural coordinates: the log-coordinate score
         # divided by the Jacobian of (log tilt, log lam)
-        f = _loglik_score(data_II, "moe")
+        f = _objective(data_II, "moe")
         theta = np.array([tilt, lam])
         numeric = richardson(lambda t: f(np.log(t)[None])[1][0] / t, theta, 1e-4 * theta)
         info = MODELS["moe"].information(data_II, MarshallOlkinExponential(tilt, lam))

@@ -629,3 +629,31 @@ class TestReparameterizationInvariance:
             series_order_stat_pdf(xs, 2, 4, self.PE),
             atol=1e-10,
         )
+
+
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan, 2.5])
+class TestIntegerArguments:
+    """An order or exponent that is not an integer, infinite and NaN included,
+    is refused with the documented ValueError."""
+
+    def test_raw_moment(self, v):
+        with pytest.raises(ValueError, match="moment order must be a positive integer"):
+            raw_moment(v, P_HALF_2_1)
+
+    def test_residual_moment(self, v):
+        with pytest.raises(ValueError, match="moment order must be a positive integer"):
+            residual_moment(v, 0.5, P_HALF_2_1)
+
+    def test_reversed_residual_moment(self, v):
+        with pytest.raises(ValueError, match="moment order must be a positive integer"):
+            reversed_residual_moment(v, 0.5, P_HALF_2_1)
+
+    def test_pwm(self, v):
+        for name, exponents in (("p", (v, 0, 0)), ("q", (0, v, 0)), ("r", (0, 0, v))):
+            with pytest.raises(ValueError, match=f"{name} exponent must be a nonnegative integer"):
+                pwm(*exponents, P_HALF_1_1)
+
+    def test_order_stat_pdf(self, v):
+        for r, n in ((v, 5), (1, v)):
+            with pytest.raises(ValueError, match="need integers 1 <= r <= n"):
+                order_stat_pdf(1.0, r, n, P_HALF_2_1)

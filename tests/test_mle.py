@@ -10,6 +10,7 @@ from ptgfit.baselines import Exponential, Weibull
 from ptgfit.competitors import MarshallOlkinExponential
 from ptgfit.distributions import PtgParams, pte_params, ptg_log_pdf, ptg_loglik_derivatives
 from ptgfit.mle import (
+    MODELS,
     FitOptions,
     FitResult,
     _latin_hypercube,
@@ -23,6 +24,14 @@ from ptgfit.mle import (
     observed_information,
     wald_ci,
 )
+from ptgfit.reproduce import run_reproduction
+
+
+def _objective(data, model):
+    """The search objective of ``model`` on the one sample ``data``, every
+    row of Z under label 0."""
+    f = _loglik_score([data], model)
+    return lambda z: f(z, np.zeros(len(z), dtype=int))
 
 
 def richardson_gradient(f, z, rel_step=1e-4):
@@ -205,7 +214,7 @@ class TestFit:
         assert np.max(np.abs(grad)) < 1e-3
         # the analytic score in the search coordinates (asin alpha, beta, log lam)
         z_search = np.array([[math.asin(a_hat), b_hat, math.log(lam_hat)]])
-        _, score = _loglik_score(data_I, "pte")(z_search)
+        _, score = _objective(data_I, "pte")(z_search)
         assert np.max(np.abs(score)) < 1e-6
 
     def test_profile_sanity(self, synthetic_fit):
@@ -302,7 +311,7 @@ class TestObservedInformation:
     def test_matches_differences_of_the_score(self, data_I, baseline, alpha, beta):
         # the analytic score in natural coordinates: the search-coordinate
         # score divided by the Jacobian of (asin alpha, beta, log baseline)
-        f = _loglik_score(data_I, TAGS[type(baseline)])
+        f = _objective(data_I, TAGS[type(baseline)])
 
         def score(theta):
             z = np.array([math.asin(theta[0]), theta[1], *np.log(theta[2:])])
@@ -500,7 +509,7 @@ class TestScore:
 
     @pytest.mark.parametrize("baseline", BASELINES, ids=("exponential", "weibull"))
     def test_loglik_equals_sum_of_log_pdf(self, data_I, baseline):
-        f = _loglik_score(data_I, TAGS[type(baseline)])
+        f = _objective(data_I, TAGS[type(baseline)])
         rows = [(a, b) for a in ALPHAS for b in BETAS]
         ll, _ = f(np.array([self._z(a, b, baseline) for a, b in rows]))
         for (a, b), value in zip(rows, ll):
@@ -511,14 +520,14 @@ class TestScore:
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("beta", BETAS)
     def test_score_matches_central_differences(self, data_I, baseline, alpha, beta):
-        f = _loglik_score(data_I, TAGS[type(baseline)])
+        f = _objective(data_I, TAGS[type(baseline)])
         z = self._z(alpha, beta, baseline)
         _, score = f(z[None])
         numeric = richardson_gradient(lambda v: f(v[None])[0][0], z)
         assert np.allclose(score[0], numeric, rtol=1e-7, atol=1e-7)
 
     def test_rows_outside_the_domain_are_minus_inf(self, data_I):
-        f = _loglik_score(data_I, "pte")
+        f = _objective(data_I, "pte")
         ll, _ = f(np.array([[0.3, 1e-9, 0.0], [0.3, -2.0, 0.0]]))
         assert ll[0] == -np.inf and np.isfinite(ll[1])
 
@@ -548,15 +557,37 @@ class TestLoglikDerivatives:
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
+@pytest.mark.parametrize("model", ["pte", "ptw", "moe"])
+def test_padded_rows_equal_their_samples_alone(data_I, data_II, model):
+    # one kernel call on rows of dataset I and of dataset II padded to n = 72
+    # with its first observation equals the two calls on each sample alone,
+    # bit for bit, at order 1 and 2
+    kernel = MODELS[model].kernel
+    if model == "moe":
+        theta = np.array([(tilt, lam) for tilt in (0.05, 1.0, 60.0) for lam in (0.3, 1.4, 2.5)])
+    else:
+        base = (0.8,) if model == "pte" else (0.8, 1.3)
+        theta = np.array([(a, b, *base) for a in ALPHAS for b in BETAS])
+    m = len(theta) // 2
+    padded_II = np.append(data_II, np.full(data_I.size - data_II.size, data_II[0]))
+    x = np.vstack([np.tile(data_I, (m, 1)), np.tile(padded_II, (len(theta) - m, 1))])
+    n_obs = np.array([data_I.size] * m + [data_II.size] * (len(theta) - m))
+    for order in (1, 2):
+        together = kernel(x, theta, order, n_obs)
+        alone = zip(kernel(data_I, theta[:m], order), kernel(data_II, theta[m:], order))
+        for both, (first, second) in zip(together, alone):
+            assert np.array_equal(both, np.concatenate([first, second]), equal_nan=True)
+
+
 def _counted(fun, calls):
-    def counted(z):
+    def counted(z, labels):
         calls.append(len(z))
-        return fun(z)
+        return fun(z, labels)
 
     return counted
 
 
-def _well_and_tail(z):
+def _well_and_tail(z, labels):
     """A well near z = -1 (value about -7.37) beside a tail 10 + e^-z that
     flattens towards 10 as z grows: a start right of the rim runs away."""
     x = z[:, 0]
@@ -564,7 +595,7 @@ def _well_and_tail(z):
     return 10.0 + np.exp(-x) - bump, (-np.exp(-x) + 2.0 * (x + 1.0) * bump)[:, None]
 
 
-def _rosenbrock(z):
+def _rosenbrock(z, labels):
     """Ten times Rosenbrock's valley: from (-1.2, 1) the quasi-Newton steps
     descend it for about 40 steps to its minimum 0 at (1, 1)."""
     x, y = z[:, 0], z[:, 1]
@@ -594,8 +625,8 @@ class TestFreeze:
         assert f[0] < 1e-12
 
     def test_non_finite_rows_raise_no_warning(self):
-        def fun(z):
-            f, g = _well_and_tail(z)
+        def fun(z, labels):
+            f, g = _well_and_tail(z, labels)
             bad = z[:, 0] < -5.0
             return np.where(bad, np.inf, f), np.where(bad[:, None], np.nan, g)
 
@@ -622,9 +653,99 @@ class TestFreeze:
         fit({"I": data_I, "II": data_II}[dataset], model, FitOptions(seed=0))
         assert len(calls) <= ceiling
 
+    def test_freeze_is_per_sample(self):
+        # the runaway start alone under its own label is its sample's best
+        # row: the well under label 0 does not freeze it
+        box = (np.full(1, -1e6), np.full(1, 1e6))
+        alone, labelled = [], []
+        z_alone, f_alone, _ = minimize(_counted(_well_and_tail, alone), np.array([[3.0]]), box)
+
+        def fun(z, labels):
+            labelled.append(labels.tolist())
+            return _well_and_tail(z, labels)
+
+        z, f, _ = minimize(fun, np.array([[-1.0], [3.0]]), box, np.array([0, 1]))
+        assert f[0] == pytest.approx(-7.3684856, abs=1e-6)
+        assert z[1, 0] == z_alone[0, 0] and f[1] == f_alone[0]
+        assert sum(1 in labels for labels in labelled) == len(alone)
+
+
+def _same_fit(a, b):
+    """Two fit records equal bit for bit in what the search decides."""
+    return (
+        a.estimates.values == b.estimates.values
+        and a.loglik == b.loglik
+        and np.array_equal(a.std_errors, b.std_errors, equal_nan=True)
+        and a.converged == b.converged
+        and a.n_restarts_used == b.n_restarts_used
+    )
+
+
+class TestFitSamples:
+    """One lockstep multistart across samples gives each sample's solo fit."""
+
+    @pytest.mark.parametrize("model", ["pte", "ptw", "moe"])
+    @pytest.mark.parametrize(
+        "seed, n_starts", [(0, 20), (15, 6)]  # seed 15: a PT-W start leaves the box on II
+    )
+    def test_fused_fits_equal_solo_fits(self, data_I, data_II, model, seed, n_starts):
+        opts = FitOptions(n_starts=n_starts, seed=seed)
+        with warnings.catch_warnings(record=True) as fused_warnings:
+            warnings.simplefilter("always")
+            fused = mle.fit_samples([data_I, data_II], model, opts)
+        with warnings.catch_warnings(record=True) as solo_warnings:
+            warnings.simplefilter("always")
+            solo = [fit(data_I, model, opts), fit(data_II, model, opts)]
+        assert all(_same_fit(a, b) for a, b in zip(fused, solo))
+        assert [str(w.message) for w in fused_warnings] == [str(w.message) for w in solo_warnings]
+
+    def test_equal_lengths_make_one_kernel_call_per_objective_call(self, monkeypatch, data_I):
+        resample = np.random.default_rng(2024).choice(data_I, data_I.size)
+        kernel_calls, objective_calls = [], []
+
+        def kernel(data, family, theta, order=1, n_obs=None):
+            if order == 1:  # not the information
+                kernel_calls.append(len(theta))
+            return ptg_loglik_derivatives(data, family, theta, order, n_obs)
+
+        monkeypatch.setattr(mle, "ptg_loglik_derivatives", kernel)
+        monkeypatch.setattr(
+            mle, "minimize", lambda fun, *args: minimize(_counted(fun, objective_calls), *args)
+        )
+        fused = mle.fit_samples([data_I, resample], "pte", FitOptions(seed=0))
+        assert kernel_calls == objective_calls
+        monkeypatch.undo()
+        solo = [fit(data_I, "pte", FitOptions(seed=0)), fit(resample, "pte", FitOptions(seed=0))]
+        assert all(_same_fit(a, b) for a, b in zip(fused, solo))
+
+    def test_reproduction_cost(self, monkeypatch):
+        # one lockstep multistart and two polishes for each of Marshall-Olkin
+        # and PT-E across both datasets; 435 batched calls when fitted apart
+        launches, calls = [], []
+
+        def counted(fun, *args):
+            launches.append(len(args[0]))
+            return minimize(_counted(fun, calls), *args)
+
+        monkeypatch.setattr(mle, "minimize", counted)
+        run_reproduction()
+        assert launches == [40, 2, 2, 40, 2, 2]
+        assert len(calls) <= 330
+
+    def test_warnings_point_at_the_caller(self, data_II):
+        opts = FitOptions(n_starts=6, seed=0)
+        for call in (fit, lambda x, *args: mle.fit_samples([x], *args)):
+            with pytest.warns(UserWarning) as record:
+                call(data_II, "ptw", opts)  # lands beyond |beta| = 700
+            assert [w.filename for w in record] == [__file__] * len(record)
+
+    def test_refuses_no_samples(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            mle.fit_samples([], "pte")
+
 
 def test_multistart_refuses_empty_start_set(data_I):
-    f = _loglik_score(data_I, "pte")
+    f = _loglik_score([data_I], "pte")
     box = (np.full(3, -np.inf), np.full(3, np.inf))
     with pytest.raises(ValueError, match="need at least one start"):
         multistart_maximize(f, np.empty((0, 3)), box=box)

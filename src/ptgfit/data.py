@@ -145,7 +145,8 @@ def load_observations(path, fmt=None):
     ``fmt`` is ``"whitespace"`` (any blank-separated layout) or
     ``"csv_single_column"``; ``None`` picks the CSV reading when a comma
     appears outside the comments.  Blank lines and ``#`` comments are
-    skipped; parse, sign and non-finite errors name the offending line.
+    skipped; parse, sign and non-finite errors, and a CSV line with more
+    than one non-empty field, name the offending line.
     """
     if fmt not in (None, "whitespace", "csv_single_column"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -158,13 +159,11 @@ def load_observations(path, fmt=None):
         fmt = "csv_single_column" if any("," in body for _, body in lines) else "whitespace"
     values = []
     for lineno, body in lines:
-        if not body:
-            continue
         tokens = body.split(",") if fmt == "csv_single_column" else body.split()
+        tokens = [tok.strip() for tok in tokens if tok.strip()]
+        if fmt == "csv_single_column" and len(tokens) > 1:
+            raise ValueError(f"{path}:{lineno}: {len(tokens)} fields in a single-column CSV")
         for tok in tokens:
-            tok = tok.strip()
-            if not tok:
-                continue
             try:
                 v = float(tok)
             except ValueError:

@@ -3,7 +3,7 @@
 Two stacked constructions over a baseline cdf G:
 
 * transmuted layer (quadratic rank transmutation): cdf ``G * (1 + a - a*G)``
-  with transmutation parameter ``a`` in [-1, 1];
+  with ``a`` in [-1, 1] and dT/dG = ``1 + a - 2*a*G``, both in ``_transmuted``;
 * zero-truncated Poisson compounding of that cdf with tilt parameter ``b``
   (any nonzero real): cdf ``(1 - exp(-b*T)) / (1 - exp(-b))``.
 
@@ -14,9 +14,9 @@ for ``b < 0`` the Poisson layer is factored by ``exp(b)`` so that no
 intermediate overflows, however negative ``b`` is.  A negative or NaN ``x``
 is a ``ValueError``.  The log-density is written once, as ``_log_c`` plus
 ``_log_body``: ``ptg_log_pdf``, ``ptg_pdf`` (its exponential) and the
-fit's batched ``ptg_loglik_derivatives`` all use it.  The private
-``_ptg_upper_quantile`` inverts the cdf from the upper-tail probability
-1 - u, which keeps its digits where u rounds to 1.
+fit's batched ``ptg_loglik_derivatives`` all use it.  Every function reads
+G once per call.  The private ``_ptg_upper_quantile`` inverts the cdf from
+the upper-tail probability 1 - u, which keeps its digits where u rounds to 1.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_BETA_FLOOR = 1e-8
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -133,20 +134,23 @@ def _ret(value, scalar):
 # ---------------------------------------------------------------------------
 
 
+def _transmuted(alpha, g):
+    """T = G (1 + alpha - alpha G) and fac = dT/dG = 1 + alpha - 2 alpha G."""
+    return g * (1.0 + alpha - alpha * g), 1.0 + alpha - 2.0 * alpha * g
+
+
 def tg_cdf(x, alpha, baseline):
     """Transmuted cdf G(x) * (1 + alpha - alpha*G(x))."""
     _check_alpha(alpha)
     x, scalar = _validated_x(x)
-    g = baseline.cdf(x)
-    return _ret(g * (1.0 + alpha - alpha * g), scalar)
+    return _ret(_transmuted(alpha, baseline.cdf(x))[0], scalar)
 
 
 def tg_pdf(x, alpha, baseline):
     """Transmuted pdf g(x) * (1 + alpha - 2*alpha*G(x))."""
     _check_alpha(alpha)
     x, scalar = _validated_x(x)
-    g = baseline.cdf(x)
-    return _ret(baseline.pdf(x) * (1.0 + alpha - 2.0 * alpha * g), scalar)
+    return _ret(baseline.pdf(x) * _transmuted(alpha, baseline.cdf(x))[1], scalar)
 
 
 def _tg_invert(u, alpha):
@@ -155,13 +159,11 @@ def _tg_invert(u, alpha):
     The defining quadratic is solved in the cancellation-free conjugate
     form ``2u / ((1+alpha) + sqrt((1+alpha)^2 - 4*alpha*u))``, which is the
     smaller root for alpha != 0 and degrades gracefully to G = u at
-    alpha = 0, so no small-alpha branch is needed.
-    """
-    disc = (1.0 + alpha) ** 2 - 4.0 * alpha * u
-    if np.any(disc < -1e-12):
-        raise ArithmeticError("negative discriminant in transmuted inversion")
-    disc = np.maximum(disc, 0.0)
-    return 2.0 * u / ((1.0 + alpha) + np.sqrt(disc))
+    alpha = 0, so no small-alpha branch is needed.  Its clamps absorb only
+    rounding, the discriminant's below 0 and G's above 1 near u = 1, and the
+    0/0 at alpha = -1, u = 0, where G = 0."""
+    disc = np.maximum((1.0 + alpha) ** 2 - 4.0 * alpha * u, 0.0)
+    return np.minimum(2.0 * u / np.maximum((1.0 + alpha) + np.sqrt(disc), _TINY), 1.0)
 
 
 def tg_quantile(u, alpha, baseline):
@@ -192,7 +194,7 @@ def ptg_cdf(x, p):
     cancelled.  Both are exact at the endpoints and overflow for no beta.
     """
     x, scalar = _validated_x(x)
-    t = tg_cdf(x, p.alpha, p.baseline)
+    t, _ = _transmuted(p.alpha, p.baseline.cdf(x))
     if p.beta > 0:
         return _ret(np.expm1(-p.beta * t) / np.expm1(-p.beta), scalar)
     b = -p.beta
@@ -207,11 +209,10 @@ def _log_c(beta):
 
 
 def _log_body(alpha, beta, g, log_g):
-    """The log-density less c(beta), log g + log(fac) - beta T, elementwise in
-    the baseline cdf ``g`` and log-density ``log_g``, with fac = 1 + alpha -
-    2 alpha G and T; NaN or -inf where fac <= 0, which the callers mask."""
-    fac = 1.0 + alpha - 2.0 * alpha * g
-    t = g * (1.0 + alpha - alpha * g)
+    """(log g + log(fac) - beta T, fac, T), the log-density less c(beta) with T
+    and fac of the one transmuted formula :func:`_transmuted`, elementwise in
+    ``g`` and ``log_g``; NaN or -inf where fac <= 0, which the callers mask."""
+    t, fac = _transmuted(alpha, g)
     return log_g + np.log(fac) - beta * t, fac, t
 
 
@@ -297,10 +298,10 @@ def ptg_hrf(x, p):
     (-expm1(-beta * (1 - T)))``, defined while T < 1 even where F rounds to 1.
     """
     x, scalar = _validated_x(x)
-    t = tg_cdf(x, p.alpha, p.baseline)
+    t, fac = _transmuted(p.alpha, p.baseline.cdf(x))
     if np.any(t >= 1.0):
         raise ValueError("hazard undefined where the transmuted cdf has reached 1")
-    f_tg = tg_pdf(x, p.alpha, p.baseline)
+    f_tg = p.baseline.pdf(x) * fac
     return _ret(p.beta * f_tg / (-np.expm1(-p.beta * (1.0 - t))), scalar)
 
 

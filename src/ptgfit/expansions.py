@@ -23,6 +23,7 @@ import numpy as np
 
 from .baselines import Weibull
 from .distributions import (
+    _TINY,
     _ptg_upper_quantile,
     _tg_upper_quantile,
     ptg_cdf,
@@ -57,7 +58,6 @@ class QuadratureWarning(UserWarning):
 
 _LEVELS = 8  # the step h halves from 1 to 1/256
 _RTOL = 1e-11
-_TINY = np.finfo(float).tiny
 
 
 def _node_levels():

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .distributions import tg_cdf, tg_pdf
+from .distributions import _transmuted
 from .expansions import _order_const
 
 __all__ = [
@@ -119,14 +119,14 @@ def _resolve_n_max(beta, n_max):
 def series_pdf(x, p, n_max=None):
     """Density via the truncated expansion in powers of the transmuted cdf."""
     n = _resolve_n_max(p.beta, n_max)
-    t = tg_cdf(x, p.alpha, p.baseline)
-    return tg_pdf(x, p.alpha, p.baseline) * npoly.polyval(t, delta_coeffs(p.beta, n))
+    t, fac = _transmuted(p.alpha, p.baseline.cdf(x))
+    return p.baseline.pdf(x) * fac * npoly.polyval(t, delta_coeffs(p.beta, n))
 
 
 def series_cdf(x, p, n_max=None):
     """Cdf via the truncated expansion; exact 0 at T = 0 since xi_0 = 0."""
     n = _resolve_n_max(p.beta, n_max)
-    t = tg_cdf(x, p.alpha, p.baseline)
+    t, _ = _transmuted(p.alpha, p.baseline.cdf(x))
     return npoly.polyval(t, xi_coeffs(p.beta, n))
 
 
@@ -149,5 +149,5 @@ def series_order_stat_pdf(x, r, n, p, n_max=None):
     for factor, power in ((survival, n - r), (xi, r - 1)):
         for _ in range(power):
             coeffs = npoly.polymul(coeffs, factor)[: n_trunc + 1]
-    t = tg_cdf(x, p.alpha, p.baseline)
-    return tg_pdf(x, p.alpha, p.baseline) * npoly.polyval(t, coeffs)
+    t, fac = _transmuted(p.alpha, p.baseline.cdf(x))
+    return p.baseline.pdf(x) * fac * npoly.polyval(t, coeffs)

@@ -399,6 +399,13 @@ class TestDataFiles:
         code, payload, _ = run_json(capsys, "fit", "--model", "exp", "--data", str(f))
         assert code == 0 and payload["n"] == 2
 
+    def test_two_column_csv_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "two.csv"
+        f.write_text("1.5,2\n2.5,3\n4,0.5\n")
+        code, out, err = run_cli(capsys, "fit", "--model", "exp", "--data", str(f))
+        assert (code, out) == (1, "")
+        assert "two.csv:1: 2 fields" in err
+
 
 class TestDefaultFormat:
     CASES = [

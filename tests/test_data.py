@@ -117,6 +117,17 @@ class TestLoadObservations:
         d = load_observations(f, "csv_single_column")
         assert np.array_equal(d.values, [0.5, 1.5])
 
+    @pytest.mark.parametrize("fmt", ["csv_single_column", None])
+    def test_csv_line_with_two_fields_names_line(self, tmp_path, fmt):
+        # two columns are an error, not twice the observations
+        f = tmp_path / "two.csv"
+        f.write_text("1.5,2\n2.5,3\n4,0.5\n")
+        with pytest.raises(ValueError, match=r"two\.csv:1: 2 fields"):
+            load_observations(f, fmt)
+        f.write_text("0.5,\n1.5, ,2,\n")
+        with pytest.raises(ValueError, match=r"two\.csv:2: 2 fields"):
+            load_observations(f, fmt)
+
     def test_format_sniffed_outside_comments(self, tmp_path):
         f = tmp_path / "obs.txt"
         f.write_text("# relief times, minutes\n1.1 1.4\n")

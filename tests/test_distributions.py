@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from ptgfit.baselines import Exponential, MarshallOlkinExponential, MomentExponential, Weibull
 from ptgfit.distributions import (
     PtgParams,
+    _tg_invert,
     pte_params,
     ptg_cdf,
     ptg_hrf,
@@ -97,6 +98,41 @@ class TestTransmutedLayer:
                 assert tg_cdf(x, a, EXP1) == pytest.approx(u, abs=1e-9)
                 x_oracle = _bisect_quantile(lambda t: tg_cdf(t, a, EXP1), u, hi=60.0)
                 assert x == pytest.approx(x_oracle, abs=1e-7)
+
+    def test_inversion_stays_in_unit_interval(self):
+        # the closed domain's corners, then seeded interior points
+        rng = np.random.default_rng(1818)
+        alphas = np.concatenate([[-1.0, -0.5, 0.0, 0.5, 1.0], rng.uniform(-1.0, 1.0, 100)])
+        us = np.concatenate([[0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0], rng.random(100)])
+        for a in alphas:
+            g = _tg_invert(us, a)
+            assert np.all(np.isfinite(g) & (g >= 0.0) & (g <= 1.0)), a
+        assert _tg_invert(np.array([0.0, 1.0]), -1.0).tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("alpha", [-1.0, 1.0])
+    def test_quantile_finite_at_extreme_alpha(self, alpha):
+        rng = np.random.default_rng(1819)
+        u = np.concatenate([[5e-324, 1e-300, 0.5, 1.0 - 1e-12], rng.random(100)])
+        assert np.all(np.isfinite(tg_quantile(u, alpha, EXP1)))
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            pytest.param(
+                -1.0,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="at alpha = -1, G = sqrt(u) rounds to 1 at the top double, so "
+                    "the lower-tail quantile is inf; the upper-tail path is ROADMAP item 6",
+                ),
+            ),
+            1.0,
+        ],
+    )
+    def test_quantile_finite_at_top_double(self, alpha):
+        with np.errstate(divide="ignore"):
+            assert np.isfinite(tg_quantile(1.0 - 2.0**-53, alpha, EXP1))
 
     @given(
         a=st.floats(-1.0, 1.0),
@@ -259,6 +295,36 @@ class TestHazard:
     def test_domain_error_at_saturated_cdf(self):
         with pytest.raises(ValueError):
             ptg_hrf(4000.0, pte_params(0.0, 1.0, 1.0))
+
+
+class _CountingExponential(Exponential):
+    """An exponential baseline that records each call of its cdf."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "cdf_calls", [])
+
+    def cdf(self, x):
+        self.cdf_calls.append(x)
+        return super().cdf(x)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda x, p: tg_cdf(x, p.alpha, p.baseline),
+        lambda x, p: tg_pdf(x, p.alpha, p.baseline),
+        ptg_cdf,
+        ptg_pdf,
+        ptg_log_pdf,
+        ptg_hrf,
+    ],
+    ids=["tg_cdf", "tg_pdf", "ptg_cdf", "ptg_pdf", "ptg_log_pdf", "ptg_hrf"],
+)
+def test_one_baseline_cdf_read_per_call(evaluate):
+    base = _CountingExponential(1.3)
+    evaluate(np.array([0.0, 0.3, 1.1, 2.5]), PtgParams(0.5, 2.0, base))
+    assert len(base.cdf_calls) == 1
 
 
 class TestQuantile:

@@ -85,7 +85,9 @@ class Exponential:
         return -np.expm1(-self.lam * _nonnegative(x))
 
     def quantile(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.lam
+        u = _probability(u)
+        with np.errstate(divide="ignore"):  # u = 1: x = inf
+            return -np.log1p(-u) / self.lam
 
     def isf(self, h):
         """Inverse survival function: the x with 1 - G(x) = h."""
@@ -149,8 +151,9 @@ class Weibull:
         return -np.expm1(-self.lam * self._log_and_power(x)[1])
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return (-np.log1p(-u) / self.lam) ** (1.0 / self.theta)
+        u = _probability(u)
+        with np.errstate(divide="ignore"):  # u = 1: x = inf
+            return (-np.log1p(-u) / self.lam) ** (1.0 / self.theta)
 
     def isf(self, h):
         """Inverse survival function: the x with 1 - G(x) = h."""
@@ -202,7 +205,8 @@ class MomentExponential:
 
     def log_pdf(self, x):
         x = _nonnegative(x)
-        return np.log(x) - x / self.sigma - 2.0 * math.log(self.sigma)
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            return np.log(x) - x / self.sigma - 2.0 * math.log(self.sigma)
 
     def quantile(self, u):
         return self.sigma * _gamma2_quantile(_probability(u))

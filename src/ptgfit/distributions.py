@@ -15,8 +15,10 @@ intermediate overflows, however negative ``b`` is.  A negative or NaN ``x``
 is a ``ValueError``.  The log-density is written once, as ``_log_c`` plus
 ``_log_body``: ``ptg_log_pdf``, ``ptg_pdf`` (its exponential) and the
 fit's batched ``ptg_loglik_derivatives`` all use it.  Every function reads
-G once per call.  The private ``_ptg_upper_quantile`` inverts the cdf from
-the upper-tail probability 1 - u, which keeps its digits where u rounds to 1.
+G once per call.  Each layer's quantile, at levels u with complements v,
+is one private core (``_tg_quantile``, ``_ptg_quantile``): the closed form in
+u up to u = 1/2 and above it the upper-tail form in v, which keeps its digits
+where u rounds to 1.
 """
 
 from __future__ import annotations
@@ -166,18 +168,35 @@ def _tg_invert(u, alpha):
     return np.minimum(2.0 * u / np.maximum((1.0 + alpha) + np.sqrt(disc), _TINY), 1.0)
 
 
+def _split(u, v, lower, upper):
+    """A quantile at the levels u with complements v: ``lower(u)`` up to
+    u = 1/2 and ``upper(v)``, an upper-tail form, above it.  A scalar level
+    stays a numpy scalar, whose power (libm's) is not the array loop's."""
+    # the quadrature's nodes of [0, b] underflow to u = 0 once b < 5e-20
+    low, u = u <= 0.5, np.maximum(u, _TINY)
+    if np.all(low):
+        return lower(u)
+    if not np.any(low):
+        return upper(v)
+    x = np.empty_like(u)
+    x[low], x[~low] = lower(u[low]), upper(v[~low])
+    return x
+
+
+def _tg_quantile(u, v, alpha, baseline):
+    """The transmuted quantile at the levels u with complements v.  Above
+    u = 1/2 it is taken from v: 1 - T = (1 - G)(1 - alpha + alpha (1 - G))
+    is the transmuted cdf at -alpha in 1 - G, and x is the baseline's
+    inverse survival function."""
+    return _split(u, v, lambda w: baseline.quantile(_tg_invert(w, alpha)),
+                  lambda w: baseline.isf(_tg_invert(w, -alpha)))
+
+
 def tg_quantile(u, alpha, baseline):
-    """Inverse of :func:`tg_cdf` on (0, 1)."""
+    """Inverse of :func:`tg_cdf` on (0, 1); above u = 1/2 from the exact 1 - u."""
     _check_alpha(alpha)
     u, scalar = _validated_u(u)
-    return _ret(baseline.quantile(_tg_invert(u, alpha)), scalar)
-
-
-def _tg_upper_quantile(v, alpha, baseline):
-    """The transmuted quantile at u = 1 - v, from the upper-tail probability
-    ``v``: 1 - T = (1 - G)(1 - alpha + alpha (1 - G)) is the transmuted cdf
-    at -alpha in 1 - G, and x is the baseline's inverse survival function."""
-    return baseline.isf(_tg_invert(v, -alpha))
+    return _ret(_tg_quantile(u, 1.0 - u, alpha, baseline), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +334,22 @@ def _poisson_invert(w, beta):
     return 1.0 + np.log(w + (1.0 - w) * np.exp(beta)) / -beta
 
 
+def _ptg_quantile(u, v, p):
+    """The PT-G quantile at the levels u with complements v, in closed form:
+    the Poisson layer unwound by :func:`_poisson_invert`, then the
+    transmuted layer.  Above u = 1/2 it is taken from v: 1 - F is the
+    Poisson layer at -beta in 1 - T, so 1 - T is :func:`_poisson_invert` at
+    -beta, and x follows from 1 - T as in :func:`_tg_quantile`."""
+    alpha, beta, base = p.alpha, p.beta, p.baseline
+    return _split(u, v, lambda w: base.quantile(_tg_invert(_poisson_invert(w, beta), alpha)),
+                  lambda w: base.isf(_tg_invert(_poisson_invert(w, -beta), -alpha)))
+
+
 def ptg_quantile(u, p):
-    """Inverse of :func:`ptg_cdf` on (0, 1), in closed form: the Poisson
-    layer unwound by :func:`_poisson_invert`, then the transmuted layer via
-    the conjugate quadratic root."""
+    """Inverse of :func:`ptg_cdf` on (0, 1), accurate up to the top double:
+    its upper-tail form, above u = 1/2, reads 1 - u, which is exact there."""
     u, scalar = _validated_u(u)
-    t = _poisson_invert(u, p.beta)
-    return _ret(p.baseline.quantile(_tg_invert(t, p.alpha)), scalar)
-
-
-def _ptg_upper_quantile(v, p):
-    """The quantile at u = 1 - v from the upper-tail probability ``v`` (an
-    array in (0, 1/2]), accurate where 1 - v rounds to 1.
-
-    1 - F is the Poisson layer at -beta in 1 - T, so 1 - T is
-    :func:`_poisson_invert` at -beta, and x follows from 1 - T by
-    :func:`_tg_upper_quantile`.
-    """
-    return _tg_upper_quantile(_poisson_invert(v, -p.beta), p.alpha, p.baseline)
+    return _ret(_ptg_quantile(u, 1.0 - u, p), scalar)
 
 
 def ptg_sample(n, model, seed):

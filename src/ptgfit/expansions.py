@@ -7,9 +7,10 @@ deviations are computed here.  One vectorised double-exponential rule,
 relative 1e-11.  Moments, probability weighted moments, mean deviations,
 stress-strength reliability and residual life are integrated in
 probability space, E[h(X)] = int_a^b h(Q(u)) du, by the tanh-sinh map, with
-Q the closed-form quantile below u = 1/2 and its upper-tail form, taken
-from v = 1 - u, above; the mgf and the Renyi entropy are integrated over
-x by the exp-sinh map, with log-space integrands.  The order-statistic
+Q the quantile core of :mod:`distributions` at each node u and the
+complement v = 1 - u that the rule carries, so the upper tail keeps its
+digits; the mgf and the Renyi entropy are integrated over x by the
+exp-sinh map, with log-space integrands.  The order-statistic
 density is the direct form C * f * F^(r-1) * (1-F)^(n-r).  The paper's
 series expansions live in :mod:`series`, as cross-checks of these forms.
 """
@@ -23,14 +24,12 @@ import numpy as np
 
 from .baselines import Weibull
 from .distributions import (
-    _TINY,
-    _ptg_upper_quantile,
-    _tg_upper_quantile,
+    _ptg_quantile,
+    _tg_quantile,
     ptg_cdf,
     ptg_log_pdf,
     ptg_pdf,
     ptg_quantile,
-    tg_quantile,
 )
 
 __all__ = [
@@ -140,24 +139,6 @@ def quad(fn, a, b):
     return float(total)
 
 
-def _split(u, v, lower, upper):
-    """A quantile at the nodes u with complements v: ``lower(u)`` up to
-    u = 1/2 and ``upper(v)``, an upper-tail form, above it."""
-    low = u <= 0.5
-    x = np.empty_like(u)
-    if np.any(low):
-        # nodes of [0, b] underflow to u = 0 once b < 5e-20
-        x[low] = lower(np.maximum(u[low], _TINY))
-    if not np.all(low):
-        x[~low] = upper(v[~low])
-    return x
-
-
-def _quantile(u, v, p):
-    """The PT-G quantile at the nodes u with complements v."""
-    return _split(u, v, lambda w: ptg_quantile(w, p), lambda w: _ptg_upper_quantile(w, p))
-
-
 def _over_x(log_h, p):
     """int_0^inf exp(log_h(x)) dx, with the exp-sinh nodes x = m exp(pi/2
     sinh t) scaled by the median m of ``p``, so that they are as dense about
@@ -182,19 +163,14 @@ def pwm(p_exp, q_exp, r_exp, dist):
         for name, v in (("p", p_exp), ("q", q_exp), ("r", r_exp))
     )
     alpha, base = dist.alpha, dist.baseline
-
-    def integrand(u, v):
-        x = _split(u, v, lambda w: tg_quantile(w, alpha, base),
-                   lambda w: _tg_upper_quantile(w, alpha, base))
-        return x**p_exp * u**q_exp * v**r_exp
-
-    return quad(integrand, 0.0, 1.0)
+    return quad(lambda u, v: _tg_quantile(u, v, alpha, base) ** p_exp * u**q_exp * v**r_exp,
+                0.0, 1.0)
 
 
 def raw_moment(s, p):
     """s-th raw moment E[X^s], integrated in probability space over the quantile."""
     s = _integer(s, 1, "moment order must be a positive integer")
-    return quad(lambda u, v: _quantile(u, v, p) ** s, 0.0, 1.0)
+    return quad(lambda u, v: _ptg_quantile(u, v, p) ** s, 0.0, 1.0)
 
 
 def mgf(s, p):
@@ -244,7 +220,7 @@ def stress_strength(p1, p2):
     """
     if type(p1.baseline) is not type(p2.baseline):
         raise ValueError("stress and strength must share a baseline family")
-    return quad(lambda u, v: ptg_cdf(_quantile(u, v, p1), p2), 0.0, 1.0)
+    return quad(lambda u, v: ptg_cdf(_ptg_quantile(u, v, p1), p2), 0.0, 1.0)
 
 
 def residual_moment(n, t, p):
@@ -255,7 +231,7 @@ def residual_moment(n, t, p):
     big_f = ptg_cdf(t, p) if t > 0 else 0.0
     if big_f >= 1.0 - 1e-15:
         raise ValueError("residual life undefined where the cdf has reached 1")
-    val = quad(lambda u, v: (_quantile(u, v, p) - t) ** n, big_f, 1.0)
+    val = quad(lambda u, v: (_ptg_quantile(u, v, p) - t) ** n, big_f, 1.0)
     return val / (1.0 - big_f)
 
 
@@ -268,7 +244,7 @@ def reversed_residual_moment(n, t, p):
     if big_f <= 1e-300:
         raise ValueError("reversed residual life undefined where the cdf is 0")
     # divided inside: the integral alone underflows once F(t) * t^n < 1e-308
-    return quad(lambda u, v: (t - _quantile(u, v, p)) ** n / big_f, 0.0, big_f)
+    return quad(lambda u, v: (t - _ptg_quantile(u, v, p)) ** n / big_f, 0.0, big_f)
 
 
 def renyi_entropy(delta, p):
@@ -298,7 +274,7 @@ def mean_deviation(about, p):
     else:
         raise ValueError(f"about must be 'mean' or 'median', got {about!r}")
     big_f = ptg_cdf(c, p)
-    phi = quad(lambda u, v: _quantile(u, v, p), 0.0, big_f)
+    phi = quad(lambda u, v: _ptg_quantile(u, v, p), 0.0, big_f)
     if about == "mean":
         return 2.0 * mu * big_f - 2.0 * phi
     return mu - 2.0 * phi

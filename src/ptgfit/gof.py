@@ -70,13 +70,16 @@ def information_criteria(loglik, k, n):
     return InformationCriteria(aic, bic, caic, hqic)
 
 
-def kolmogorov_pvalue(t, n_terms=100):
+_KOLMOGOROV_TERMS = 100  # of the series below, ample from t = 0.05 on
+
+
+def kolmogorov_pvalue(t):
     """Asymptotic Kolmogorov survival function 2 * sum (-1)^(m-1) exp(-2 m^2 t^2)."""
     if t < 0.05:
         # the alternating series needs impractically many terms here and the
         # true value is 1 to within double precision
         return 1.0
-    m = np.arange(1, n_terms + 1)
+    m = np.arange(1, _KOLMOGOROV_TERMS + 1)
     total = 2.0 * np.sum((-1.0) ** (m - 1) * np.exp(-2.0 * m**2 * t**2))
     return float(min(max(total, 0.0), 1.0))
 

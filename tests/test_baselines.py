@@ -164,13 +164,21 @@ def test_moment_exponential_quantile_against_mpmath(sigma):
     assert np.allclose(MomentExponential(sigma).quantile(u), want, rtol=4e-15, atol=0.0)
 
 
+def test_moment_exponential_log_pdf_at_zero():
+    # x = 0 is admitted; log 0 escaped its errstate as a RuntimeWarning
+    assert MomentExponential(1.0).log_pdf(0.0) == -np.inf
+
+
 @pytest.mark.parametrize(
-    "model", [MomentExponential(1.0), MarshallOlkinExponential(2.0, 1.0)],
-    ids=["moment-exponential", "marshall-olkin"],
+    "model",
+    [Exponential(1.0), Weibull(1.0, 2.0), MomentExponential(1.0),
+     MarshallOlkinExponential(2.0, 1.0)],
+    ids=["exponential", "weibull", "moment-exponential", "marshall-olkin"],
 )
-def test_competitor_quantile_refuses_bad_levels(model):
-    # MarshallOlkinExponential(2, 1).quantile(-0.1) was -0.2007 and
-    # MomentExponential(1).quantile(1.5) was NaN
+def test_quantile_refuses_bad_levels(model):
+    # MarshallOlkinExponential(2, 1).quantile(-0.1) was -0.2007,
+    # Exponential(1).quantile(-0.1) was -0.0953 and Weibull(1, 2).quantile(1.5)
+    # and MomentExponential(1).quantile(1.5) were NaN
     for bad in (-0.1, 1.5, np.nan, [0.5, np.nan]):
         with pytest.raises(ValueError):
             model.quantile(bad)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -115,21 +116,9 @@ class TestTransmutedLayer:
         u = np.concatenate([[5e-324, 1e-300, 0.5, 1.0 - 1e-12], rng.random(100)])
         assert np.all(np.isfinite(tg_quantile(u, alpha, EXP1)))
 
-    @pytest.mark.parametrize(
-        "alpha",
-        [
-            pytest.param(
-                -1.0,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    raises=AssertionError,
-                    reason="at alpha = -1, G = sqrt(u) rounds to 1 at the top double, so "
-                    "the lower-tail quantile is inf; the upper-tail path is ROADMAP item 6",
-                ),
-            ),
-            1.0,
-        ],
-    )
+    # at alpha = -1, G = sqrt(u) rounds to 1 at the top double, so only the
+    # upper-tail form, in 1 - u, keeps the quantile finite
+    @pytest.mark.parametrize("alpha", [-1.0, 1.0])
     def test_quantile_finite_at_top_double(self, alpha):
         with np.errstate(divide="ignore"):
             assert np.isfinite(tg_quantile(1.0 - 2.0**-53, alpha, EXP1))
@@ -327,6 +316,23 @@ def test_one_baseline_cdf_read_per_call(evaluate):
     assert len(base.cdf_calls) == 1
 
 
+def _mp_ptg_quantile(u, alpha, beta, base):
+    """The PT-G quantile at the double u, at 50 digits: the Poisson layer
+    inverted for T up to u = 1/2 and for 1 - T from 1 - u (exact there)
+    above it, then the transmuted quadratic for G or 1 - G by its conjugate
+    root, then the baseline's inverse."""
+    with mpmath.workdps(50):
+        a, b, lam = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(base.lam)
+        if u <= 0.5:
+            t = -mpmath.log1p(u * mpmath.expm1(-b)) / b
+            g = 2 * t / ((1 + a) + mpmath.sqrt((1 + a) ** 2 - 4 * a * t))
+            log_h = mpmath.log1p(-g)
+        else:
+            t_bar = mpmath.log1p((1 - mpmath.mpf(u)) * mpmath.expm1(b)) / b
+            log_h = mpmath.log(2 * t_bar / ((1 - a) + mpmath.sqrt((1 - a) ** 2 + 4 * a * t_bar)))
+        return float((-log_h / lam) ** (1 / mpmath.mpf(getattr(base, "theta", 1.0))))
+
+
 class TestQuantile:
     def test_roundtrip_grid(self):
         u = np.linspace(0.001, 0.999, 101)
@@ -353,6 +359,34 @@ class TestQuantile:
         for u in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 ptg_quantile(u, p)
+
+    # the public quantile lost the upper tail: inf at the first two, 33.964 at the third
+    @pytest.mark.parametrize(
+        "alpha, beta, u, rounded",
+        [(0.0, -100.0, 1.0 - 1e-15, 39.1447), (0.5, -1.0, 1.0 - 2.0**-53, 36.5023),
+         (0.5, 2.0, 1.0 - 2.0**-52, 34.189)],
+    )
+    def test_upper_tail_regressions(self, alpha, beta, u, rounded):
+        got = ptg_quantile(u, pte_params(alpha, beta, 1.0))
+        assert got == pytest.approx(_mp_ptg_quantile(u, alpha, beta, EXP1), rel=1e-12)
+        assert got == pytest.approx(rounded, abs=5e-4)
+
+    def test_against_mpmath_over_both_tails(self):
+        # the seed and the bound were fixed before the first run
+        rng = np.random.default_rng(619)
+        alphas = [-1.0, 1.0, *rng.uniform(-1.0, 1.0, 2)]
+        betas = [-700.0, -101.0, -6.6, 1e-6, 30.0, 700.0]
+        for alpha in alphas:
+            for beta in betas:
+                for base in (Exponential(rng.uniform(0.3, 3.0)),
+                             Weibull(rng.uniform(0.3, 3.0), rng.uniform(0.5, 3.0))):
+                    u = np.array([10.0 ** -rng.uniform(0.3, 300.0),
+                                  1.0 - 10.0 ** -rng.uniform(0.3, 15.9),
+                                  rng.choice([1e-300, 0.5, 1.0 - 2.0**-53])])
+                    got = ptg_quantile(u, PtgParams(alpha, beta, base))
+                    for ui, x in zip(u, got):
+                        want = _mp_ptg_quantile(ui, alpha, beta, base)
+                        assert abs(x - want) <= 1e-12 * want, (alpha, beta, base, ui)
 
     def test_nan_level_refused(self):
         # pte_params(0.5, 2, 1).quantile(nan) returned nan

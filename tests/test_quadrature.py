@@ -10,7 +10,9 @@ import pytest
 from ptgfit.baselines import Exponential, Weibull
 from ptgfit.distributions import (
     PtgParams,
-    _ptg_upper_quantile,
+    _poisson_invert,
+    _ptg_quantile,
+    _tg_invert,
     pte_params,
     ptg_quantile,
     ptw_params,
@@ -193,10 +195,12 @@ class TestUpperTailQuantile:
     def test_matches_quantile_and_stays_finite(self, beta, alpha, base):
         p = PtgParams(alpha, beta, base)
         v = np.array([0.5, 0.2, 0.05])
-        want = ptg_quantile(1.0 - v, p)
-        assert np.allclose(_ptg_upper_quantile(v, p), want, rtol=1e-9, atol=0.0)
-        far = _ptg_upper_quantile(np.array([1e-300]), p)
-        assert np.isfinite(far[0]) and far[0] > _ptg_upper_quantile(np.array([1e-3]), p)[0]
+        # the lower-tail closed form, written out
+        want = p.baseline.quantile(_tg_invert(_poisson_invert(1.0 - v, p.beta), p.alpha))
+        assert np.allclose(_ptg_quantile(1.0 - v, v, p), want, rtol=1e-9, atol=0.0)
+        far = _ptg_quantile(np.array([1.0]), np.array([1e-300]), p)
+        near = _ptg_quantile(np.array([1.0 - 1e-3]), np.array([1e-3]), p)
+        assert np.isfinite(far[0]) and far[0] > near[0]
 
     @pytest.mark.parametrize("alpha, beta", [(0.5, 30.0), (-1.0, -101.0), (1.0, 700.0)])
     @pytest.mark.parametrize("v", [1e-30, 1e-300])
@@ -209,5 +213,5 @@ class TestUpperTailQuantile:
             guess = mpmath.sqrt(t_bar) if a == 1 else t_bar / (1 - a)
             h = mpmath.findroot(lambda h: h * (1 - a + a * h) - t_bar, guess)
             want = float(-mpmath.log(h) / lam)
-        got = _ptg_upper_quantile(np.array([v]), pte_params(alpha, beta, lam))[0]
+        got = _ptg_quantile(np.array([1.0 - v]), np.array([v]), pte_params(alpha, beta, lam))[0]
         assert got == pytest.approx(want, rel=1e-12)

@@ -96,7 +96,9 @@ def test_cli_runs_without_scipy():
 
 
 @pytest.mark.parametrize(
-    "path", sorted((ROOT / "src" / "ptgfit").glob("*.py")), ids=lambda path: path.name
+    "path",
+    sorted((ROOT / "src" / "ptgfit").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda path: path.name if path.parent.name == "ptgfit" else f"scripts/{path.name}",
 )
 def test_every_import_is_used(path):
     # a linter's unused-import rule (F401) with the stdlib: an imported name

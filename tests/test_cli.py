@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +351,13 @@ class TestReproduceCommand:
             "fit[II] pte.cvm",
         }
         assert "GMO-E" in payload["reference_constants"]["I"]
+
+    def test_json_report_is_pinned(self, capsys):
+        # every number of the reproduction, at the default seed and starts
+        code, payload, _ = run_json(capsys, "reproduce", "--seed", "0")
+        del payload["elapsed_seconds"]
+        golden = Path(__file__).parent / "pinned" / "reproduce.json"
+        assert (code, payload) == (3, json.loads(golden.read_text()))
 
     def test_table_output_identifies_failures(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "--seed", "0", "--format", "table")

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -749,3 +751,24 @@ def test_multistart_refuses_empty_start_set(data_I):
     box = (np.full(3, -np.inf), np.full(3, np.inf))
     with pytest.raises(ValueError, match="need at least one start"):
         multistart_maximize(f, np.empty((0, 3)), box=box)
+
+
+# the fits of the search, pinned bit for bit (float.hex): a change to the
+# engine's bookkeeping must leave every search path as it is
+PINNED_FITS = json.loads((Path(__file__).parent / "pinned" / "fits.json").read_text())
+
+
+@pytest.mark.parametrize("key", list(PINNED_FITS))
+def test_search_is_pinned_bit_for_bit(data_I, data_II, key):
+    model, dataset, _, seed, _, n_starts = key.split()
+    with warnings.catch_warnings():  # PT-W on dataset II lands beyond |beta| = 700
+        warnings.simplefilter("ignore")
+        result = fit({"I": data_I, "II": data_II}[dataset], model,
+                     FitOptions(n_starts=int(n_starts), seed=int(seed)))
+    assert {
+        "estimates": [float.hex(v) for v in result.estimates.values],
+        "loglik": float.hex(result.loglik),
+        "std_errors": [float.hex(float(v)) for v in result.std_errors],
+        "converged": result.converged,
+        "n_restarts_used": result.n_restarts_used,
+    } == PINNED_FITS[key]

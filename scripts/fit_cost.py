@@ -4,7 +4,9 @@
 For PT-E, PT-W and Marshall-Olkin on the embedded datasets I and II, at each
 given seed, prints the batched objective calls of the lockstep search (the
 multistart and its polish), the start-rows those calls evaluate (the sum of
-their row counts) and the fitted log-likelihood.  Below them, the
+their row counts) and the fitted log-likelihood.  A line-search call may
+hold several trials per row, the next halvings of each row's step, so the
+start-rows count trial points, not only the starts.  Below them, the
 ``reproduce`` line counts the fits that ``ptgfit reproduce`` runs:
 Marshall-Olkin and PT-E, each fitted to both datasets in one lockstep search
 (``mle.fit_samples``).  The counts do not depend on the machine, so a change

@@ -53,15 +53,19 @@ def _fmt(x):
 
 
 def _resolve_seed(args):
+    """The seed from ``--seed``, else ``PTGFIT_SEED``, else 0: a nonnegative
+    integer, or an input error that names where it came from."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("PTGFIT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"PTGFIT_SEED must be an integer, got {env!r}") from None
-    return 0
+        name, value = "--seed", args.seed
+    else:
+        name, value = "PTGFIT_SEED", os.environ.get("PTGFIT_SEED", "0")
+    try:
+        seed = int(value)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _load_data(args):

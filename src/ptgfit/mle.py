@@ -8,20 +8,24 @@ from many Latin-hypercube starting points at once (``_latin_hypercube``,
 numpy's generator seeded by ``FitOptions.seed``): one lockstep
 quasi-Newton engine (``minimize``, BFGS steps with a backtracking line
 search) advances every start on one (starts x n) array, driven by the
-model's analytic score.  ``fit_samples(samples, model)`` fits one tag to
-several samples in the same lockstep search, and ``fit`` is its one-sample
-case: every start row carries the label of its sample, its own search box
-and its sample's data, so that each sample's rows follow exactly the path
-they follow alone.  A start stops on a small score, a failed search, a
-stalled step, an exit from its search box or its step budget, and is
-frozen once its log-likelihood lies far below the best start's of its own
-sample and has stopped closing the gap (dataset II's runaways to
-beta -> +inf).  The search runs in transformed coordinates that keep every
-iterate inside the parameter domain: alpha = sin(z0), which reaches the
-edges alpha = +-1 at finite z0 and has no flat tail to strand a start in,
-beta unconstrained (with a small exclusion band around zero), and positive
-parameters via log.  Standard errors come from inverting the observed
-information matrix, the exact negated Hessian in the original coordinates.
+model's analytic score.  Each objective call of a line search evaluates
+the next 1, 2, 4, 8, ... halvings of the step of every start still
+searching, so a search takes at most five calls, and the loop carries only
+the starts that have not stopped (its working set).
+``fit_samples(samples, model)`` fits one tag to several samples in the
+same lockstep search, and ``fit`` is its one-sample case: every start row
+carries the label of its sample, its own search box and its sample's data,
+so that each sample's rows follow exactly the path they follow alone.  A
+start stops on a small score, a failed search, a stalled step, an exit from
+its search box or its step budget, and is frozen once its log-likelihood
+lies far below the best start's of its own sample and has stopped closing
+the gap (dataset II's runaways to beta -> +inf).  The search runs in
+transformed coordinates that keep every iterate inside the parameter
+domain: alpha = sin(z0), which reaches the edges alpha = +-1 at finite z0
+and has no flat tail to strand a start in, beta unconstrained (with a
+small exclusion band around zero), and positive parameters via log.
+Standard errors come from inverting the observed information matrix, the
+exact negated Hessian in the original coordinates.
 
 A numerical model supplies only its batched kernel, ``kernel(data, theta,
 order=1, n_obs=None)`` (``ptg_loglik_derivatives`` with its baseline family
@@ -93,6 +97,8 @@ class FitOptions:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be positive")
+        if self.seed < 0:  # numpy's generator would refuse it without naming the option
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,15 +199,14 @@ _LOG_BOX = 50.0
 _BETA_WARN = 700.0  # documented |beta| range of the Poisson layer
 
 
-def _bfgs_update(h, s, y):
+def _bfgs_update(h, s, y, sy):
     """BFGS update of the inverse Hessians ``h`` (S, k, k) by the steps ``s``
-    and gradient changes ``y`` (S, k); rows without positive curvature keep
-    their matrix."""
-    sy = np.einsum("si,si->s", s, y)
+    and gradient changes ``y`` (S, k), their products ``sy`` (S,) given; rows
+    without positive curvature keep their matrix."""
     ok = sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
-    rho = np.where(ok, 1.0 / np.where(ok, sy, 1.0), 0.0)[:, None, None]
-    left = np.eye(s.shape[1]) - rho * s[:, :, None] * y[:, None, :]
-    return left @ h @ left.transpose(0, 2, 1) + rho * s[:, :, None] * s[:, None, :]
+    rho_s = np.where(ok, 1.0 / np.where(ok, sy, 1.0), 0.0)[:, None, None] * s[:, :, None]
+    left = np.eye(s.shape[1]) - rho_s * y[:, None, :]
+    return left @ h @ left.transpose(0, 2, 1) + rho_s * s[:, None, :]
 
 
 def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
@@ -211,12 +216,17 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
     integers, all 0 when omitted); ``fun(Z, labels)`` maps an (S, k) array of
     points and their labels (S,) to their values (S,) and gradients (S, k).
     All rows advance together: a BFGS direction, then a backtracking line
-    search that evaluates only the rows still searching.  A trial point is
+    search over the steps 2^-j, j < ``_MAX_HALVINGS``.  A trial point is
     accepted on Armijo's sufficient decrease or, where the decrease is lost
-    in the value's rounding, on a smaller gradient.  A row starts from the
-    identity inverse Hessian with a step of at most unit max-norm and
-    rescales it by its first curvature pair; a failed search along a
-    quasi-Newton direction sends the row back to that start.
+    in the value's rounding, on a smaller gradient, and each row takes its
+    first acceptable step.  The search batches its halvings: each ``fun``
+    call evaluates the next 1, 2, 4, 8, ... steps of every row still
+    searching, a row's trials adjacent, so that a search takes at most five
+    calls where one trial per call would take up to 20, and a row ends at
+    the same step and value.  A row starts from the identity inverse Hessian
+    with a step of at most unit max-norm and rescales it by its first
+    curvature pair; a failed search along a quasi-Newton direction sends the
+    row back to that start.
 
     A row stops when its gradient's max-norm falls below ``_GTOL``, when its
     line search fails along steepest descent, when a step no longer moves it
@@ -224,89 +234,102 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
     upper bounds, each of length k or one row per start), when it is frozen,
     or after ``max_iter`` steps.  A row is frozen when its value lies more
     than ``_FREEZE_GAP`` above the lowest finite value among the rows of its
-    sample and it closed less than ``_FREEZE_CLOSE`` of that gap over its
-    last ``_FREEZE_WINDOW`` steps: a dead start that can no longer win.  The
-    lowest row of a sample is never frozen.  A row's path depends on the
-    rows of its own sample alone.  Returns the final points, values and
-    gradients.
+    sample, stopped rows included, and it closed less than ``_FREEZE_CLOSE``
+    of that gap over its last ``_FREEZE_WINDOW`` steps: a dead start that
+    can no longer win.  The lowest row of a sample is never frozen.  The
+    loop holds only the live rows (the working set) and writes a row back
+    when it stops.  A row's path depends on the rows of its own sample
+    alone.  Returns the final points, values and gradients.
     """
     z = np.array(z0, dtype=float)
     n_rows, k = z.shape
     labels = np.zeros(n_rows, dtype=int) if labels is None else np.asarray(labels)
     f, g = fun(z, labels)
     eye = np.eye(k)
-    h = np.tile(eye, (n_rows, 1, 1))
-    fresh = np.ones(n_rows, dtype=bool)  # inverse Hessian still the identity
-    active = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
     lo, hi = (np.broadcast_to(bound, z.shape) for bound in box)
-    best = np.empty(labels.max() + 1)  # the lowest finite value of each sample
-    past = np.empty((_FREEZE_WINDOW, n_rows))  # the values of the last steps
+    live = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
+    best_stopped = np.full(labels.max() + 1, np.inf)  # each sample's lowest finite stopped value
+    dead = ~live & np.isfinite(f)
+    np.minimum.at(best_stopped, labels[dead], f[dead])
+    # the working set: each live row's index, point, value, gradient and its
+    # max-norm, label, box, inverse Hessian, whether that is still the
+    # identity, and its values of the last steps
+    idx = np.flatnonzero(live)
+    zs, fs, gs, lab, los, his = z[idx], f[idx], g[idx], labels[idx], lo[idx], hi[idx]
+    gmax = np.max(np.abs(gs), axis=1)
+    hs = np.tile(eye, (idx.size, 1, 1))
+    fresh = np.ones(idx.size, dtype=bool)
+    past = np.empty((idx.size, _FREEZE_WINDOW))
+    going = np.ones(idx.size, dtype=bool)
     for it in range(max_iter):
-        active &= np.max(np.abs(g), axis=1) >= _GTOL
+        going &= gmax >= _GTOL
         slot = it % _FREEZE_WINDOW
-        if it >= _FREEZE_WINDOW:  # active rows hold finite values: no inf - inf
-            rows = np.flatnonzero(active)
-            finite = np.isfinite(f)
-            best.fill(np.inf)
-            np.minimum.at(best, labels[finite], f[finite])
-            gap = f[rows] - best[labels[rows]]
-            closed = past[slot, rows] - f[rows]
-            active[rows] = (gap <= _FREEZE_GAP) | (closed >= _FREEZE_CLOSE * gap)
-        past[slot] = f
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        gr = g[rows]
-        d = -np.einsum("sij,sj->si", h[rows], gr)
-        slope = np.einsum("si,si->s", d, gr)
-        steep = fresh[rows] | ~(slope < 0.0)  # no descent: back to the gradient
-        fresh[rows[steep]] = True
-        h[rows[steep]] = eye
-        d[steep] = -gr[steep] / np.maximum(np.max(np.abs(gr[steep]), axis=1), 1.0)[:, None]
-        slope[steep] = np.einsum("si,si->s", d[steep], gr[steep])
+        if it >= _FREEZE_WINDOW:  # live rows hold finite values: no inf - inf
+            best = best_stopped.copy()
+            np.minimum.at(best, lab, fs)
+            gap = fs - best[lab]
+            going &= (gap <= _FREEZE_GAP) | (past[:, slot] - fs >= _FREEZE_CLOSE * gap)
+        if not going.all():  # write the stopped rows back and drop them
+            stop = ~going
+            z[idx[stop]], f[idx[stop]], g[idx[stop]] = zs[stop], fs[stop], gs[stop]
+            np.minimum.at(best_stopped, lab[stop], fs[stop])
+            idx, zs, fs, gs, gmax, lab, los, his, hs, fresh, past = (
+                a[going] for a in (idx, zs, fs, gs, gmax, lab, los, his, hs, fresh, past)
+            )
+            if idx.size == 0:
+                break
+        past[:, slot] = fs
+        d = -np.einsum("sij,sj->si", hs, gs)
+        slope = np.einsum("si,si->s", d, gs)
+        steep = fresh | ~(slope < 0.0)  # no descent: back to the gradient
+        if steep.any():
+            fresh |= steep
+            hs[steep] = eye
+            d[steep] = -gs[steep] / np.maximum(gmax[steep], 1.0)[:, None]
+            slope[steep] = np.einsum("si,si->s", d[steep], gs[steep])
 
-        step = np.ones(rows.size)
-        z_new, f_new, g_new = z[rows], f[rows], gr.copy()
-        done = np.zeros(rows.size, dtype=bool)
-        for _ in range(_MAX_HALVINGS):
-            p = np.flatnonzero(~done)
-            zt = z[rows[p]] + step[p, None] * d[p]
-            ft, gt = fun(zt, labels[rows[p]])
-            f0 = f[rows[p]]
-            noise = _ROUNDING * np.maximum(np.abs(f0), 1.0)
+        # the line search, a failed row keeping its point
+        z_new, f_new, g_new, gmax_new = zs.copy(), fs.copy(), gs.copy(), gmax.copy()
+        level = fs + _ROUNDING * np.maximum(np.abs(fs), 1.0)  # fs up to its rounding
+        p = np.arange(idx.size)  # the rows still searching
+        tried = 0
+        while p.size and tried < _MAX_HALVINGS:
+            size = min(tried + 1, _MAX_HALVINGS - tried)  # doubles the trials made so far
+            ladder = np.ldexp(1.0, -np.arange(tried, tried + size))  # the steps 2^-j of this call
+            zt = zs[p, None] + ladder[:, None] * d[p, None]  # (rows, trials, k)
+            # a row's trials adjacent: each sample's rows stay contiguous
+            ft, gt = fun(zt.reshape(-1, k), np.repeat(lab[p], size))
+            ft, gt = ft.reshape(p.size, size), gt.reshape(p.size, size, k)
+            gt_max = np.max(np.abs(gt), axis=2)  # NaN or inf unless the gradient is finite
             ok = (
                 np.isfinite(ft)
-                & np.all(np.isfinite(gt), axis=1)
+                & np.isfinite(gt_max)
                 & (
-                    (ft <= f0 + _ARMIJO * step[p] * slope[p])
-                    | (
-                        (ft <= f0 + noise)
-                        & (np.max(np.abs(gt), axis=1) < np.max(np.abs(gr[p]), axis=1))
-                    )
+                    (ft <= fs[p, None] + _ARMIJO * ladder * slope[p, None])
+                    | ((ft <= level[p, None]) & (gt_max < gmax[p, None]))
                 )
             )
-            z_new[p[ok]], f_new[p[ok]], g_new[p[ok]] = zt[ok], ft[ok], gt[ok]
-            done[p[ok]] = True
-            step[p[~ok]] *= 0.5
-            if done.all():
-                break
+            hit = ok.any(axis=1)
+            t, q = ok.argmax(axis=1)[hit], p[hit]  # each row's first accepted trial
+            z_new[q], f_new[q], g_new[q] = zt[hit, t], ft[hit, t], gt[hit, t]
+            gmax_new[q] = gt_max[hit, t]
+            p = p[~hit]
+            tried += size
 
-        failed = rows[~done]
-        active[failed[fresh[failed]]] = False  # even steepest descent failed
-        fresh[failed] = True
-        h[failed] = eye
-        moved, m = rows[done], np.flatnonzero(done)
-        s, y = z_new[m] - z[moved], g_new[m] - g[moved]
-        first = fresh[moved]
+        s, y = z_new - zs, g_new - gs
         sy, yy = np.einsum("si,si->s", s, y), np.einsum("si,si->s", y, y)
         scale = np.where((sy > 0.0) & (yy > 0.0), sy / np.where(yy > 0.0, yy, 1.0), 1.0)
-        h[moved[first]] *= scale[first, None, None]
-        h[moved] = _bfgs_update(h[moved], s, y)
-        fresh[moved] = False
-        z[moved], f[moved], g[moved] = z_new[m], f_new[m], g_new[m]
-        still = np.max(np.abs(s) / np.maximum(np.abs(z[moved]), 1.0), axis=1) > _XTOL
-        inside = (z[moved] >= lo[moved]) & (z[moved] <= hi[moved])
-        active[moved] &= still & np.all(inside, axis=1)
+        hs[fresh] *= scale[fresh, None, None]  # a first curvature pair rescales the identity
+        hs = _bfgs_update(hs, s, y, sy)
+        zs, fs, gs, gmax = z_new, f_new, g_new, gmax_new
+        going = np.max(np.abs(s) / np.maximum(np.abs(zs), 1.0), axis=1) > _XTOL
+        going &= np.all((zs >= los) & (zs <= his), axis=1)
+        if p.size:  # a failed search stops a row on steepest descent, else restarts it there
+            going[p] = ~fresh[p]
+            hs[p] = eye
+        fresh = np.zeros(idx.size, dtype=bool)
+        fresh[p] = True
+    z[idx], f[idx], g[idx] = zs, fs, gs
     return z, f, g
 
 

@@ -181,6 +181,34 @@ class TestGofCommand:
             assert np.isfinite(payload[key]), key
 
 
+class TestSeedValidation:
+    """A negative seed is an input error that names its source, not numpy's
+    "expected non-negative integer"."""
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--model", "pte", "--data", "embedded:I"),
+        ("reproduce",),
+        ("sample", "--model", "pte", "--params", "0.5,2,1", "--n", "3"),
+    ])
+    def test_negative_seed_names_the_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: --seed must be a nonnegative integer, got -1\n"
+
+    @pytest.mark.parametrize("value", ["-3", "x"])
+    def test_bad_environment_seed_names_the_variable(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PTGFIT_SEED", value)
+        code, out, err = run_cli(capsys, "fit", "--model", "pte", "--data", "embedded:I")
+        assert (code, out) == (1, "")
+        assert err == f"error: PTGFIT_SEED must be a nonnegative integer, got {value!r}\n"
+
+    def test_zero_seed_is_valid(self, capsys, monkeypatch):
+        monkeypatch.setenv("PTGFIT_SEED", "0")
+        code, _, err = run_cli(capsys, "sample", "--model", "pte", "--params", "0.5,2,1",
+                               "--n", "3")
+        assert (code, err) == (0, "")
+
+
 class TestSampleCommand:
     def test_deterministic_given_seed(self, capsys):
         args = ("sample", "--model", "pte", "--params", "0.5,2.0,1.0", "--n", "40",

@@ -4,10 +4,12 @@
 For PT-E, PT-W and Marshall-Olkin on the embedded datasets I and II, at each
 given seed, prints the batched objective calls of the lockstep search (the
 multistart and its polish), the start-rows those calls evaluate (the sum of
-their row counts) and the fitted log-likelihood.  A line-search call may
-hold several trials per row, the next halvings of each row's step, so the
-start-rows count trial points, not only the starts.  Below them, the
-``reproduce`` line counts the fits that ``ptgfit reproduce`` runs:
+their row counts) and the fitted log-likelihood.  A line search makes at
+most three calls: the full step of each row, then its next four halvings,
+then the other fifteen, so the start-rows count trial points, not only the
+starts.  The polish restarts only an incumbent that could take a step (a
+score max-norm of at least 1e-10), and makes no call when none can.  Below
+them, the ``reproduce`` line counts the fits that ``ptgfit reproduce`` runs:
 Marshall-Olkin and PT-E, each fitted to both datasets in one lockstep search
 (``mle.fit_samples``).  The counts do not depend on the machine, so a change
 to the search can report them beside its timings.  The total sums the six

@@ -344,11 +344,15 @@ def moe_loglik_derivatives(data, theta, order=1, n_obs=None):
     with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
         tilt, lam = theta.T
         log_f, tail, denom = _moe_log_density(tilt[:, None], lam[:, None], x)
-        w = tail / denom
-        ll = _own_sums(log_f, runs)
+        # the per-observation terms, summed in one pass
+        terms = np.empty((4,) + log_f.shape)
+        terms[0], terms[2] = log_f, x
+        w = np.divide(tail, denom, out=terms[1])
+        np.multiply(x, w, out=terms[3])
+        ll, w_sum, x_sum, xw_sum = _own_sums(terms, runs)
         score = np.column_stack([
-            n / tilt - 2.0 * _own_sums(w, runs),
-            n / lam - _own_sums(x, runs) - 2.0 * (1.0 - tilt) * _own_sums(x * w, runs),
+            n / tilt - 2.0 * w_sum,
+            n / lam - x_sum - 2.0 * (1.0 - tilt) * xw_sum,
         ])
         if order == 1:
             return ll, score

@@ -23,6 +23,7 @@ where u rounds to 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,9 +137,10 @@ def _ret(value, scalar):
 # ---------------------------------------------------------------------------
 
 
-def _transmuted(alpha, g):
-    """T = G (1 + alpha - alpha G) and fac = dT/dG = 1 + alpha - 2 alpha G."""
-    return g * (1.0 + alpha - alpha * g), 1.0 + alpha - 2.0 * alpha * g
+def _transmuted(alpha, g, out=None):
+    """T = G (1 + alpha - alpha G), written to ``out`` if given, and
+    fac = dT/dG = 1 + alpha - 2 alpha G."""
+    return np.multiply(g, 1.0 + alpha - alpha * g, out=out), 1.0 + alpha - 2.0 * alpha * g
 
 
 def tg_cdf(x, alpha, baseline):
@@ -227,12 +229,14 @@ def _log_c(beta):
     return np.log(b) - np.maximum(-beta, 0.0) - np.log(-np.expm1(-b))
 
 
-def _log_body(alpha, beta, g, log_g):
+def _log_body(alpha, beta, g, log_g, out=(None, None)):
     """(log g + log(fac) - beta T, fac, T), the log-density less c(beta) with T
     and fac of the one transmuted formula :func:`_transmuted`, elementwise in
-    ``g`` and ``log_g``; NaN or -inf where fac <= 0, which the callers mask."""
-    t, fac = _transmuted(alpha, g)
-    return log_g + np.log(fac) - beta * t, fac, t
+    ``g`` and ``log_g``, the body and T written to the pair ``out`` if given;
+    NaN or -inf where fac <= 0, which the callers mask."""
+    t, fac = _transmuted(alpha, g, out[1])
+    body = np.add(np.log(fac, out=out[0]), log_g, out=out[0])
+    return np.subtract(body, beta * t, out=out[0]), fac, t
 
 
 def ptg_pdf(x, p):
@@ -283,22 +287,28 @@ def ptg_loglik_derivatives(data, family, theta, order=1, n_obs=None):
         alpha, beta, phi = theta[:, 0:1], theta[:, 1], theta[:, 2:]
         beta_col = beta[:, None]
         cdf, d_cdf, log_g, d_log_g, *second = family.derivatives(x, phi, order)
-        body, fac, t = _log_body(alpha, beta_col, cdf, log_g)
-        # the padding repeats values of the row's sample: it adds no bad point
-        bad = (np.abs(beta) < DEFAULT_BETA_FLOOR) | np.any(fac <= 0.0, axis=1)
-        ll = np.where(bad, -np.inf, n * _log_c(beta) + _own_sums(body, runs))
-        slope, spread = (1.0 - 2.0 * cdf) / fac, cdf * (1.0 - cdf)
+        # the per-observation terms, summed in one pass: the body, slope,
+        # spread and T, then the baseline score terms
+        terms = np.empty((4 + phi.shape[1],) + cdf.shape)
+        body, fac, t = _log_body(alpha, beta_col, cdf, log_g, (terms[0], terms[3]))
+        slope = np.divide(1.0 - 2.0 * cdf, fac, out=terms[1])
+        spread = np.multiply(cdf, 1.0 - cdf, out=terms[2])
         weight = 2.0 * alpha / fac + beta_col * fac
+        np.subtract(d_log_g, weight * d_cdf, out=terms[4:])
+        sums = _own_sums(terms, runs)
+        # the padding repeats values of the row's sample: it adds no bad point
+        bad = (np.abs(beta) < DEFAULT_BETA_FLOOR) | (fac <= 0.0).any(axis=1)
+        ll = np.where(bad, -np.inf, n * _log_c(beta) + sums[0])
         score = np.empty_like(theta)
-        score[:, 0] = _own_sums(slope, runs) - beta * _own_sums(spread, runs)
-        score[:, 1] = n * (1.0 / beta - 1.0 / np.expm1(beta)) - _own_sums(t, runs)
-        score[:, 2:] = _own_sums(d_log_g - weight * d_cdf, runs).T
+        score[:, 0] = sums[1] - beta * sums[2]
+        score[:, 1] = n * (1.0 / beta - 1.0 / np.expm1(beta)) - sums[3]
+        score[:, 2:] = sums[4:].T
         if order == 1:
             return ll, score
         d2_cdf, d2_log_g = second
         hess = np.empty(theta.shape + theta.shape[1:])
         hess[:, 0, 0] = -_own_sums(slope**2, runs)
-        hess[:, 0, 1] = hess[:, 1, 0] = -_own_sums(spread, runs)
+        hess[:, 0, 1] = hess[:, 1, 0] = -sums[2]
         hess[:, 1, 1] = n * _c2(beta)
         d_cdf_rows = d_cdf.transpose(1, 0, 2)  # (S, q, n): one matrix product per row
         a_phi = -2.0 / fac**2 - beta_col * (1.0 - 2.0 * cdf)
@@ -354,9 +364,13 @@ def ptg_quantile(u, p):
 
 def ptg_sample(n, model, seed):
     """Draw ``n`` values from ``model`` (a ``PtgParams``, a baseline or a
-    competitor model) through its ``quantile``, deterministic in ``seed``."""
+    competitor model) through its ``quantile``, deterministic in ``seed``:
+    anything ``numpy.random.default_rng`` takes, such as a nonnegative
+    integer or a sequence of them."""
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if isinstance(seed, numbers.Integral) and seed < 0:  # numpy's refusal names no argument
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     u = np.random.default_rng(seed).random(n)
     # rng.random() lives in [0, 1); nudge any exact zero into the open interval
     return model.quantile(np.maximum(u, np.finfo(float).tiny))

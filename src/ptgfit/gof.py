@@ -85,41 +85,54 @@ def kolmogorov_pvalue(t):
 
 
 def _pit(data, cdf):
+    """The sample size and the probability integral transform of the sorted sample."""
     x = np.sort(np.asarray(data, dtype=float))
     if x.size == 0:
         raise ValueError("data must be nonempty")
     return x.size, np.asarray(cdf(x), dtype=float)
 
 
-def ks_test(data, cdf):
-    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
-    n, u = _pit(data, cdf)
+def _ks(n, u):
     i = np.arange(1, n + 1)
     d = max(np.max(i / n - u), np.max(u - (i - 1) / n))
     return float(d), kolmogorov_pvalue(math.sqrt(n) * d)
 
 
-def _clipped_pit(data, cdf):
-    n, u = _pit(data, cdf)
+def _clipped(u):
+    """``u`` kept away from {0, 1} for the logarithms of A^2, with a warning
+    located at the caller of the public function that asked for it."""
     if np.any(u <= 1e-12) or np.any(u >= 1.0 - 1e-12):
         warnings.warn(
             "probability integral transform clipped away from {0, 1}",
             stacklevel=3,
         )
         u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return n, u
+    return u
 
 
-def anderson_darling(data, cdf):
-    n, u = _clipped_pit(data, cdf)
+def _ad(n, u):
     i = np.arange(1, n + 1)
     return float(-n - np.mean((2 * i - 1) * (np.log(u) + np.log(1.0 - u[::-1]))))
 
 
-def cramer_von_mises(data, cdf):
-    n, u = _clipped_pit(data, cdf)
+def _cvm(n, u):
     i = np.arange(1, n + 1)
     return float(np.sum((u - (2 * i - 1) / (2 * n)) ** 2) + 1.0 / (12 * n))
+
+
+def ks_test(data, cdf):
+    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    return _ks(*_pit(data, cdf))
+
+
+def anderson_darling(data, cdf):
+    n, u = _pit(data, cdf)
+    return _ad(n, _clipped(u))
+
+
+def cramer_von_mises(data, cdf):
+    n, u = _pit(data, cdf)
+    return _cvm(n, _clipped(u))
 
 
 def ttt_points(data):
@@ -141,10 +154,13 @@ def ttt_points(data):
 
 
 def evaluate_gof(data, cdf, k, loglik):
-    """Assemble the full :class:`GofReport` for one fitted model."""
+    """Assemble the full :class:`GofReport` for one fitted model; the three
+    EDF statistics share one probability integral transform."""
     data = np.asarray(data, dtype=float)
     ic = information_criteria(loglik, k, data.size)
-    ks, ks_p = ks_test(data, cdf)
+    n, u = _pit(data, cdf)
+    ks, ks_p = _ks(n, u)
+    clipped = _clipped(u)
     return GofReport(
         k=int(k),
         n=int(data.size),
@@ -155,6 +171,6 @@ def evaluate_gof(data, cdf, k, loglik):
         hqic=ic.hqic,
         ks=ks,
         ks_pvalue=ks_p,
-        ad=anderson_darling(data, cdf),
-        cvm=cramer_von_mises(data, cdf),
+        ad=_ad(n, clipped),
+        cvm=_cvm(n, clipped),
     )

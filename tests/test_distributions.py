@@ -482,6 +482,18 @@ class TestSampling:
         with pytest.raises(ValueError):
             ptg_sample(0, pte_params(0.5, 2.0, 1.0), 1)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed_is_refused_by_name(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ptg_sample(3, pte_params(0.5, 2.0, 1.0), seed)
+
+    def test_seed_sequence_is_taken(self):
+        # the benchmark seeds round k of its large-sample workload with [seed, k + 1]
+        p = pte_params(0.5, 2.0, 1.0)
+        u = np.random.default_rng([7, 2]).random(5)
+        assert np.array_equal(ptg_sample(5, p, [7, 2]), p.quantile(u))
+        assert not np.array_equal(ptg_sample(5, p, [7, 2]), ptg_sample(5, p, [7, 3]))
+
 
 class TestParamsValidation:
     @pytest.mark.parametrize("alpha", [-1.2, 1.01, math.nan])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,3 +271,27 @@ class TestEvaluateGof:
         assert rep.aic == pytest.approx(46.0)
         assert rep.ks >= 0 and rep.ad >= 0 and rep.cvm >= 0
         assert 0 <= rep.ks_pvalue <= 1
+
+    def test_one_transform_serves_the_three_statistics(self, data_II):
+        # the cdf is evaluated once per report, and each statistic equals its
+        # public function's bit for bit, with and without clipping
+        p = pte_params(0.5, -2.0, 1.0)
+        for cdf in (lambda v: ptg_cdf(v, p), lambda v: np.minimum(ptg_cdf(v, p) * 3.0, 1.0)):
+            calls = []
+
+            def counted(v):
+                calls.append(len(v))
+                return cdf(v)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rep = evaluate_gof(data_II, counted, 3, -20.0)
+                want = (ks_test(data_II, cdf), anderson_darling(data_II, cdf),
+                        cramer_von_mises(data_II, cdf))
+            assert calls == [data_II.size]
+            assert ((rep.ks, rep.ks_pvalue), rep.ad, rep.cvm) == want
+
+    def test_clipping_warns_once_at_the_caller(self):
+        with pytest.warns(UserWarning, match="clipped") as record:
+            evaluate_gof(np.array([0.5, 1.0, 2.0, 3.0]), lambda v: np.clip(v / 2.0, 0, 1), 1, -3.0)
+        assert [w.filename for w in record] == [__file__]

@@ -209,9 +209,9 @@ def cmd_gof(args):
 def cmd_sample(args):
     if args.n < 1:  # before a --data fit, not after it
         raise ValueError("--n must be a positive integer")
-    x = ptg_sample(args.n, _model(args), _resolve_seed(args))
-    payload = {"command": "sample", "model": args.model, "n": args.n,
-               "seed": _resolve_seed(args), "samples": x}
+    seed = _resolve_seed(args)
+    x = ptg_sample(args.n, _model(args), seed)
+    payload = {"command": "sample", "model": args.model, "n": args.n, "seed": seed, "samples": x}
     _emit(args, payload, csv=(["x"], zip(payload["samples"])))
     return 0
 
@@ -257,6 +257,8 @@ def cmd_props(args):
 
 
 def cmd_curves(args):
+    if args.grid < 1:  # an empty grid is no curve
+        raise ValueError("--grid must be a positive integer")
     data = _load_data(args) if args.data else None
     model = _model(args, data)
     grid = np.linspace(model.quantile(0.001), model.quantile(0.999), args.grid)
@@ -417,6 +419,8 @@ def main(argv=None):
         # argparse exits 2 on usage errors; 2 is reserved for non-convergence
         return 0 if exc.code == 0 else 1
     try:
+        if getattr(args, "starts", 1) < 1:  # refused before any work, by every command with it
+            raise ValueError(f"--starts must be a positive integer, got {args.starts}")
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,8 @@ domain: alpha = sin(z0), which reaches the edges alpha = +-1 at finite z0
 and has no flat tail to strand a start in, beta unconstrained (with a
 small exclusion band around zero), and positive parameters via log.
 Standard errors come from inverting the observed information matrix, the
-exact negated Hessian in the original coordinates.
+exact negated Hessian in the original coordinates.  A fit records the
+cost of its search (``FitResult.objective_calls`` and ``start_rows``).
 
 A numerical model supplies only its batched kernel, ``kernel(data, theta,
 order=1, n_obs=None)`` (``ptg_loglik_derivatives`` with its baseline family
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -106,7 +107,9 @@ class FitOptions:
 class FitResult:
     """Outcome of a maximum-likelihood fit; ``estimates`` is the fitted model.
     Its 95% Wald bounds ``ci_low`` and ``ci_high`` are :func:`wald_ci` of its
-    estimates and standard errors, computed when read rather than stored."""
+    estimates and standard errors, computed when read rather than stored.
+    ``objective_calls`` and ``start_rows`` are the cost of the search it ran
+    in, shared by one :func:`fit_samples` call's results (0 if closed-form)."""
 
     estimates: object
     loglik: float
@@ -116,6 +119,8 @@ class FitResult:
     n_restarts_used: int
     n_obs: int
     degenerate_info: bool = False
+    objective_calls: int = 0
+    start_rows: int = 0
 
     @property
     def ci_low(self):
@@ -365,19 +370,21 @@ def multistart_maximize(loglik_score, starts, box, labels=None):
     incumbent could take a step: one with a finite value and score whose
     max-norm is at least ``_GTOL``.  :func:`minimize` would stop any other
     incumbent where it is, so it is left out, and no call is made when none
-    is left.  Returns ``(z_best, loglik_best, n_launches, converged)``, one
-    row or entry per sample in the order of its label: ``n_launches`` counts
-    the sample's starts and the two polishing restarts, run or not, and
-    ``converged`` requires the score's max-norm at ``z_best`` to be below
-    ``_CONVERGED_SCORE``.
+    is left.  Returns ``(z_best, loglik_best, cost, converged)``, one row or
+    entry per sample in the order of its label but ``cost``, the objective
+    calls of every launch and the rows they evaluated; ``converged`` requires
+    the score's max-norm at ``z_best`` to be below ``_CONVERGED_SCORE``.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or len(starts) == 0:
         raise ValueError("need at least one start")
     labels = np.zeros(len(starts), dtype=int) if labels is None else np.asarray(labels)
     lo, hi = (np.broadcast_to(bound, starts.shape) for bound in box)
+    cost = [0, 0]  # the objective calls and the rows they evaluate
 
     def neg(z, labels):
+        cost[0] += 1
+        cost[1] += len(z)
         ll, score = loglik_score(z, labels)
         return np.where(np.isnan(ll), np.inf, -ll), -score
 
@@ -397,7 +404,7 @@ def multistart_maximize(loglik_score, starts, box, labels=None):
         z_best[rows[better]], f_best[rows[better]], g_best[rows[better]] = (
             z[better], f[better], g[better])
     converged = np.abs(g_best).max(axis=1) < _CONVERGED_SCORE
-    return z_best, -f_best, np.bincount(labels)[samples] + 2, converged
+    return z_best, -f_best, tuple(cost), converged
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +529,8 @@ def _loglik_score(samples, model):
 
 def fit_samples(samples, model="pte", opts=None):
     """Fit the model tagged ``model`` to each sample of ``samples`` by
-    maximum likelihood: the list of their :func:`fit` results, bit for bit.
+    maximum likelihood: the list of their :func:`fit` results, bit for bit
+    but for the cost of the one search, which they share.
 
     A numerical model runs one lockstep multistart for all samples: each
     sample's Latin-hypercube starts and search box are built as if it were
@@ -537,7 +545,7 @@ def fit_samples(samples, model="pte", opts=None):
     if not samples:
         raise ValueError("need at least one sample")
     if spec.closed_form is not None:
-        fitted = [(spec.closed_form(x), 0, True) for x in samples]
+        fitted, cost = [(spec.closed_form(x), 0, True) for x in samples], (0, 0)
     else:
         if min(x.size for x in samples) < len(spec.search) + 1:
             raise ValueError("need at least one more observation than parameters")
@@ -551,16 +559,17 @@ def fit_samples(samples, model="pte", opts=None):
                                            for j, kind in enumerate(kinds)]))
             centres.append([-math.log(xbar) if kind.centred else 0.0 for kind in kinds])
         centre = np.repeat(centres, opts.n_starts, axis=0)
-        z_best, _, n_launches, converged = multistart_maximize(
+        z_best, _, cost, converged = multistart_maximize(
             _loglik_score(samples, model),
             np.concatenate(starts),
             box=(centre - half, centre + half),
             labels=np.repeat(np.arange(len(samples)), opts.n_starts),
         )
         # each best start has a finite log-likelihood: a valid parameter point
+        # (its starts and the two polishes, run or not, are n_starts + 2)
         fitted = [
-            ([kind.value(z) for kind, z in zip(kinds, z_row)], int(n), bool(ok))
-            for z_row, n, ok in zip(z_best, n_launches, converged)
+            ([kind.value(z) for kind, z in zip(kinds, z_row)], opts.n_starts + 2, bool(ok))
+            for z_row, ok in zip(z_best, converged)
         ]
     results = []
     for x, (values, n_launches, converged) in zip(samples, fitted):
@@ -571,9 +580,10 @@ def fit_samples(samples, model="pte", opts=None):
                 f"|beta| <= {_BETA_WARN:g}"
             )
         info = spec.information(x, estimates)
-        results.append(FitResult.from_information(
+        result = FitResult.from_information(
             estimates, log_likelihood(x, estimates), info, converged, n_launches, x.size
-        ))
+        )
+        results.append(replace(result, objective_calls=cost[0], start_rows=cost[1]))
     return results
 
 
@@ -596,7 +606,8 @@ def fit(data, model="pte", opts=None):
         The fitted model as ``estimates``, the log-likelihood, the exact
         observed information, standard errors and 95% Wald intervals.
         ``converged`` is False (never silent) when the search did not reach
-        a stationary point; a closed-form fit counts no launches.
+        a stationary point; ``objective_calls`` and ``start_rows`` are the
+        search's cost, and a closed-form fit counts no launches and no cost.
     """
     return fit_samples([data], model, opts)[0]
 

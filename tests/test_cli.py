@@ -77,8 +77,8 @@ class TestFitCommand:
         real = mle_mod.multistart_maximize
 
         def not_converged(*args, **kwargs):
-            z, ll, n_launches, converged = real(*args, **kwargs)
-            return z, ll, n_launches, np.zeros_like(converged)
+            z, ll, cost, converged = real(*args, **kwargs)
+            return z, ll, cost, np.zeros_like(converged)
 
         monkeypatch.setattr(mle_mod, "multistart_maximize", not_converged)
         with pytest.warns(UserWarning, match="did not fully converge"):
@@ -209,6 +209,14 @@ class TestSeedValidation:
         assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("command", ["fit", "gof", "sample", "props", "curves", "reproduce"])
+def test_zero_starts_names_the_option(capsys, command):
+    # refused before any work, by every command that takes --starts
+    argv = () if command == "reproduce" else ("--model", "pte", "--data", "embedded:I")
+    code, out, err = run_cli(capsys, command, *argv, "--starts", "0")
+    assert (code, out, err) == (1, "", "error: --starts must be a positive integer, got 0\n")
+
+
 class TestSampleCommand:
     def test_deterministic_given_seed(self, capsys):
         args = ("sample", "--model", "pte", "--params", "0.5,2.0,1.0", "--n", "40",
@@ -334,6 +342,11 @@ class TestCurvesCommand:
         assert len(hist["bin_left"]) == len(hist["bin_density"])
         assert len(hist["ogive_x"]) == 72
         assert hist["ogive_y"][-1] == 1.0
+
+    def test_empty_grid_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "curves", "--model", "exp", "--params", "1.5",
+                                 "--grid", "0")
+        assert (code, out, err) == (1, "", "error: --grid must be a positive integer\n")
 
 
 class TestTttCommand:

@@ -624,6 +624,19 @@ def _counted(fun, calls):
     return counted
 
 
+def _counted_kernel(monkeypatch):
+    """The row counts of the search's PT-G kernel calls from now on, one per call."""
+    rows = []
+
+    def kernel(data, family, theta, order=1, n_obs=None):
+        if order == 1:  # not the information
+            rows.append(len(theta))
+        return ptg_loglik_derivatives(data, family, theta, order, n_obs)
+
+    monkeypatch.setattr(mle, "ptg_loglik_derivatives", kernel)
+    return rows
+
+
 def _well_and_tail(z, labels):
     """A well near z = -1 (value about -7.37) beside a tail 10 + e^-z that
     flattens towards 10 as z grows: a start right of the rim runs away."""
@@ -723,15 +736,9 @@ class TestFreeze:
     CEILINGS = {("moe", "I"): 48, ("pte", "I"): 62, ("moe", "II"): 46, ("pte", "II"): 125}
 
     @pytest.mark.parametrize("model, dataset", list(CEILINGS))
-    def test_batched_calls_of_the_reproduction_fits(
-        self, monkeypatch, data_I, data_II, model, dataset
-    ):
-        calls = []
-        monkeypatch.setattr(
-            mle, "minimize", lambda fun, *args: minimize(_counted(fun, calls), *args)
-        )
-        fit({"I": data_I, "II": data_II}[dataset], model, FitOptions(seed=0))
-        assert len(calls) <= self.CEILINGS[model, dataset]
+    def test_batched_calls_of_the_reproduction_fits(self, data_I, data_II, model, dataset):
+        result = fit({"I": data_I, "II": data_II}[dataset], model, FitOptions(seed=0))
+        assert result.objective_calls <= self.CEILINGS[model, dataset]
 
     def test_freeze_is_per_sample(self):
         # the runaway start alone under its own label is its sample's best
@@ -751,7 +758,8 @@ class TestFreeze:
 
 
 def _same_fit(a, b):
-    """Two fit records equal bit for bit in what the search decides."""
+    """Two fit records equal bit for bit in what the search decides, not in
+    its cost, which every result of one lockstep search shares."""
     return (
         a.estimates.values == b.estimates.values
         and a.loglik == b.loglik
@@ -781,19 +789,10 @@ class TestFitSamples:
 
     def test_equal_lengths_make_one_kernel_call_per_objective_call(self, monkeypatch, data_I):
         resample = np.random.default_rng(2024).choice(data_I, data_I.size)
-        kernel_calls, objective_calls = [], []
-
-        def kernel(data, family, theta, order=1, n_obs=None):
-            if order == 1:  # not the information
-                kernel_calls.append(len(theta))
-            return ptg_loglik_derivatives(data, family, theta, order, n_obs)
-
-        monkeypatch.setattr(mle, "ptg_loglik_derivatives", kernel)
-        monkeypatch.setattr(
-            mle, "minimize", lambda fun, *args: minimize(_counted(fun, objective_calls), *args)
-        )
+        kernel_rows = _counted_kernel(monkeypatch)
         fused = mle.fit_samples([data_I, resample], "pte", FitOptions(seed=0))
-        assert kernel_calls == objective_calls
+        record = (len(kernel_rows), sum(kernel_rows))
+        assert [(r.objective_calls, r.start_rows) for r in fused] == [record, record]
         monkeypatch.undo()
         solo = [fit(data_I, "pte", FitOptions(seed=0)), fit(resample, "pte", FitOptions(seed=0))]
         assert all(_same_fit(a, b) for a, b in zip(fused, solo))
@@ -804,16 +803,16 @@ class TestFitSamples:
         # polish runs: 176 batched calls, 202 with 1, 2, 4, 8 and 5 trials per
         # call and two polishes each, 320 with one halving per call and 435
         # when the datasets are fitted apart
-        launches, calls = [], []
+        launches = []
 
-        def counted(fun, *args):
-            launches.append(len(args[0]))
-            return minimize(_counted(fun, calls), *args)
+        def recorded(fun, z0, *args):
+            launches.append(len(z0))
+            return minimize(fun, z0, *args)
 
-        monkeypatch.setattr(mle, "minimize", counted)
-        run_reproduction()
+        monkeypatch.setattr(mle, "minimize", recorded)
+        report = run_reproduction()
         assert launches == [40, 40]
-        assert len(calls) <= 185
+        assert sum(report.fit_rows[model, "I"].objective_calls for model in ("moe", "pte")) <= 185
 
     def test_warnings_point_at_the_caller(self, data_II):
         opts = FitOptions(n_starts=6, seed=0)
@@ -827,6 +826,14 @@ class TestFitSamples:
             mle.fit_samples([], "pte")
 
 
+@pytest.mark.parametrize("model", ["pte", "ptw", "exp", "me"])
+def test_fit_records_its_kernel_calls_and_rows(monkeypatch, data_I, model):
+    # a closed-form fit calls no kernel, and records 0 and 0
+    kernel_rows = _counted_kernel(monkeypatch)
+    result = fit(data_I, model, FitOptions(n_starts=6, seed=0))
+    assert (result.objective_calls, result.start_rows) == (len(kernel_rows), sum(kernel_rows))
+
+
 def test_multistart_polishes_only_incumbents_that_can_move(monkeypatch):
     # sample 0 climbs to its optimum inside the box, where minimize would stop
     # before a first step; sample 1 leaves the box towards its optimum at
@@ -835,7 +842,7 @@ def test_multistart_polishes_only_incumbents_that_can_move(monkeypatch):
         centre = np.where(labels == 0, 0.5, 3.0)[:, None]
         return -((z - centre) ** 2).sum(axis=1), -2.0 * (z - centre)
 
-    launched = []
+    launched, calls = [], []
 
     def recorded(fun, z0, box, labels, *args):
         launched.append(labels.tolist())
@@ -844,12 +851,12 @@ def test_multistart_polishes_only_incumbents_that_can_move(monkeypatch):
     monkeypatch.setattr(mle, "minimize", recorded)
     starts = np.array([[0.2, -0.3], [-0.6, 0.9], [0.1, 0.1], [-0.5, 0.4]])
     box = (np.full(2, -1.0), np.full(2, 1.0))
-    z, _, n_launches, converged = multistart_maximize(
-        loglik_score, starts, box, np.array([0, 0, 1, 1])
+    z, _, cost, converged = multistart_maximize(
+        _counted(loglik_score, calls), starts, box, np.array([0, 0, 1, 1])
     )
     assert launched == [[0, 0, 1, 1], [1], [1]]
     assert z[0].tolist() == [0.5, 0.5] and converged.tolist() == [True, False]
-    assert n_launches.tolist() == [4, 4]  # the starts and two polishes, run or not
+    assert cost == (len(calls), sum(calls))  # every launch's objective calls
     launched.clear()
     multistart_maximize(loglik_score, starts[:2], box)  # every incumbent stationary
     assert launched == [[0, 0]]

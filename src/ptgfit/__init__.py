@@ -12,6 +12,7 @@ from .distributions import (
     ptg_pdf,
     ptg_quantile,
     ptg_sample,
+    ptg_sf,
     ptw_params,
     tg_cdf,
     tg_pdf,
@@ -37,6 +38,7 @@ __all__ = [
     "tg_pdf",
     "tg_quantile",
     "ptg_cdf",
+    "ptg_sf",
     "ptg_pdf",
     "ptg_log_pdf",
     "ptg_hrf",

@@ -10,9 +10,13 @@ from its batched log-likelihood, score and Hessian,
 ``moe_loglik_derivatives``, which shares ``log_pdf``'s one formula; that
 kernel is all the Marshall-Olkin row of ``mle.MODELS`` supplies).
 Every model exposes the protocol shared with ``PtgParams``: ``names``,
-``values``, ``pdf``, ``cdf``, ``log_pdf`` and ``quantile``; the first three
-refuse a negative or NaN x with ``ValueError``.  The baselines also have
-``isf``, the inverse survival function, for the upper-tail quantiles.
+``values``, ``pdf``, ``cdf``, ``sf``, ``log_pdf`` and ``quantile``; the four
+functions of x refuse a negative or NaN x with ``ValueError``.  ``sf`` is the
+survival function 1 - cdf in its own exact form (exp(-lam H) with H = x or
+x**theta, exp(log1p(y) - y) with y = x/sigma, and the Marshall-Olkin tilted
+tail), never a subtraction, so it keeps its digits where the cdf rounds to 1.
+The baselines also have ``isf``, the inverse survival function, for the
+upper-tail quantiles.
 
 For the PT-G score and information each baseline also has one class-level,
 parameter-batched method, ``derivatives(x, params, order=1)``: given
@@ -84,6 +88,9 @@ class Exponential:
     def cdf(self, x):
         return -np.expm1(-self.lam * _nonnegative(x))
 
+    def sf(self, x):
+        return np.exp(-self.lam * _nonnegative(x))
+
     def quantile(self, u):
         u = _probability(u)
         with np.errstate(divide="ignore"):  # u = 1: x = inf
@@ -150,6 +157,9 @@ class Weibull:
     def cdf(self, x):
         return -np.expm1(-self.lam * self._log_and_power(x)[1])
 
+    def sf(self, x):
+        return np.exp(-self.lam * self._log_and_power(x)[1])
+
     def quantile(self, u):
         u = _probability(u)
         with np.errstate(divide="ignore"):  # u = 1: x = inf
@@ -198,10 +208,16 @@ class MomentExponential:
         x = _nonnegative(x)
         return x * np.exp(-x / self.sigma) / self.sigma**2
 
+    def _log_sf(self, x):
+        """log S = log1p(y) - y with y = x/sigma: Gamma(shape 2, scale sigma)
+        has S = (1 + y) exp(-y)."""
+        return _log1pmx(_nonnegative(x) / self.sigma)
+
     def cdf(self, x):
-        x = _nonnegative(x)
-        # Gamma(shape 2, scale sigma): 1 - (1 + x/sigma) exp(-x/sigma)
-        return 1.0 - (1.0 + x / self.sigma) * np.exp(-x / self.sigma)
+        return 0.0 - np.expm1(self._log_sf(x))  # 0.0 - keeps cdf(0) = +0.0
+
+    def sf(self, x):
+        return np.exp(self._log_sf(x))
 
     def log_pdf(self, x):
         x = _nonnegative(x)
@@ -278,6 +294,10 @@ class MarshallOlkinExponential:
     def cdf(self, x):
         x = _nonnegative(x)
         return -np.expm1(-self.lam * x) / (1.0 - (1.0 - self.tilt) * np.exp(-self.lam * x))
+
+    def sf(self, x):
+        _, tail, denom = _moe_log_density(self.tilt, self.lam, _nonnegative(x))
+        return self.tilt * tail / denom
 
     def log_pdf(self, x):
         return _moe_log_density(self.tilt, self.lam, _nonnegative(x))[0]

@@ -262,9 +262,10 @@ def cmd_curves(args):
     data = _load_data(args) if args.data else None
     model = _model(args, data)
     grid = np.linspace(model.quantile(0.001), model.quantile(0.999), args.grid)
-    pdf_v, cdf_v = model.pdf(grid), model.cdf(grid)
+    # the grid ends at the 0.999 quantile, where sf >= 1e-3
+    pdf_v = model.pdf(grid)
     payload = {"command": "curves", "model": args.model, "x": grid, "pdf": pdf_v,
-               "cdf": cdf_v, "hrf": pdf_v / (1.0 - cdf_v)}
+               "cdf": model.cdf(grid), "hrf": pdf_v / model.sf(grid)}
     if data is not None:
         counts, edges = np.histogram(data.values, bins="auto", density=True)
         xs = np.sort(data.values)

@@ -12,10 +12,16 @@ matching float or ndarray.  Stable ``expm1``/``log1p`` forms are used
 throughout so both signs of ``b`` and near-zero tilts evaluate cleanly;
 for ``b < 0`` the Poisson layer is factored by ``exp(b)`` so that no
 intermediate overflows, however negative ``b`` is.  A negative or NaN ``x``
-is a ``ValueError``.  The log-density is written once, as ``_log_c`` plus
-``_log_body``: ``ptg_log_pdf``, ``ptg_pdf`` (its exponential) and the
-fit's batched ``ptg_loglik_derivatives`` all use it.  Every function reads
-G once per call.  Each layer's quantile, at levels u with complements v,
+is a ``ValueError``.  Each layer's complement is that layer mirrored, never
+a subtraction: 1 - T is the transmuted cdf at -a in the baseline's exact
+survival function 1 - G, and 1 - F is the Poisson layer at -b in 1 - T.  So
+the Poisson formula is written once, ``_poisson``, which ``ptg_cdf`` calls
+at (T, b) and ``ptg_sf`` at (1 - T, -b), and ``ptg_hrf`` takes 1 - T and
+dT/dG from the one transmuted formula, ``_transmuted``; none of them loses
+its digits where the cdf rounds to 1.  The log-density is written once, as
+``_log_c`` plus ``_log_body``: ``ptg_log_pdf``, ``ptg_pdf`` (its
+exponential) and the fit's batched ``ptg_loglik_derivatives`` all use it.
+Every function reads G, or 1 - G, once per call.  Each layer's quantile, at levels u with complements v,
 is one private core (``_tg_quantile``, ``_ptg_quantile``): the closed form in
 u up to u = 1/2 and above it the upper-tail form in v, which keeps its digits
 where u rounds to 1.
@@ -36,6 +42,7 @@ __all__ = [
     "tg_pdf",
     "tg_quantile",
     "ptg_cdf",
+    "ptg_sf",
     "ptg_pdf",
     "ptg_log_pdf",
     "ptg_hrf",
@@ -47,6 +54,7 @@ __all__ = [
 
 DEFAULT_BETA_FLOOR = 1e-8
 _TINY = np.finfo(float).tiny
+_LEAST = np.nextafter(0.0, 1.0)  # the smallest positive (subnormal) double
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,9 @@ class PtgParams:
 
     def cdf(self, x):
         return ptg_cdf(x, self)
+
+    def sf(self, x):
+        return ptg_sf(x, self)
 
     def log_pdf(self, x):
         return ptg_log_pdf(x, self)
@@ -174,10 +185,13 @@ def _split(u, v, lower, upper):
     """A quantile at the levels u with complements v: ``lower(u)`` up to
     u = 1/2 and ``upper(v)``, an upper-tail form, above it.  A scalar level
     stays a numpy scalar, whose power (libm's) is not the array loop's."""
-    # the quadrature's nodes of [0, b] underflow to u = 0 once b < 5e-20
-    low, u = u <= 0.5, np.maximum(u, _TINY)
+    # the quadrature's nodes of [0, b] underflow to u = 0 once b < 5e-20, and
+    # to v = 0 likewise; a subnormal level is kept, not moved to the smallest
+    # normal, which would move all the nodes below it to one point
+    low, u = u <= 0.5, np.maximum(u, _LEAST)
     if np.all(low):
         return lower(u)
+    v = np.maximum(v, _LEAST)
     if not np.any(low):
         return upper(v)
     x = np.empty_like(u)
@@ -206,20 +220,33 @@ def tg_quantile(u, alpha, baseline):
 # ---------------------------------------------------------------------------
 
 
-def ptg_cdf(x, p):
-    """Poisson transmuted-G cdf.
+def _poisson(t, beta):
+    """The Poisson layer (1 - exp(-beta t)) / (1 - exp(-beta)) at t in [0, 1].
 
-    Computed as ``expm1(-beta*T) / expm1(-beta)`` with T the transmuted cdf
-    for beta > 0, and for beta = -b < 0 as
-    ``exp(b*(T-1)) * expm1(-b*T) / expm1(-b)``, the same ratio with exp(b)
-    cancelled.  Both are exact at the endpoints and overflow for no beta.
-    """
+    Computed as ``expm1(-beta*t) / expm1(-beta)`` for beta > 0, and for
+    beta = -b < 0 as ``exp(b*(t-1)) * expm1(-b*t) / expm1(-b)``, the same
+    ratio with exp(b) cancelled.  Both are exact at the endpoints and
+    overflow for no beta."""
+    if beta > 0:
+        return np.expm1(-beta * t) / np.expm1(-beta)
+    b = -beta
+    return np.exp(b * (t - 1.0)) * np.expm1(-b * t) / np.expm1(-b)
+
+
+def ptg_cdf(x, p):
+    """Poisson transmuted-G cdf: the Poisson layer at (T, beta), T the
+    transmuted cdf."""
     x, scalar = _validated_x(x)
-    t, _ = _transmuted(p.alpha, p.baseline.cdf(x))
-    if p.beta > 0:
-        return _ret(np.expm1(-p.beta * t) / np.expm1(-p.beta), scalar)
-    b = -p.beta
-    return _ret(np.exp(b * (t - 1.0)) * np.expm1(-b * t) / np.expm1(-b), scalar)
+    return _ret(_poisson(_transmuted(p.alpha, p.baseline.cdf(x))[0], p.beta), scalar)
+
+
+def ptg_sf(x, p):
+    """Poisson transmuted-G survival function 1 - F, without the subtraction:
+    the Poisson layer at (1 - T, -beta), with 1 - T the transmuted cdf at
+    -alpha in the baseline's survival function 1 - G, so it keeps its digits
+    where F rounds to 1."""
+    x, scalar = _validated_x(x)
+    return _ret(_poisson(_transmuted(-p.alpha, p.baseline.sf(x))[0], -p.beta), scalar)
 
 
 def _log_c(beta):
@@ -323,25 +350,29 @@ def ptg_loglik_derivatives(data, family, theta, order=1, n_obs=None):
 def ptg_hrf(x, p):
     """Hazard rate f / (1 - F).
 
-    Uses the cancellation-free identity ``beta * f_tg(x) /
-    (-expm1(-beta * (1 - T)))``, defined while T < 1 even where F rounds to 1.
+    Uses the cancellation-free identity ``beta * g * fac /
+    (-expm1(-beta * (1 - T)))``, with 1 - T and fac = dT/dG the transmuted
+    layer at -alpha in the baseline's survival function 1 - G, so it reads
+    no cdf.  It is not f / S: both underflow long before the hazard does.
+    It refuses only where 1 - T is below the smallest normal double.
     """
     x, scalar = _validated_x(x)
-    t, fac = _transmuted(p.alpha, p.baseline.cdf(x))
-    if np.any(t >= 1.0):
-        raise ValueError("hazard undefined where the transmuted cdf has reached 1")
-    f_tg = p.baseline.pdf(x) * fac
-    return _ret(p.beta * f_tg / (-np.expm1(-p.beta * (1.0 - t))), scalar)
+    t_bar, fac = _transmuted(-p.alpha, p.baseline.sf(x))
+    if np.any(t_bar < _TINY):
+        raise ValueError("hazard undefined where the survival function underflows")
+    return _ret(p.beta * p.baseline.pdf(x) * fac / (-np.expm1(-p.beta * t_bar)), scalar)
 
 
 def _poisson_invert(w, beta):
     """T = -log1p(w * expm1(-beta)) / beta, the Poisson layer's inverse at
     the probability ``w``.  At beta <= -700, where expm1(-beta) nears
-    overflow, the same T is taken as ``1 + log(w + (1-w) * exp(beta)) /
-    -beta``, exp(-beta) divided out."""
+    overflow, w * expm1(-beta) = w exp(-beta) (1 - exp(beta)) is taken as
+    exp(log w - beta), its last factor being 1 to the last bit, and
+    log1p(exp(.)) as ``logaddexp``, so T keeps its relative digits where it
+    is small."""
     if beta > -700.0:
         return -np.log1p(w * np.expm1(-beta)) / beta
-    return 1.0 + np.log(w + (1.0 - w) * np.exp(beta)) / -beta
+    return -np.logaddexp(0.0, np.log(w) - beta) / beta
 
 
 def _ptg_quantile(u, v, p):

@@ -10,8 +10,11 @@ probability space, E[h(X)] = int_a^b h(Q(u)) du, by the tanh-sinh map, with
 Q the quantile core of :mod:`distributions` at each node u and the
 complement v = 1 - u that the rule carries, so the upper tail keeps its
 digits; the mgf and the Renyi entropy are integrated over x by the
-exp-sinh map, with log-space integrands.  The order-statistic
-density is the direct form C * f * F^(r-1) * (1-F)^(n-r).  The paper's
+exp-sinh map, with log-space integrands.  Every upper-tail quantity reads
+the survival function S = 1 - F of :func:`distributions.ptg_sf`, never 1 - F
+by subtraction: the residual life integrates over v in [0, S(t)] and divides
+by S(t), and the order-statistic density is the direct form
+C * f * F^(r-1) * S^(n-r).  The paper's
 series expansions live in :mod:`series`, as cross-checks of these forms.
 """
 
@@ -30,6 +33,7 @@ from .distributions import (
     ptg_log_pdf,
     ptg_pdf,
     ptg_quantile,
+    ptg_sf,
 )
 
 __all__ = [
@@ -196,13 +200,17 @@ def _order_const(r, n):
 
 
 def order_stat_pdf(x, r, n, p):
-    """Density C * f * F^(r-1) * (1-F)^(n-r) of the r-th order statistic in a
-    sample of size n."""
+    """Density C * f * F^(r-1) * S^(n-r) of the r-th order statistic in a
+    sample of size n, with S = 1 - F the survival function; a power of 0
+    reads neither F nor S."""
     c = _order_const(r, n)
     r, n = int(r), int(n)
-    f = ptg_pdf(x, p)
-    big_f = ptg_cdf(x, p)
-    return c * f * big_f ** (r - 1) * (1.0 - big_f) ** (n - r)
+    dens = c * ptg_pdf(x, p)
+    if r > 1:
+        dens = dens * ptg_cdf(x, p) ** (r - 1)
+    if n > r:
+        dens = dens * ptg_sf(x, p) ** (n - r)
+    return dens
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +232,17 @@ def stress_strength(p1, p2):
 
 
 def residual_moment(n, t, p):
-    """n-th moment of the residual life at age t, E[(X-t)^n | X > t]."""
+    """n-th moment of the residual life at age t, E[(X-t)^n | X > t],
+    integrated over the upper-tail levels v in [0, S(t)], S = 1 - F the
+    survival function, and divided by S(t)."""
     n = _integer(n, 1, "moment order must be a positive integer")
     if not 0.0 <= t < np.inf:  # also refuses NaN
         raise ValueError(f"age t must be nonnegative and finite, got {t!r}")
-    big_f = ptg_cdf(t, p) if t > 0 else 0.0
-    if big_f >= 1.0 - 1e-15:
-        raise ValueError("residual life undefined where the cdf has reached 1")
-    val = quad(lambda u, v: (_ptg_quantile(u, v, p) - t) ** n, big_f, 1.0)
-    return val / (1.0 - big_f)
+    surv = ptg_sf(t, p) if t > 0 else 1.0  # S(0) = 1
+    if surv < np.finfo(float).tiny:
+        raise ValueError("residual life undefined where the survival function underflows")
+    # quad hands the levels v = 1 - u first, exact, and their complements u
+    return quad(lambda v, u: (_ptg_quantile(u, v, p) - t) ** n, 0.0, surv) / surv
 
 
 def reversed_residual_moment(n, t, p):

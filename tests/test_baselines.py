@@ -118,7 +118,7 @@ def test_batched_derivatives(cls, rows):
 )
 def test_negative_or_nan_x_rejected(model):
     # Weibull(1, 2).pdf(-1) was -0.736, Exponential(1).cdf(-1) was -1.718
-    for method in (model.pdf, model.cdf, model.log_pdf):
+    for method in (model.pdf, model.cdf, model.sf, model.log_pdf):
         for bad in (-1.0, np.nan, [0.5, -1e-300]):
             with pytest.raises(ValueError):
                 method(bad)
@@ -162,6 +162,56 @@ def test_moment_exponential_quantile_against_mpmath(sigma):
     ])
     want = sigma * np.array([_gamma2_quantile_mpmath(v) for v in u])
     assert np.allclose(MomentExponential(sigma).quantile(u), want, rtol=4e-15, atol=0.0)
+
+
+# 1 - (1 + y) e^-y gave 0.0 and 5.000444502911705e-13 at the two points
+@pytest.mark.parametrize("sigma", [1.0, 2.5])
+@pytest.mark.parametrize("y", [1e-9, 1e-6])
+def test_moment_exponential_cdf_lower_tail_against_mpmath(sigma, y):
+    import mpmath
+
+    with mpmath.workdps(50):
+        y_mp = mpmath.mpf(y * sigma) / sigma  # the y of the double x
+        want = float(-mpmath.expm1(mpmath.log1p(y_mp) - y_mp))
+    assert MomentExponential(sigma).cdf(y * sigma) == pytest.approx(want, rel=1e-15)
+
+
+def test_moment_exponential_cdf_at_zero_is_plus_zero():
+    assert math.copysign(1.0, MomentExponential(1.0).cdf(0.0)) == 1.0
+
+
+def _mp_cdf(model, x):
+    """The model's cdf at the double x, from its definition at 360 digits."""
+    import mpmath
+
+    x = mpmath.mpf(x)
+    if isinstance(model, MomentExponential):
+        y = x / mpmath.mpf(model.sigma)
+        return 1 - (1 + y) * mpmath.exp(-y)
+    if isinstance(model, MarshallOlkinExponential):
+        tail = mpmath.exp(-mpmath.mpf(model.lam) * x)
+        return (1 - tail) / (1 - (1 - mpmath.mpf(model.tilt)) * tail)
+    theta = mpmath.mpf(getattr(model, "theta", 1.0))
+    return 1 - mpmath.exp(-mpmath.mpf(model.lam) * x**theta)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Exponential(1.3), Weibull(1.0, 1.5), MomentExponential(2.5),
+     MarshallOlkinExponential(0.3, 1.1)],
+    ids=["exponential", "weibull", "moment-exponential", "marshall-olkin"],
+)
+def test_sf_against_mpmath_in_both_tails(model):
+    # the points and the bound were fixed before the first run
+    import mpmath
+
+    x = np.array([0.0, 1e-6, 0.3, 2.0, 20.0, 50.0, 300.0])
+    got = model.sf(x)
+    with mpmath.workdps(360):
+        want = [float(1 - _mp_cdf(model, xi)) for xi in x]
+    for xi, g, w in zip(x, got, want):
+        if w >= np.finfo(float).tiny:
+            assert g == pytest.approx(w, rel=1e-12), xi
 
 
 def test_moment_exponential_log_pdf_at_zero():

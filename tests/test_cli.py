@@ -305,6 +305,18 @@ class TestPropsCommand:
         assert code == 1 and out == ""
         assert "got nan" in err
 
+    def test_sheet_where_the_cdf_has_rounded_to_one(self, capsys):
+        # residual life by 1 - F refused F >= 1 - 1e-15 at t = 0.5, where
+        # S(t) is about e^-574, and the command exited 1 with no sheet
+        from ptgfit.distributions import ptw_params
+        from ptgfit.expansions import residual_moment
+
+        code, payload, err = run_json(capsys, "props", "--model", "ptw", "--params=1,700,1.3,0.6")
+        assert (code, err) == (0, "")
+        assert payload["mean_residual_life"]["0.5"] == 0.00390109
+        mrl = residual_moment(1, 0.5, ptw_params(1.0, 700.0, 1.3, 0.6))
+        assert mrl == pytest.approx(0.0039010867295650215, rel=1e-12)
+
     def test_rejected_for_competitors(self, capsys):
         code, _, err = run_cli(capsys, "props", "--model", "exp", "--params", "1.0")
         assert code == 1 and "PT models" in err
@@ -331,6 +343,19 @@ class TestCurvesCommand:
         cdf = [float(r[2]) for r in rows]
         assert all(b >= a for a, b in zip(cdf, cdf[1:]))
         assert cdf[-1] >= 0.998
+
+    @pytest.mark.parametrize(
+        "model, params", [("exp", "1.5"), ("me", "1.5"), ("moe", "0.3,1.1"), ("ptw", "1,700,1.3,0.6")]
+    )
+    def test_hazard_is_pdf_over_sf(self, capsys, model, params):
+        from ptgfit.cli import _model_from_params
+
+        code, payload, _ = run_json(capsys, "curves", "--model", model, f"--params={params}",
+                                    "--grid", "16")
+        assert code == 0
+        dist = _model_from_params(model, params)
+        want = dist.pdf(np.array(payload["x"])) / dist.sf(np.array(payload["x"]))
+        assert np.allclose(payload["hrf"], want, rtol=1e-5, atol=0.0)
 
     def test_histogram_block_with_data(self, capsys):
         code, payload, _ = run_json(

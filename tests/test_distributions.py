@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from ptgfit.baselines import Exponential, MarshallOlkinExponential, MomentExponential, Weibull
 from ptgfit.distributions import (
     PtgParams,
+    _ptg_quantile,
     _tg_invert,
     pte_params,
     ptg_cdf,
@@ -17,6 +18,7 @@ from ptgfit.distributions import (
     ptg_pdf,
     ptg_quantile,
     ptg_sample,
+    ptg_sf,
     ptw_params,
     tg_cdf,
     tg_pdf,
@@ -237,7 +239,7 @@ class TestLogPdf:
         if theta == 1.0:
             assert ptg_pdf(0.0, PtgParams(0.5, 2.0, base)) == pytest.approx(3.4696, abs=1e-4)
 
-    @pytest.mark.parametrize("fn", [ptg_log_pdf, ptg_pdf, ptg_cdf])
+    @pytest.mark.parametrize("fn", [ptg_log_pdf, ptg_pdf, ptg_cdf, ptg_sf])
     def test_nan_observation_rejected(self, fn):
         # a NaN observation is refused, not reported as a zero density
         with pytest.raises(ValueError, match="NaN"):
@@ -285,17 +287,38 @@ class TestHazard:
         with pytest.raises(ValueError):
             ptg_hrf(4000.0, pte_params(0.0, 1.0, 1.0))
 
+    # 1 - F and 1 - T by subtraction gave 1.00102, 0.52231 and a refusal at
+    # the first three, and 0.0765 at the fourth
+    @pytest.mark.parametrize("alpha, x", [(0.5, 30.0), (0.5, 36.0), (0.5, 38.0), (1.0, 20.0)])
+    def test_upper_tail_against_mpmath(self, alpha, x):
+        want = _mp_hazard(x, alpha, 2.0, 1.0)
+        assert ptg_hrf(x, pte_params(alpha, 2.0, 1.0)) == pytest.approx(want, rel=1e-12)
+
+
+def _mp_hazard(x, alpha, beta, lam):
+    """The PT-E hazard f / (1 - F) from the definition, at 50 digits."""
+    with mpmath.workdps(50):
+        a, b, lam, x = (mpmath.mpf(v) for v in (alpha, beta, lam, x))
+        g = -mpmath.expm1(-lam * x)
+        t = g * (1 + a - a * g)
+        f = b * lam * mpmath.exp(-lam * x) * (1 + a - 2 * a * g) * mpmath.exp(-b * t)
+        return float(f / (mpmath.exp(-b * t) - mpmath.exp(-b)))
+
 
 class _CountingExponential(Exponential):
-    """An exponential baseline that records each call of its cdf."""
+    """An exponential baseline that records each call of its cdf or sf."""
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "cdf_calls", [])
+        object.__setattr__(self, "reads", [])
 
     def cdf(self, x):
-        self.cdf_calls.append(x)
+        self.reads.append(x)
         return super().cdf(x)
+
+    def sf(self, x):
+        self.reads.append(x)
+        return super().sf(x)
 
 
 @pytest.mark.parametrize(
@@ -304,16 +327,17 @@ class _CountingExponential(Exponential):
         lambda x, p: tg_cdf(x, p.alpha, p.baseline),
         lambda x, p: tg_pdf(x, p.alpha, p.baseline),
         ptg_cdf,
+        ptg_sf,
         ptg_pdf,
         ptg_log_pdf,
         ptg_hrf,
     ],
-    ids=["tg_cdf", "tg_pdf", "ptg_cdf", "ptg_pdf", "ptg_log_pdf", "ptg_hrf"],
+    ids=["tg_cdf", "tg_pdf", "ptg_cdf", "ptg_sf", "ptg_pdf", "ptg_log_pdf", "ptg_hrf"],
 )
 def test_one_baseline_cdf_read_per_call(evaluate):
     base = _CountingExponential(1.3)
     evaluate(np.array([0.0, 0.3, 1.1, 2.5]), PtgParams(0.5, 2.0, base))
-    assert len(base.cdf_calls) == 1
+    assert len(base.reads) == 1
 
 
 def _mp_ptg_quantile(u, alpha, beta, base):
@@ -388,6 +412,14 @@ class TestQuantile:
                         want = _mp_ptg_quantile(ui, alpha, beta, base)
                         assert abs(x - want) <= 1e-12 * want, (alpha, beta, base, ui)
 
+    # a level below the smallest normal double was moved up to it: 2.149e-7
+    # and 6.413e-309 at these two points; and at beta <= -700 the Poisson
+    # inverse lost the relative digits of a small T
+    @pytest.mark.parametrize("beta", [-700.0, 2.0])
+    def test_subnormal_level(self, beta):
+        got = ptg_quantile(1e-310, pte_params(0.5, beta, 1.0))
+        assert got == pytest.approx(_mp_ptg_quantile(1e-310, 0.5, beta, EXP1), rel=1e-12)
+
     def test_nan_level_refused(self):
         # pte_params(0.5, 2, 1).quantile(nan) returned nan
         p = pte_params(0.5, 2.0, 1.0)
@@ -396,6 +428,51 @@ class TestQuantile:
                 p.quantile(u)
         with pytest.raises(ValueError, match="NaN"):
             tg_quantile(np.nan, 0.5, EXP1)
+
+
+def _mp_cdf_and_sf(x, alpha, beta, base):
+    """F and 1 - F of PT-G at the double x, from the definition of F, with
+    enough digits that the subtraction keeps 40 of them down to 1e-320."""
+    with mpmath.workdps(360):
+        a, b, x = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(x)
+        lam, theta = mpmath.mpf(base.lam), mpmath.mpf(getattr(base, "theta", 1.0))
+        g = -mpmath.expm1(-lam * x**theta)
+        t = g * (1 + a - a * g)
+        big_f = mpmath.expm1(-b * t) / mpmath.expm1(-b)
+        return float(big_f), float(1 - big_f)
+
+
+class TestSurvival:
+    def test_against_mpmath_over_both_tails(self):
+        # the seed and the bound were fixed before the first run
+        rng = np.random.default_rng(2023)
+        worst = 0.0
+        for alpha in (-1.0, 1.0, *rng.uniform(-1.0, 1.0, 2)):
+            for beta in (-700.0, -101.0, -6.6, 1e-6, 30.0, 700.0):
+                for base in (Exponential(rng.uniform(0.3, 3.0)),
+                             Weibull(rng.uniform(0.3, 3.0), rng.uniform(0.5, 3.0))):
+                    p = PtgParams(alpha, beta, base)
+                    # five levels in each tail, down to 1e-300
+                    w = 10.0 ** -rng.uniform(0.3, 300.0, 10)
+                    low = np.arange(10) < 5
+                    x = _ptg_quantile(np.where(low, w, 1.0 - w), np.where(low, 1.0 - w, w), p)
+                    for xi, f, s in zip(x, ptg_cdf(x, p), ptg_sf(x, p)):
+                        want_f, want_s = _mp_cdf_and_sf(xi, alpha, beta, base)
+                        for got, want in ((f, want_f), (s, want_s)):
+                            if want >= np.finfo(float).tiny:
+                                worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-12
+
+    def test_sf_is_the_method(self):
+        p = ptw_params(0.3, -4.0, 1.2, 1.7)
+        x = np.array([0.0, 0.5, 3.0])
+        assert np.array_equal(p.sf(x), ptg_sf(x, p))
+        assert ptg_sf(0.0, p) == 1.0
+
+    def test_sf_and_cdf_add_to_one_on_grid(self):
+        for p in PARAM_GRID:
+            xs = ptg_quantile(np.linspace(0.05, 0.95, 19), p)
+            assert np.max(np.abs(ptg_sf(xs, p) + ptg_cdf(xs, p) - 1.0)) <= 1e-15
 
 
 def _log_space_reference(x, alpha, b, lam, theta=1.0):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -421,6 +422,16 @@ class TestOrderStatistics:
             gap = np.max(np.abs(series_order_stat_pdf(xs, r, n, p) - direct))
             assert gap <= 1e-6 * np.max(direct), (r, n)
 
+    def test_upper_tail_against_mpmath(self):
+        # (1 - F)^2 by subtraction was off in the 4th digit here
+        with mpmath.workdps(50):
+            x, g_bar = mpmath.mpf(30), mpmath.exp(-30)
+            t = (1 - g_bar) * (1 + g_bar / 2)
+            f = 2 * g_bar * (1 + g_bar) * mpmath.exp(-2 * t) / -mpmath.expm1(-2)
+            s = (mpmath.exp(-2 * t) - mpmath.exp(-2)) / -mpmath.expm1(-2)
+            want = float(3 * f * s**2)
+        assert order_stat_pdf(x, 1, 3, P_HALF_2_1) == pytest.approx(want, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             order_stat_pdf(1.0, 0, 3, P_HALF_2_1)
@@ -458,7 +469,41 @@ class TestStressStrength:
             stress_strength(P_HALF_2_1, ptw_params(0.5, 2.0, 1.0, 2.0))
 
 
+def _mp_residual_moment(n, t, alpha, beta, lam, theta=1.0):
+    """E[(X-t)^n | X > t] = n int_t^inf (x-t)^(n-1) S(x) dx / S(t) of PT-W at
+    50 digits, with S = (e^(-beta T) - e^(-beta)) / (1 - e^(-beta)) from the
+    definition and breakpoints that close in on t."""
+    with mpmath.workdps(50):
+        a, b, lam, theta, t = (mpmath.mpf(v) for v in (alpha, beta, lam, theta, t))
+
+        def sf(x):
+            g = -mpmath.expm1(-lam * x**theta)
+            return (mpmath.exp(-b * g * (1 + a - a * g)) - mpmath.exp(-b)) / -mpmath.expm1(-b)
+
+        s_t = sf(t)
+        points = [t] + [t + mpmath.mpf(2) ** k for k in range(-12, 6, 2)] + [mpmath.inf]
+        return float(n * mpmath.quad(lambda x: (x - t) ** (n - 1) * sf(x) / s_t, points))
+
+
 class TestResidualLife:
+    # the bound was fixed before the first run: the rule's own relative 1e-11
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_against_mpmath_at_the_monte_carlo_point(self, n):
+        med = float(ptg_quantile(0.5, P_HALF_1_1))
+        want = _mp_residual_moment(n, med, 0.5, 1.0, 1.0)
+        assert residual_moment(n, med, P_HALF_1_1) == pytest.approx(want, rel=1e-11)
+
+    # S(t) is about e^-574, e^-648 and e^-686: 1 - F by subtraction refused
+    # all three; clamping the levels v at the smallest normal double, not at
+    # the smallest positive one, is 2e-6 off at t = 2, n = 2
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_against_mpmath_where_the_cdf_has_rounded_to_one(self, n, t):
+        want = _mp_residual_moment(n, t, 1.0, 700.0, 1.3, 0.6)
+        got = residual_moment(n, t, ptw_params(1.0, 700.0, 1.3, 0.6))
+        assert got == pytest.approx(want, rel=1e-11)
+
+
     def test_at_zero_is_mean(self):
         assert residual_moment(1, 0.0, P_HALF_2_1) == pytest.approx(
             raw_moment(1, P_HALF_2_1), abs=1e-8

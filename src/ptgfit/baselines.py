@@ -293,7 +293,7 @@ class MarshallOlkinExponential:
 
     def cdf(self, x):
         x = _nonnegative(x)
-        return -np.expm1(-self.lam * x) / (1.0 - (1.0 - self.tilt) * np.exp(-self.lam * x))
+        return -np.expm1(-self.lam * x) / _moe_log_density(self.tilt, self.lam, x)[2]
 
     def sf(self, x):
         _, tail, denom = _moe_log_density(self.tilt, self.lam, _nonnegative(x))

@@ -350,8 +350,9 @@ def ptg_loglik_derivatives(data, family, theta, order=1, n_obs=None):
 def ptg_hrf(x, p):
     """Hazard rate f / (1 - F).
 
-    Uses the cancellation-free identity ``beta * g * fac /
-    (-expm1(-beta * (1 - T)))``, with 1 - T and fac = dT/dG the transmuted
+    Uses the cancellation-free identity ``|beta| g fac exp(-max(-beta, 0)
+    (1 - T)) / (-expm1(-|beta| (1 - T)))``, free of overflow for either sign
+    of beta like :func:`_log_c`, with 1 - T and fac = dT/dG the transmuted
     layer at -alpha in the baseline's survival function 1 - G, so it reads
     no cdf.  It is not f / S: both underflow long before the hazard does.
     It refuses only where 1 - T is below the smallest normal double.
@@ -360,7 +361,9 @@ def ptg_hrf(x, p):
     t_bar, fac = _transmuted(-p.alpha, p.baseline.sf(x))
     if np.any(t_bar < _TINY):
         raise ValueError("hazard undefined where the survival function underflows")
-    return _ret(p.beta * p.baseline.pdf(x) * fac / (-np.expm1(-p.beta * t_bar)), scalar)
+    b = abs(p.beta)
+    hrf = b * p.baseline.pdf(x) * fac * np.exp(-max(-p.beta, 0.0) * t_bar) / -np.expm1(-b * t_bar)
+    return _ret(hrf, scalar)
 
 
 def _poisson_invert(w, beta):

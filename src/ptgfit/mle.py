@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -139,10 +139,10 @@ class FitResult:
         return len(self.estimates.values)
 
     @classmethod
-    def from_information(cls, estimates, loglik, info, converged, n_restarts_used, n_obs):
+    def from_information(cls, estimates, loglik, info, converged, n_restarts_used, n_obs, cost):
         """Fit record with standard errors from the observed information
-        ``info``; warns when the fit did not converge or the information is
-        singular."""
+        ``info`` and the search's ``cost`` (objective calls, start-rows);
+        warns if the fit did not converge or the information is singular."""
         if not converged:
             _warn("fit did not fully converge; results are flagged")
         k = len(estimates.values)
@@ -167,6 +167,8 @@ class FitResult:
             n_restarts_used=n_restarts_used,
             n_obs=int(n_obs),
             degenerate_info=degenerate,
+            objective_calls=cost[0],
+            start_rows=cost[1],
         )
 
 
@@ -580,10 +582,9 @@ def fit_samples(samples, model="pte", opts=None):
                 f"|beta| <= {_BETA_WARN:g}"
             )
         info = spec.information(x, estimates)
-        result = FitResult.from_information(
-            estimates, log_likelihood(x, estimates), info, converged, n_launches, x.size
-        )
-        results.append(replace(result, objective_calls=cost[0], start_rows=cost[1]))
+        results.append(FitResult.from_information(
+            estimates, log_likelihood(x, estimates), info, converged, n_launches, x.size, cost
+        ))
     return results
 
 
@@ -619,82 +620,22 @@ def observed_information(data, p_hat):
     return -ptg_loglik_derivatives(data, type(p_hat.baseline), theta, order=2)[2][0]
 
 
-def wald_ci(fit_result, level=0.95):
-    """Wald confidence intervals, truncated to the parameter domain.
+# the standard normal quantile at 0.975, scipy's norm.ppf(0.975) bit for bit
+_Z95 = 1.959963984540054
+
+
+def wald_ci(fit_result):
+    """95% Wald confidence intervals, truncated to the parameter domain.
 
     For PT-G, alpha is clipped to [-1, 1] and beta to the sign region of its
     estimate; every other parameter (baseline or competitor) to [0, inf).
     A zero standard error degenerates to the point estimate; an unknown
     (NaN) one gives NaN bounds.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    z = _ndtri(0.5 * (1.0 + level))
     est = np.asarray(fit_result.estimates.values, dtype=float)
     se = np.asarray(fit_result.std_errors, dtype=float)
     lo, hi = np.zeros(est.size), np.full(est.size, np.inf)  # the parameter domain
     if isinstance(fit_result.estimates, PtgParams):
         lo[:2] = -1.0, (-np.inf if est[1] < 0 else 0.0)
         hi[:2] = 1.0, (0.0 if est[1] < 0 else np.inf)
-    return np.maximum(est - z * se, lo), np.minimum(est + z * se, hi)
-
-
-# Cephes ndtri (Moshier 1989): the standard normal quantile by three rational
-# approximations, in y - 1/2 on the centre and in 1/sqrt(-2 log y) on each
-# tail beyond exp(-2); equal to scipy.special.ndtri bit for bit.
-_EXP_M2 = 0.13533528323661269189
-_S2PI = 2.50662827463100050242
-_NDTRI_CENTRE = (
-    (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-     1.39312609387279679503e1, -1.23916583867381258016e0),
-    (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-     -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-     1.59056225126211695515e1, -1.18331621121330003142e0),
-)
-_NDTRI_TAIL = (  # sqrt(-2 log y) below 8, i.e. y above exp(-32)
-    (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-     4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4),
-    (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-     -3.80806407691578277194e-2, -9.33259480895457427372e-4),
-)
-_NDTRI_FAR_TAIL = (
-    (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-     1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
-    (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-     2.89247864745380683936e-6, 6.79019408009981274425e-9),
-)
-
-
-def _rational(x, coeffs):
-    """x P(x) / Q(x), each polynomial by Horner from its highest power; Q's
-    leading coefficient 1 is implied."""
-    p, q = coeffs
-    num, den = p[0], x + q[0]
-    for c in p[1:]:
-        num = num * x + c
-    for c in q[1:]:
-        den = den * x + c
-    return x * num / den
-
-
-def _ndtri(y):
-    """The standard normal quantile of the probability ``y`` (a float)."""
-    if y == 0.0 or y == 1.0:
-        return math.copysign(math.inf, y - 0.5)
-    if not 0.0 < y < 1.0:
-        return math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * _rational(y2, _NDTRI_CENTRE)) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    tail = _rational(1.0 / x, _NDTRI_TAIL if x < 8.0 else _NDTRI_FAR_TAIL)
-    x = x - math.log(x) / x - tail
-    return x if upper else -x
+    return np.maximum(est - _Z95 * se, lo), np.minimum(est + _Z95 * se, hi)

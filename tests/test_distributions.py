@@ -294,6 +294,14 @@ class TestHazard:
         want = _mp_hazard(x, alpha, 2.0, 1.0)
         assert ptg_hrf(x, pte_params(alpha, 2.0, 1.0)) == pytest.approx(want, rel=1e-12)
 
+    # -beta (1 - T) > 709: exp(-beta (1 - T)) overflowed with a RuntimeWarning
+    # and the hazard read 0.0 at the first point; at the second it lies
+    # below the smallest subnormal (6.4e-340)
+    @pytest.mark.parametrize("x", [0.0755, 0.01])
+    def test_very_negative_beta_against_mpmath(self, x):
+        want = _mp_hazard(x, 0.5, -800.0, 1.0)
+        assert ptg_hrf(x, pte_params(0.5, -800.0, 1.0)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 def _mp_hazard(x, alpha, beta, lam):
     """The PT-E hazard f / (1 - F) from the definition, at 50 digits."""

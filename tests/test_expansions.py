@@ -468,6 +468,35 @@ class TestStressStrength:
         with pytest.raises(ValueError):
             stress_strength(P_HALF_2_1, ptw_params(0.5, 2.0, 1.0, 2.0))
 
+    # the Monte Carlo points of the stress-strength criterion; the bound was
+    # fixed before the first run
+    @pytest.mark.parametrize("strength, stress", [((0.3, 1.0, 1.0), (0.3, 1.0, 2.0)),
+                                                  ((0.3, 1.0, 2.0), (0.3, 1.0, 1.0))])
+    def test_against_mpmath_at_the_monte_carlo_points(self, strength, stress):
+        with mpmath.workdps(50):
+            pdf, _ = _mp_pte(*strength)
+            _, cdf = _mp_pte(*stress)
+            want = float(mpmath.quad(lambda x: pdf(x) * cdf(x), [0, 1, 4, mpmath.inf]))
+        got = stress_strength(pte_params(*strength), pte_params(*stress))
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def _mp_pte(alpha, beta, lam):
+    """The PT-E density and cdf from the definition, as functions of an mpf x
+    at the working precision."""
+    a, b, lam = (mpmath.mpf(v) for v in (alpha, beta, lam))
+
+    def t(x):
+        g = -mpmath.expm1(-lam * x)
+        return g, g * (1 + a - a * g)
+
+    def pdf(x):
+        g, tx = t(x)
+        density = b * lam * mpmath.exp(-lam * x) * (1 + a - 2 * a * g)
+        return density * mpmath.exp(-b * tx) / -mpmath.expm1(-b)
+
+    return pdf, lambda x: mpmath.expm1(-b * t(x)[1]) / mpmath.expm1(-b)
+
 
 def _mp_residual_moment(n, t, alpha, beta, lam, theta=1.0):
     """E[(X-t)^n | X > t] = n int_t^inf (x-t)^(n-1) S(x) dx / S(t) of PT-W at
@@ -553,6 +582,16 @@ class TestReversedResidualLife:
         t = 50.0
         val = reversed_residual_moment(1, t, P_HALF_1_1)
         assert val == pytest.approx(t - raw_moment(1, P_HALF_1_1), abs=1e-4)
+
+    # the Monte Carlo point below; the bound was fixed before the first run
+    def test_against_mpmath_at_relief_median(self):
+        # E[t - X | X <= t] = int_0^t F(x) dx / F(t)
+        with mpmath.workdps(50):
+            _, cdf = _mp_pte(0.301, -9.997, 1.555)
+            t = mpmath.mpf(1.7)
+            want = float(mpmath.quad(cdf, [0, 0.5, t]) / cdf(t))
+        got = reversed_residual_moment(1, 1.7, pte_params(0.301, -9.997, 1.555))
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_monte_carlo_at_relief_median(self):
         p = pte_params(0.301, -9.997, 1.555)

@@ -46,7 +46,7 @@ from .data import check_sample
 def _nonnegative(x):
     """``x`` as a float array; ``ValueError`` for a negative or NaN value."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0.0):  # also refuses NaN
+    if not (arr >= 0.0).all():  # also refuses NaN
         raise ValueError("x must be nonnegative (and not NaN)")
     return arr
 
@@ -54,7 +54,7 @@ def _nonnegative(x):
 def _probability(u):
     """``u`` as a float array; ``ValueError`` outside [0, 1] or for NaN."""
     arr = np.asarray(u, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also refuses NaN
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # also refuses NaN
         raise ValueError("u must lie in [0, 1] (and not be NaN)")
     return arr
 

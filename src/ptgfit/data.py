@@ -60,9 +60,17 @@ def check_sample(values):
     """Return ``values`` as a float array, or raise ``ValueError`` unless they
     are nonempty, finite and strictly positive."""
     x = np.asarray(values, dtype=float)
-    if x.size == 0 or not np.all(np.isfinite(x)) or np.any(x <= 0):
+    if x.size == 0 or not np.isfinite(x).all() or (x <= 0).any():
         raise ValueError("data must be nonempty, finite and strictly positive")
     return x
+
+
+def _integer(value, low, message):
+    """``value`` as an int; ``ValueError(message)`` unless it is an integer
+    of at least ``low`` (NaN and +-inf are not)."""
+    if not (math.isfinite(value) and int(value) == value and value >= low):
+        raise ValueError(message)
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import Exponential, Weibull, _nonnegative, _own_dots, _own_sums, _runs
+from .data import _integer
 
 __all__ = [
     "PtgParams",
@@ -129,7 +130,7 @@ def _validated_x(x):
 
 def _validated_u(u):
     arr = np.asarray(u, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):  # also refuses NaN
+    if not ((arr > 0.0) & (arr < 1.0)).all():  # also refuses NaN
         raise ValueError("u must lie strictly inside (0, 1) (and not be NaN)")
     return arr, np.isscalar(u) or arr.ndim == 0
 
@@ -189,10 +190,10 @@ def _split(u, v, lower, upper):
     # to v = 0 likewise; a subnormal level is kept, not moved to the smallest
     # normal, which would move all the nodes below it to one point
     low, u = u <= 0.5, np.maximum(u, _LEAST)
-    if np.all(low):
+    if low.all():
         return lower(u)
     v = np.maximum(v, _LEAST)
-    if not np.any(low):
+    if not low.any():
         return upper(v)
     x = np.empty_like(u)
     x[low], x[~low] = lower(u[low]), upper(v[~low])
@@ -359,7 +360,7 @@ def ptg_hrf(x, p):
     """
     x, scalar = _validated_x(x)
     t_bar, fac = _transmuted(-p.alpha, p.baseline.sf(x))
-    if np.any(t_bar < _TINY):
+    if (t_bar < _TINY).any():
         raise ValueError("hazard undefined where the survival function underflows")
     b = abs(p.beta)
     hrf = b * p.baseline.pdf(x) * fac * np.exp(-max(-p.beta, 0.0) * t_bar) / -np.expm1(-b * t_bar)
@@ -400,11 +401,11 @@ def ptg_sample(n, model, seed):
     """Draw ``n`` values from ``model`` (a ``PtgParams``, a baseline or a
     competitor model) through its ``quantile``, deterministic in ``seed``:
     anything ``numpy.random.default_rng`` takes, such as a nonnegative
-    integer or a sequence of them."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if isinstance(seed, numbers.Integral) and seed < 0:  # numpy's refusal names no argument
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    integer or a sequence of them.  ``n`` and a number ``seed`` must be
+    integer values (3.0 is taken as 3)."""
+    n = _integer(n, 1, f"n must be a positive integer, got {n}")
+    if isinstance(seed, numbers.Real):  # numpy's refusals name no argument
+        seed = _integer(seed, 0, f"seed must be a nonnegative integer, got {seed}")
     u = np.random.default_rng(seed).random(n)
     # rng.random() lives in [0, 1); nudge any exact zero into the open interval
     return model.quantile(np.maximum(u, np.finfo(float).tiny))

@@ -26,6 +26,7 @@ import warnings
 import numpy as np
 
 from .baselines import Weibull
+from .data import _integer
 from .distributions import (
     _ptg_quantile,
     _tg_quantile,
@@ -149,14 +150,6 @@ def _over_x(log_h, p):
     its bulk at every scale of the baseline."""
     m = float(ptg_quantile(0.5, p))
     return quad(lambda y: log_h(m * y) + math.log(m), 0.0, np.inf)
-
-
-def _integer(value, low, message):
-    """``value`` as an int; ``ValueError(message)`` unless it is an integer
-    of at least ``low`` (NaN and +-inf are not)."""
-    if not (math.isfinite(value) and int(value) == value and value >= low):
-        raise ValueError(message)
-    return int(value)
 
 
 def pwm(p_exp, q_exp, r_exp, dist):

@@ -64,7 +64,7 @@ from .baselines import (
     Weibull,
     moe_loglik_derivatives,
 )
-from .data import check_sample
+from .data import _integer, check_sample
 from .distributions import PtgParams, ptg_loglik_derivatives, pte_params, ptw_params
 
 __all__ = [
@@ -91,16 +91,18 @@ def _warn(message):
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Multistart settings for :func:`fit`: the number of starts and their seed."""
+    """Multistart settings for :func:`fit`: the number of starts and their
+    seed, each an integer value (3.0 is kept as 3)."""
 
     n_starts: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be positive")
-        if self.seed < 0:  # numpy's generator would refuse it without naming the option
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        # numpy would refuse a non-integer or negative count without naming the option
+        object.__setattr__(self, "n_starts", _integer(
+            self.n_starts, 1, f"n_starts must be a positive integer, got {self.n_starts}"))
+        object.__setattr__(self, "seed", _integer(
+            self.seed, 0, f"seed must be a nonnegative integer, got {self.seed}"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +148,7 @@ class FitResult:
         if not converged:
             _warn("fit did not fully converge; results are flagged")
         k = len(estimates.values)
-        if np.all(np.isfinite(info)):
+        if np.isfinite(info).all():
             eigvals = np.linalg.eigvalsh(info)
             degenerate = bool(eigvals.min() < 1e-10 * max(1.0, eigvals.max()))
             cov = np.linalg.pinv(info) if degenerate else np.linalg.inv(info)
@@ -181,7 +183,7 @@ def log_likelihood(data, model):
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("data must be nonempty")
-    if not np.all(data >= 0.0):  # also refuses NaN
+    if not (data >= 0.0).all():  # also refuses NaN
         raise ValueError("data must be nonnegative (and not NaN)")
     return float(np.sum(model.log_pdf(data)))
 
@@ -507,7 +509,8 @@ def _loglik_score(samples, model):
     ``samples[labels[s]]``: one kernel call at the parameters the kinds map Z
     to, the score chained through each map's derivative.  The samples are
     stacked into one array, each shorter one padded with its own first
-    observation, and the kernel sums each row over its own sample size."""
+    observation, and the kernel sums each row over its own sample size; a
+    call reads only the columns up to the largest own size among its rows."""
     spec = MODELS[model]
     kinds = [_KINDS[kind] for kind in spec.search]
     # one exp of all of Z maps the log-parameters; the other columns are set over it
@@ -521,7 +524,8 @@ def _loglik_score(samples, model):
             theta = np.exp(z)
             for j, value in maps:
                 theta[:, j] = value(z[:, j])
-            ll, score = spec.kernel(stacked[labels], theta, n_obs=sizes[labels])
+            n_obs = sizes[labels]
+            ll, score = spec.kernel(stacked[labels, :n_obs.max()], theta, n_obs=n_obs)
             for j, slope in slopes:
                 score[:, j] *= slope(z[:, j], theta[:, j])
         return ll, score

@@ -572,6 +572,21 @@ class TestSampling:
         with pytest.raises(ValueError, match="seed"):
             ptg_sample(3, pte_params(0.5, 2.0, 1.0), seed)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 0.0])
+    def test_non_integer_n_is_refused_by_name(self, n):
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
+            ptg_sample(n, pte_params(0.5, 2.0, 1.0), 0)
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, -2.0])
+    def test_non_integer_seed_is_refused_by_name(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed}$"):
+            ptg_sample(3, pte_params(0.5, 2.0, 1.0), seed)
+
+    def test_integer_values_are_taken(self):
+        p = pte_params(0.5, 2.0, 1.0)
+        assert np.array_equal(ptg_sample(3.0, p, 0), ptg_sample(3, p, 0))
+        assert np.array_equal(ptg_sample(np.int64(3), p, 4.0), ptg_sample(3, p, 4))
+
     def test_seed_sequence_is_taken(self):
         # the benchmark seeds round k of its large-sample workload with [seed, k + 1]
         p = pte_params(0.5, 2.0, 1.0)

@@ -511,6 +511,25 @@ class TestFitOptions:
         with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
             fit(data_I, "pte", FitOptions(seed=-1))
 
+    # numpy would refuse these inside the search with a TypeError naming no
+    # option, or (NaN passes n_starts < 1) fail there
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_starts=2.5), "n_starts must be a positive integer, got 2.5"),
+        (dict(n_starts=math.nan), "n_starts must be a positive integer, got nan"),
+        (dict(n_starts=math.inf), "n_starts must be a positive integer, got inf"),
+        (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
+        (dict(seed=math.nan), "seed must be a nonnegative integer, got nan"),
+    ])
+    def test_non_integer_counts_are_refused_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FitOptions(**kwargs)
+
+    def test_integer_values_are_kept_as_ints(self, data_I):
+        opts = FitOptions(n_starts=np.int64(6), seed=3.0)
+        assert (type(opts.n_starts), type(opts.seed)) == (int, int)
+        assert opts == FitOptions(n_starts=6, seed=3)
+        assert _same_fit(fit(data_I, "moe", opts), fit(data_I, "moe", FitOptions(6, 3)))
+
 
 class TestScore:
     """The batched PT-G log-likelihood and its analytic score."""
@@ -772,6 +791,28 @@ class TestFitSamples:
         solo = [fit(data_I, "pte", FitOptions(seed=0)), fit(resample, "pte", FitOptions(seed=0))]
         assert all(_same_fit(a, b) for a, b in zip(fused, solo))
 
+    def test_each_kernel_call_reads_its_rows_width(self, monkeypatch, data_I, data_II):
+        # samples of 72, 20 and 5: a call whose rows hold only the shorter
+        # samples reads only as many columns as the longest of them
+        samples = [data_I, data_II, data_II[:5]]
+        opts = FitOptions(n_starts=6, seed=0)
+        seen = []
+
+        def kernel(data, family, theta, order=1, n_obs=None):
+            if order == 1:  # not the information
+                seen.append((np.shape(data)[1], int(n_obs.max())))
+            return ptg_loglik_derivatives(data, family, theta, order, n_obs)
+
+        monkeypatch.setattr(mle, "ptg_loglik_derivatives", kernel)
+        with warnings.catch_warnings():  # five observations: a singular information
+            warnings.simplefilter("ignore")
+            fused = mle.fit_samples(samples, "pte", opts)
+            monkeypatch.undo()
+            solo = [fit(x, "pte", opts) for x in samples]
+        assert all(width == own for width, own in seen)
+        assert {own for _, own in seen} == {72, 20, 5}
+        assert all(_same_fit(a, b) for a, b in zip(fused, solo))
+
     def test_reproduction_cost(self, monkeypatch):
         # one lockstep multistart for each of Marshall-Olkin and PT-E across
         # both datasets, whose four incumbents are stationary, so that no
@@ -844,8 +885,9 @@ def test_multistart_refuses_empty_start_set(data_I):
         multistart_maximize(f, np.empty((0, 3)), box=box)
 
 
-# the fits of the search, pinned bit for bit (float.hex): a change to the
-# engine's bookkeeping must leave every search path as it is
+# the fits of the search, pinned bit for bit (float.hex) with the cost of the
+# search: a change to the engine's bookkeeping must leave every search path
+# and its objective calls and start-rows as they are
 PINNED_FITS = json.loads((Path(__file__).parent / "pinned" / "fits.json").read_text())
 
 
@@ -862,4 +904,6 @@ def test_search_is_pinned_bit_for_bit(data_I, data_II, key):
         "std_errors": [float.hex(float(v)) for v in result.std_errors],
         "converged": result.converged,
         "n_restarts_used": result.n_restarts_used,
+        "objective_calls": result.objective_calls,
+        "start_rows": result.start_rows,
     } == PINNED_FITS[key]

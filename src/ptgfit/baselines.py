@@ -1,7 +1,9 @@
 """The plain lifetime models: the baselines G of the transmuted layers and the
 competitor models fitted alongside the PT-G family.
 
-The baselines are ``Exponential`` and ``Weibull``.  The competitors are the
+The baselines are ``Weibull`` and ``Exponential``, the Weibull law at
+theta = 1: a subclass that fixes theta and adds only its density, as the
+product lam exp(-lam x), and its one-parameter kernel.  The competitors are the
 exponential (``Exponential`` again, closed-form MLE 1/xbar), the moment
 exponential (length-biased exponential, f(x) = x exp(-x/sigma)/sigma^2,
 closed-form MLE xbar/2) and the Marshall-Olkin exponential (tilted survival
@@ -29,14 +31,14 @@ for the observed information.  The shared terms
 (Exponential's exp(-lam x), Weibull's log x, x**theta and dG/dlam) are
 computed once.  ``cdf`` and ``log_pdf`` share its formulas, so the two agree
 bit for bit; for Weibull x**theta is exp(theta log x), except at theta = 1,
-where the scalar forms take x itself and equal ``Exponential``'s.
+where the scalar forms take x itself, which is how they serve ``Exponential``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,63 +67,11 @@ def _check_positive(name, value):
 
 
 @dataclass(frozen=True)
-class Exponential:
-    """Exponential baseline with rate ``lam``: g(x) = lam * exp(-lam*x)."""
-
-    lam: float
-
-    names = ("lam",)
-
-    def __post_init__(self):
-        _check_positive("lam", self.lam)
-
-    @property
-    def values(self):
-        return (self.lam,)
-
-    def pdf(self, x):
-        return self.lam * np.exp(-self.lam * _nonnegative(x))
-
-    def log_pdf(self, x):
-        return np.log(self.lam) - self.lam * _nonnegative(x)
-
-    def cdf(self, x):
-        return -np.expm1(-self.lam * _nonnegative(x))
-
-    def sf(self, x):
-        return np.exp(-self.lam * _nonnegative(x))
-
-    def quantile(self, u):
-        u = _probability(u)
-        with np.errstate(divide="ignore"):  # u = 1: x = inf
-            return -np.log1p(-u) / self.lam
-
-    def isf(self, h):
-        """Inverse survival function: the x with 1 - G(x) = h."""
-        return -np.log(h) / self.lam
-
-    def mgf_sup(self):
-        # E[exp(sX)] is finite exactly for s < lam.
-        return self.lam
-
-    @staticmethod
-    def derivatives(x, params, order=1):
-        lam = params[:, 0:1]
-        lam_x = lam * x
-        tail = np.exp(-lam_x)
-        first = -np.expm1(-lam_x), (x * tail)[None], np.log(lam) - lam_x, (1.0 / lam - x)[None]
-        if order == 1:
-            return first
-        d2_log_pdf = np.broadcast_to(-1.0 / lam**2, (1, 1, *lam_x.shape))
-        return (*first, (-x * x * tail)[None, None], d2_log_pdf)
-
-
-@dataclass(frozen=True)
 class Weibull:
     """Weibull baseline, g(x) = lam * theta * x**(theta-1) * exp(-lam * x**theta).
 
     ``lam`` is a rate-like scale factor and ``theta`` the shape; ``theta = 1``
-    reduces exactly to :class:`Exponential` with the same ``lam``.
+    is the exponential law, :class:`Exponential`, served by the same methods.
     """
 
     lam: float
@@ -142,17 +92,20 @@ class Weibull:
 
     def _log_and_power(self, x):
         """log x and x**theta, the power as exp(theta log x) like the batched
-        forms, except at theta = 1, where it is x itself like Exponential's."""
+        forms; at theta = 1 the power is x itself, and log x, which no
+        formula then needs, is None."""
         x = _nonnegative(x)
+        if self.theta == 1.0:
+            return None, x
         with np.errstate(divide="ignore"):  # log 0 = -inf
             log_x = np.log(x)
-        return log_x, x if self.theta == 1.0 else np.exp(self.theta * log_x)
+        return log_x, np.exp(self.theta * log_x)
 
     def log_pdf(self, x):
         log_x, xt = self._log_and_power(x)
-        # the factor x**(theta-1) is 1 at x = 0 when theta = 1
-        shape_term = 0.0 if self.theta == 1.0 else (self.theta - 1.0) * log_x
-        return np.log(self.lam) + np.log(self.theta) + shape_term - self.lam * xt
+        if log_x is None:  # the factor x**(theta-1) is 1, also at x = 0
+            return np.log(self.lam) - self.lam * xt
+        return np.log(self.lam) + np.log(self.theta) + (self.theta - 1.0) * log_x - self.lam * xt
 
     def cdf(self, x):
         return -np.expm1(-self.lam * self._log_and_power(x)[1])
@@ -163,11 +116,13 @@ class Weibull:
     def quantile(self, u):
         u = _probability(u)
         with np.errstate(divide="ignore"):  # u = 1: x = inf
-            return (-np.log1p(-u) / self.lam) ** (1.0 / self.theta)
+            xt = -np.log1p(-u) / self.lam
+        return xt if self.theta == 1.0 else xt ** (1.0 / self.theta)
 
     def isf(self, h):
         """Inverse survival function: the x with 1 - G(x) = h."""
-        return (-np.log(h) / self.lam) ** (1.0 / self.theta)
+        xt = -np.log(h) / self.lam
+        return xt if self.theta == 1.0 else xt ** (1.0 / self.theta)
 
     def mgf_sup(self):
         if self.theta > 1.0:
@@ -193,6 +148,35 @@ class Weibull:
         lam_lam, log_cross = np.broadcast_to(-1.0 / lam**2, xt.shape), -log_x * xt
         theta_theta = -1.0 / theta**2 + lam_log_x * log_cross
         return (*first, d2_cdf, np.array([[lam_lam, log_cross], [log_cross, theta_theta]]))
+
+
+@dataclass(frozen=True)
+class Exponential(Weibull):
+    """Exponential baseline with rate ``lam``, g(x) = lam * exp(-lam*x): the
+    Weibull law at theta = 1, whose theta = 1 path serves every method but
+    ``pdf``, the product itself, and the one-parameter kernel ``derivatives``."""
+
+    theta: float = field(default=1.0, init=False, repr=False)
+
+    names = ("lam",)
+
+    @property
+    def values(self):
+        return (self.lam,)
+
+    def pdf(self, x):
+        return self.lam * np.exp(-self.lam * _nonnegative(x))
+
+    @staticmethod
+    def derivatives(x, params, order=1):
+        lam = params[:, 0:1]
+        lam_x = lam * x
+        tail = np.exp(-lam_x)
+        first = -np.expm1(-lam_x), (x * tail)[None], np.log(lam) - lam_x, (1.0 / lam - x)[None]
+        if order == 1:
+            return first
+        d2_log_pdf = np.broadcast_to(-1.0 / lam**2, (1, 1, *lam_x.shape))
+        return (*first, (-x * x * tail)[None, None], d2_log_pdf)
 
 
 @dataclass(frozen=True)

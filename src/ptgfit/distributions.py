@@ -73,13 +73,14 @@ class PtgParams:
         Poisson tilt parameter.  Any sign is admitted; exactly zero is
         excluded (the compounding degenerates): |beta| must be at least
         ``DEFAULT_BETA_FLOOR``.
-    baseline : Exponential or Weibull
-        The parent distribution G.
+    baseline : Weibull
+        The parent distribution G: a ``Weibull``, or an ``Exponential``,
+        the Weibull law at theta = 1.
     """
 
     alpha: float
     beta: float
-    baseline: Exponential | Weibull
+    baseline: Weibull
 
     def __post_init__(self):
         _check_alpha(self.alpha)

@@ -25,7 +25,6 @@ import warnings
 
 import numpy as np
 
-from .baselines import Weibull
 from .data import _integer
 from .distributions import (
     _ptg_quantile,
@@ -255,8 +254,7 @@ def renyi_entropy(delta, p):
     on [0, inf) in log space."""
     if not 0.0 < delta < np.inf or delta == 1.0:  # also refuses NaN
         raise ValueError(f"delta must be positive, finite and != 1, got {delta!r}")
-    base = p.baseline
-    if isinstance(base, Weibull) and delta * (base.theta - 1.0) <= -1.0:
+    if delta * (p.baseline.theta - 1.0) <= -1.0:
         raise ValueError("Renyi integral diverges at 0 for this shape/delta")
     val = _over_x(lambda x: delta * ptg_log_pdf(x, p), p)
     return math.log(val) / (1.0 - delta)

@@ -10,6 +10,8 @@ from ptgfit.baselines import (
     MomentExponential,
     Weibull,
 )
+from ptgfit.distributions import pte_params, ptw_params
+from ptgfit.expansions import renyi_entropy
 
 
 def test_exponential_basics():
@@ -23,11 +25,26 @@ def test_exponential_basics():
 def test_weibull_shape_one_is_exponential():
     w = Weibull(1.3, 1.0)
     e = Exponential(1.3)
-    x = np.linspace(0.01, 6.0, 60)
-    assert np.array_equal(w.cdf(x), e.cdf(x))
+    assert isinstance(e, Weibull) and e.theta == 1.0
+    assert w.mgf_sup() == e.mgf_sup() == 1.3
+    x = np.concatenate([[0.0], np.linspace(0.01, 6.0, 59)])
+    u = np.concatenate([[0.0, 1.0], np.linspace(0.01, 0.99, 23)])
+    cases = [(x, ("cdf", "sf", "log_pdf")), (u, ("quantile", "isf"))]
+    with np.errstate(divide="ignore"):  # isf(0) = inf
+        for arg, methods in cases:
+            # every point as a 0-d input, and all of them as one 2-d input
+            for a in [*arg.tolist(), arg.reshape(5, -1)]:
+                for name in methods:
+                    assert np.array_equal(getattr(w, name)(a), getattr(e, name)(a)), (name, a)
     assert np.allclose(w.pdf(x), e.pdf(x), rtol=1e-14)
-    u = np.linspace(0.01, 0.99, 25)
-    assert np.allclose(w.quantile(u), e.quantile(u), rtol=1e-14)
+    # Renyi's rule delta (theta - 1) <= -1 refuses no further delta at theta = 1
+    pte, ptw = pte_params(0.5, 2.0, 1.3), ptw_params(0.5, 2.0, 1.3, 1.0)
+    for delta in (0.0, -0.5, 1.0, math.inf, math.nan):
+        for p in (pte, ptw):
+            with pytest.raises(ValueError, match="delta"):
+                renyi_entropy(delta, p)
+    for delta in (0.05, 0.5, 2.0):
+        assert math.isclose(renyi_entropy(delta, pte), renyi_entropy(delta, ptw), rel_tol=1e-12)
 
 
 @given(

@@ -231,6 +231,28 @@ def test_sf_against_mpmath_in_both_tails(model):
             assert g == pytest.approx(w, rel=1e-12), xi
 
 
+@pytest.mark.parametrize("tilt", [1e-6, 1e-3])
+def test_marshall_olkin_small_tilt_near_zero_against_mpmath(tilt):
+    # D = 1 - (1 - tilt) e cancelled near x = 0: sf(0) read 0.9999999999712443
+    # at tilt 1e-6.  The points and the sf and cdf bounds were fixed before the
+    # first run; the log-density's is absolute, since its terms log tilt and
+    # -2 log D cancel to -0.002 at tilt 1e-6, x = 1e-3
+    import mpmath
+
+    model = MarshallOlkinExponential(tilt, 1.0)
+    x = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1])
+    got = zip(x, model.sf(x), model.cdf(x), model.log_pdf(x))
+    with mpmath.workdps(60):
+        a = mpmath.mpf(tilt)
+        for xi, sf, cdf, log_pdf in got:
+            tail = mpmath.exp(-mpmath.mpf(xi))
+            denom = 1 - (1 - a) * tail
+            assert sf == pytest.approx(float(a * tail / denom), rel=1e-14, abs=0.0), xi
+            assert cdf == pytest.approx(float((1 - tail) / denom), rel=1e-14, abs=0.0), xi
+            want = mpmath.log(a) - xi - 2 * mpmath.log(denom)
+            assert log_pdf == pytest.approx(float(want), rel=0.0, abs=1e-14), xi
+
+
 def test_moment_exponential_log_pdf_at_zero():
     # x = 0 is admitted; log 0 escaped its errstate as a RuntimeWarning
     assert MomentExponential(1.0).log_pdf(0.0) == -np.inf

@@ -67,8 +67,12 @@ def check_sample(values):
 
 def _integer(value, low, message):
     """``value`` as an int; ``ValueError(message)`` unless it is an integer
-    of at least ``low`` (NaN and +-inf are not)."""
-    if not (math.isfinite(value) and int(value) == value and value >= low):
+    of at least ``low`` (NaN and +-inf are not, and nor is a non-number)."""
+    try:
+        ok = math.isfinite(value) and int(value) == value and value >= low
+    except TypeError:  # a string, a list, None: math.isfinite names no argument
+        ok = False
+    if not ok:
         raise ValueError(message)
     return int(value)
 

@@ -572,7 +572,7 @@ class TestSampling:
         with pytest.raises(ValueError, match="seed"):
             ptg_sample(3, pte_params(0.5, 2.0, 1.0), seed)
 
-    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 0.0, "3"])
     def test_non_integer_n_is_refused_by_name(self, n):
         with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
             ptg_sample(n, pte_params(0.5, 2.0, 1.0), 0)

@@ -715,10 +715,10 @@ class TestReparameterizationInvariance:
         )
 
 
-@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan, 2.5])
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan, 2.5, "2"])
 class TestIntegerArguments:
-    """An order or exponent that is not an integer, infinite and NaN included,
-    is refused with the documented ValueError."""
+    """An order or exponent that is not an integer, infinite, NaN and a
+    string included, is refused with the documented ValueError."""
 
     def test_raw_moment(self, v):
         with pytest.raises(ValueError, match="moment order must be a positive integer"):

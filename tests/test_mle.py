@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -519,9 +520,13 @@ class TestFitOptions:
         (dict(n_starts=math.inf), "n_starts must be a positive integer, got inf"),
         (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
         (dict(seed=math.nan), "seed must be a nonnegative integer, got nan"),
+        # a non-number raised math.isfinite's TypeError, naming no option
+        (dict(n_starts="3"), "n_starts must be a positive integer, got 3"),
+        (dict(seed=[1, 2]), "seed must be a nonnegative integer, got [1, 2]"),
+        (dict(n_starts=None), "n_starts must be a positive integer, got None"),
     ])
     def test_non_integer_counts_are_refused_by_name(self, kwargs, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FitOptions(**kwargs)
 
     def test_integer_values_are_kept_as_ints(self, data_I):

@@ -208,8 +208,7 @@ def _mp_cdf(model, x):
     if isinstance(model, MarshallOlkinExponential):
         tail = mpmath.exp(-mpmath.mpf(model.lam) * x)
         return (1 - tail) / (1 - (1 - mpmath.mpf(model.tilt)) * tail)
-    theta = mpmath.mpf(getattr(model, "theta", 1.0))
-    return 1 - mpmath.exp(-mpmath.mpf(model.lam) * x**theta)
+    return 1 - mpmath.exp(-mpmath.mpf(model.lam) * x ** mpmath.mpf(model.theta))
 
 
 @pytest.mark.parametrize(

@@ -88,8 +88,8 @@ def sweep():
 def diff(old, new):
     """Print each fit that differs between the sweeps ``old`` and ``new``;
     the number of fits that differ or are in one sweep only."""
-    differing = 0
-    for key in sorted(old.keys() | new.keys(), key=lambda k: (k not in old, k)):
+    keys, differing = sorted(old.keys() | new.keys()), 0
+    for key in keys:
         if key not in old or key not in new:
             print(f"{key}: only in {'new' if key in new else 'old'}")
         elif old[key] != new[key]:
@@ -98,7 +98,7 @@ def diff(old, new):
         else:
             continue
         differing += 1
-    print(f"{differing} of {len(old.keys() | new.keys())} fits differ")
+    print(f"{differing} of {len(keys)} fits differ")
     return differing
 
 

@@ -257,9 +257,10 @@ def _moe_log_density(tilt, lam, x):
     """Marshall-Olkin log-density, elementwise, with e = exp(-lam x) and
     D = 1 - (1 - tilt) e, formed as tilt - (1 - tilt) expm1(-lam x), which
     does not cancel where e is near 1 and tilt small."""
-    tail = np.exp(-lam * x)
-    denom = tilt - (1.0 - tilt) * np.expm1(-lam * x)
-    return np.log(tilt) + np.log(lam) - lam * x - 2.0 * np.log(denom), tail, denom
+    lam_x = lam * x
+    tail = np.exp(-lam_x)
+    denom = tilt - (1.0 - tilt) * np.expm1(-lam_x)
+    return np.log(tilt) + np.log(lam) - lam_x - 2.0 * np.log(denom), tail, denom
 
 
 @dataclass(frozen=True)

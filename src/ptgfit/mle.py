@@ -17,17 +17,20 @@ not stopped (its working set).
 same lockstep search, and ``fit`` is its one-sample case: every start row
 carries the label of its sample, its own search box and its sample's data,
 so that each sample's rows follow exactly the path they follow alone.  A
-start stops on a small score, a failed search, a stalled step, an exit from
-its search box or its step budget, and is frozen once its log-likelihood
-lies far below the best start's of its own sample and has stopped closing
-the gap (dataset II's runaways to beta -> +inf).  The search runs in
-transformed coordinates that keep every iterate inside the parameter
-domain: alpha = sin(z0), which reaches the edges alpha = +-1 at finite z0
-and has no flat tail to strand a start in, beta unconstrained (with a
-small exclusion band around zero), and positive parameters via log.
-Standard errors come from inverting the observed information matrix, the
-exact negated Hessian in the original coordinates.  A fit records the
-cost of its search (``FitResult.objective_calls`` and ``start_rows``).
+start stops on a small score, a failed search, a stalled step, a step out
+of its search box (which sends it back to its last point inside) or its
+step budget, and is frozen once its log-likelihood lies far below the best
+start's of its own sample and has stopped closing the gap (dataset II's
+runaways to beta -> +inf).  The search runs in transformed coordinates
+that keep every iterate inside the parameter domain: alpha = sin(z0),
+which reaches the edges alpha = +-1 at finite z0 and has no flat tail to
+strand a start in; beta log-like, z itself for |beta| <= 3 and
++-3 exp(|z| / 3 - 1) beyond (far out at beta < 0 the likelihood moves with
+log |beta|), with the kernel's small exclusion band around zero; and
+positive parameters via log.  Standard errors come from inverting the
+observed information matrix, the exact negated Hessian in the original
+coordinates.  A fit records the cost of its search
+(``FitResult.objective_calls`` and ``start_rows``).
 
 A numerical model supplies only its batched kernel, ``kernel(data, theta,
 order=1, n_obs=None)`` (``ptg_loglik_derivatives`` with its baseline family
@@ -255,16 +258,20 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
 
     A row stops when its gradient's max-norm falls below ``_GTOL``, when its
     line search fails along steepest descent, when a step no longer moves it
-    (relative change below ``_XTOL``), when it leaves ``box`` (lower and
+    (relative change below ``_XTOL``), when a step leaves ``box`` (lower and
     upper bounds, each of length k or one row per start), when it is frozen,
-    or after ``max_iter`` steps.  A row is frozen when its value lies more
-    than ``_FREEZE_GAP`` above the lowest finite value among the rows of its
-    sample, stopped rows included, and it closed less than ``_FREEZE_CLOSE``
-    of that gap over its last ``_FREEZE_WINDOW`` steps: a dead start that
-    can no longer win.  The lowest row of a sample is never frozen.  The
-    loop holds only the live rows (the working set) and writes a row back
-    when it stops.  A row's path depends on the rows of its own sample
-    alone.  Returns the final points, values and gradients.
+    or after ``max_iter`` steps.  A row whose accepted step leaves the box
+    goes back to the point, value and gradient it held before that step, its
+    last point in the box, and stops there, so that no row ends outside its
+    box and none can win with the value of a point beyond it.  A row is
+    frozen when its value lies more than ``_FREEZE_GAP`` above the lowest
+    finite value among the rows of its sample, stopped rows included, and it
+    closed less than ``_FREEZE_CLOSE`` of that gap over its last
+    ``_FREEZE_WINDOW`` steps: a dead start that can no longer win.  The
+    lowest row of a sample is never frozen.  The loop holds only the live
+    rows (the working set) and writes a row back when it stops.  A row's
+    path depends on the rows of its own sample alone.  Returns the final
+    points, values and gradients.
     """
     z = np.array(z0, dtype=float)
     n_rows, k = z.shape
@@ -342,6 +349,11 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
             if not p.size:
                 break
 
+        inside = ((z_new >= los) & (z_new <= his)).all(axis=1)
+        if not inside.all():  # a step out of the box: back to the last in-box point
+            out = ~inside
+            z_new[out], f_new[out], g_new[out] = zs[out], fs[out], gs[out]
+            gmax_new[out] = gmax[out]
         s, y = z_new - zs, g_new - gs
         sy = np.einsum("si,si->s", s, y)
         if fresh.any():  # a first curvature pair rescales the identity
@@ -351,8 +363,7 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
             hs[fresh] *= scale[:, None, None]
         hs = _bfgs_update(hs, s, y, sy, eye)
         zs, fs, gs, gmax = z_new, f_new, g_new, gmax_new
-        going = (np.abs(s) / np.maximum(np.abs(zs), 1.0)).max(axis=1) > _XTOL
-        going &= ((zs >= los) & (zs <= his)).all(axis=1)
+        going = inside & ((np.abs(s) / np.maximum(np.abs(zs), 1.0)).max(axis=1) > _XTOL)
         if p.size:  # a failed search stops a row on steepest descent, else restarts it there
             going[p] = ~fresh[p]
             hs[p] = eye
@@ -417,10 +428,11 @@ def multistart_maximize(loglik_score, starts, box, labels=None):
 
 class _Kind(NamedTuple):
     """A kind of search coordinate: the parameter at coordinate z, elementwise;
-    the derivative of that map ``(z, parameter) -> d parameter / dz``, None
-    where it is 1; the starts from a Latin-hypercube column u and the sample
-    mean m; the box half-width; and whether the box is centred on the data's
-    scale -log m rather than on 0."""
+    the derivative of that map ``(z, parameter) -> d parameter / dz``; the
+    starts from a Latin-hypercube column u and the sample mean m; the box
+    half-width; and whether the box is centred on the data's scale -log m
+    rather than on 0.  The kinds: alpha = sin z, beta log-like
+    (``_log_like``) and every positive parameter exp z."""
 
     value: object
     slope: object
@@ -429,15 +441,41 @@ class _Kind(NamedTuple):
     centred: bool = False
 
 
+# the knee of the log-like beta coordinate: beta = z for |z| <= _KNEE and
+# +-_KNEE exp(|z| / _KNEE - 1) beyond, the map and its slope continuous there.
+# For beta = -b << 0, F ~ exp(-b (1 - alpha) G_bar - b alpha G_bar^2): the
+# likelihood moves with log b, and a linear coordinate creeps along that ridge.
+_KNEE = 3.0
+
+
+def _log_like(z):
+    """beta at the log-like coordinate z."""
+    far = _KNEE * np.exp(np.abs(z) / _KNEE - 1.0)
+    return np.where(np.abs(z) <= _KNEE, z, np.copysign(far, z))
+
+
+def _log_like_slope(z, beta):
+    """d beta / dz at z, where beta = ``_log_like(z)``: 1 up to the knee,
+    exp(|z| / _KNEE - 1) beyond."""
+    return np.where(np.abs(z) <= _KNEE, 1.0, np.exp(np.abs(z) / _KNEE - 1.0))
+
+
+def _log_like_inverse(beta):
+    """The log-like coordinate z of beta, the inverse of ``_log_like``."""
+    far = np.maximum(np.abs(beta), _KNEE)  # no log of the near values, which the where drops
+    return np.where(far == _KNEE, beta, np.copysign(_KNEE * (1.0 + np.log(far / _KNEE)), beta))
+
+
 _KINDS = {
     "alpha": _Kind(
         np.sin, lambda z, p: np.cos(z), lambda u, m: np.arcsin(-0.9 + 1.8 * u), np.inf
     ),
-    "beta": _Kind(  # starts in (-10, -0.1) and (0.1, 10)
-        lambda z: z,
-        None,
-        lambda u, m: np.where(u < 0.5, -10.0 + (u / 0.5) * 9.9, 0.1 + ((u - 0.5) / 0.5) * 9.9),
-        _BETA_BOX,
+    "beta": _Kind(  # starts in (-10, -0.1) and (0.1, 10); the box |beta| <= _BETA_BOX
+        _log_like,
+        _log_like_slope,
+        lambda u, m: _log_like_inverse(
+            np.where(u < 0.5, -10.0 + (u / 0.5) * 9.9, 0.1 + ((u - 0.5) / 0.5) * 9.9)),
+        float(_log_like_inverse(_BETA_BOX)),
     ),
     "rate": _Kind(np.exp, lambda z, p: p, lambda u, m: np.log(0.1 / m) + u * math.log(100.0),
                   _LOG_BOX, True),
@@ -515,7 +553,6 @@ def _loglik_score(samples, model):
     kinds = [_KINDS[kind] for kind in spec.search]
     # one exp of all of Z maps the log-parameters; the other columns are set over it
     maps = [(j, kind.value) for j, kind in enumerate(kinds) if kind.value is not np.exp]
-    slopes = [(j, kind.slope) for j, kind in enumerate(kinds) if kind.slope is not None]
     sizes = np.array([x.size for x in samples])
     stacked = np.array([np.append(x, np.full(sizes.max() - x.size, x[0])) for x in samples])
 
@@ -526,8 +563,8 @@ def _loglik_score(samples, model):
                 theta[:, j] = value(z[:, j])
             n_obs = sizes[labels]
             ll, score = spec.kernel(stacked[labels, :n_obs.max()], theta, n_obs=n_obs)
-            for j, slope in slopes:
-                score[:, j] *= slope(z[:, j], theta[:, j])
+            for j, kind in enumerate(kinds):
+                score[:, j] *= kind.slope(z[:, j], theta[:, j])
         return ll, score
 
     return loglik_score

@@ -30,6 +30,7 @@ where u rounds to 1.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,12 +402,21 @@ def ptg_quantile(u, p):
 def ptg_sample(n, model, seed):
     """Draw ``n`` values from ``model`` (a ``PtgParams``, a baseline or a
     competitor model) through its ``quantile``, deterministic in ``seed``:
-    anything ``numpy.random.default_rng`` takes, such as a nonnegative
-    integer or a sequence of them.  ``n`` and a number ``seed`` must be
-    integer values (3.0 is taken as 3)."""
+    a nonnegative integer, a sequence of them, or numpy's ``Generator`` or
+    ``SeedSequence``, as ``numpy.random.default_rng`` takes it.  ``n`` and
+    every number of ``seed`` must be integer values (3.0 is taken as 3);
+    None is refused, since numpy would draw a new sample on each call."""
     n = _integer(n, 1, f"n must be a positive integer, got {n}")
-    if isinstance(seed, numbers.Real):  # numpy's refusals name no argument
+    if isinstance(seed, np.ndarray):
+        seed = seed.tolist()  # a 0-d array is its number
+    # numpy's refusals name no argument
+    if isinstance(seed, numbers.Real):
         seed = _integer(seed, 0, f"seed must be a nonnegative integer, got {seed}")
+    elif seed is None or isinstance(seed, (str, bytes, Sequence)):
+        message = f"seed must be a nonnegative integer or a sequence of them, got {seed!r}"
+        if seed is None or isinstance(seed, (str, bytes)):
+            raise ValueError(message)
+        seed = [_integer(entry, 0, message) for entry in seed]
     u = np.random.default_rng(seed).random(n)
     # rng.random() lives in [0, 1); nudge any exact zero into the open interval
     return model.quantile(np.maximum(u, np.finfo(float).tiny))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -582,6 +583,22 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed}$"):
             ptg_sample(3, pte_params(0.5, 2.0, 1.0), seed)
 
+    @pytest.mark.parametrize(
+        "seed", [None, "3", b"3", [1, -2], [1, 2.5], [1, None], (0, "1")],
+        ids=["None", "str", "bytes", "negative entry", "fractional entry", "None entry",
+             "str entry"],
+    )
+    def test_non_integer_seed_sequence_is_refused_by_name(self, seed):
+        # None would draw from OS entropy, a new sample on each call
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be a nonnegative integer or a sequence of them, got {seed!r}")):
+            ptg_sample(3, pte_params(0.5, 2.0, 1.0), seed)
+
+    def test_negative_array_entry_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "seed must be a nonnegative integer or a sequence of them, got [3, -1]")):
+            ptg_sample(3, pte_params(0.5, 2.0, 1.0), np.array([3, -1]))
+
     def test_integer_values_are_taken(self):
         p = pte_params(0.5, 2.0, 1.0)
         assert np.array_equal(ptg_sample(3.0, p, 0), ptg_sample(3, p, 0))
@@ -593,6 +610,16 @@ class TestSampling:
         u = np.random.default_rng([7, 2]).random(5)
         assert np.array_equal(ptg_sample(5, p, [7, 2]), p.quantile(u))
         assert not np.array_equal(ptg_sample(5, p, [7, 2]), ptg_sample(5, p, [7, 3]))
+        for same in ((7, 2), np.array([7, 2]), [7.0, np.int64(2)]):
+            assert np.array_equal(ptg_sample(5, p, same), p.quantile(u))
+
+    def test_numpy_seeds_are_taken(self):
+        # a 0-d array is its number; numpy's own seed objects pass through
+        p = pte_params(0.5, 2.0, 1.0)
+        assert np.array_equal(ptg_sample(5, p, np.array(4)), ptg_sample(5, p, 4))
+        seq = np.random.SeedSequence(4)
+        assert np.array_equal(ptg_sample(5, p, seq), ptg_sample(5, p, 4))
+        assert np.array_equal(ptg_sample(5, p, np.random.default_rng(4)), ptg_sample(5, p, 4))
 
 
 class TestParamsValidation:

@@ -19,7 +19,12 @@ same machine only.
     PYTHONPATH=src python3 scripts/ab_fits.py --diff before.json after.json
 
 ``--diff`` prints each fit that differs, with the fields that differ, and a
-count; it exits 1 when any fit differs or is missing from one file.
+count; it exits 1 when any fit differs or is missing from one file.  It ends
+with a summary for each start count, over the fits in both files (solo and
+fused): how many differ, the largest |change| of the log-likelihood, how many
+end higher and how many lower by more than 1e-9, how many flip ``converged``
+each way, and the objective calls of their searches, a fused search counted
+once for the ten fits that share it.
 """
 
 import argparse
@@ -38,6 +43,7 @@ SEEDS = (0, 1, 2, 3)
 STARTS = (1, 3, 6, 20)
 FUSED_STARTS = (6, 20)
 N_DRAWN = 72
+MOVED = 1e-9  # a log-likelihood change the summary counts as higher or lower
 # the laws of the drawn samples: dataset I's PT-E fit, and a PT-W law with an
 # increasing hazard
 PTE_LAW = (0.8133, -6.5878, 0.841)
@@ -85,9 +91,42 @@ def sweep():
     return fits
 
 
+def summary(old, new):
+    """One line per start count over the fits in both ``old`` and ``new``:
+    the fits that differ, the largest |change| of the log-likelihood, the
+    fits higher and lower by more than ``MOVED``, the ``converged`` flips
+    false -> true and true -> false, and the objective calls old -> new of
+    their searches, each fused search once."""
+    rows, searches = {}, set()
+    for key in old.keys() & new.keys():
+        a, b = old[key], new[key]
+        change = float.fromhex(b["loglik"]) - float.fromhex(a["loglik"])
+        words = key.split()
+        row = rows.setdefault(int(words[5]), [0] * 9)
+        row[0] += 1
+        row[1] += a != b
+        row[2] = max(row[2], abs(change))  # NaN if either log-likelihood is
+        row[3] += change > MOVED
+        row[4] += change < -MOVED
+        row[5] += b["converged"] and not a["converged"]
+        row[6] += a["converged"] and not b["converged"]
+        search = " ".join(words[:1] + words[2:]) if words[-1] == "fused" else key
+        if search not in searches:  # a fused search's cost once
+            searches.add(search)
+            row[7] += a["objective_calls"]
+            row[8] += b["objective_calls"]
+    print(f"{'starts':>6} {'fits':>5} {'differ':>6} {'max |dl|':>9} {'higher':>6} {'lower':>6}"
+          f" {'F->T':>5} {'T->F':>5} {'calls old':>9} {'calls new':>9}")
+    for n_starts, (fits, differ, most, up, down, gained, lost, before, after) in sorted(
+            rows.items()):
+        print(f"{n_starts:>6} {fits:>5} {differ:>6} {most:>9.2g} {up:>6} {down:>6}"
+              f" {gained:>5} {lost:>5} {before:>9} {after:>9}")
+
+
 def diff(old, new):
-    """Print each fit that differs between the sweeps ``old`` and ``new``;
-    the number of fits that differ or are in one sweep only."""
+    """Print each fit that differs between the sweeps ``old`` and ``new``,
+    then their ``summary``; the number of fits that differ or are in one
+    sweep only."""
     keys, differing = sorted(old.keys() | new.keys()), 0
     for key in keys:
         if key not in old or key not in new:
@@ -99,6 +138,7 @@ def diff(old, new):
             continue
         differing += 1
     print(f"{differing} of {len(keys)} fits differ")
+    summary(old, new)
     return differing
 
 

@@ -5,7 +5,9 @@ The sweep fits PT-E, PT-W and Marshall-Olkin to the embedded datasets I and
 II and to eight seeded samples (four drawn from a PT-E law, four from a PT-W
 law, n = 72 each), at seeds 0-3 and at 1, 3, 6 and 20 starts, one ``mle.fit``
 per sample; then once more at 6 and 20 starts, all ten samples of a model in
-one fused ``mle.fit_samples`` call.  For each of the 720 fits it records the
+one fused ``mle.fit_samples`` call; and once more at 6 and 20 starts, the
+three models and the ten samples in one joint ``mle.fit_models`` call.  For
+each of the 960 fits it records the
 ``float.hex`` of the estimates, the log-likelihood and the standard errors,
 with ``converged``, ``n_restarts_used`` and the search's cost
 (``objective_calls`` and ``start_rows``).  Run it on two versions of the
@@ -21,10 +23,11 @@ same machine only.
 ``--diff`` prints each fit that differs, with the fields that differ, and a
 count; it exits 1 when any fit differs or is missing from one file.  It ends
 with a summary for each start count, over the fits in both files (solo and
-fused): how many differ, the largest |change| of the log-likelihood, how many
-end higher and how many lower by more than 1e-9, how many flip ``converged``
-each way, and the objective calls of their searches, a fused search counted
-once for the ten fits that share it.
+fused and joint): how many differ, the largest |change| of the
+log-likelihood, how many end higher and how many lower by more than 1e-9,
+how many flip ``converged`` each way, and the objective calls of their
+searches, a fused search counted once for the ten fits that share it and a
+joint one once for its thirty.
 """
 
 import argparse
@@ -88,6 +91,13 @@ def sweep():
                     results = mle.fit_samples(list(data.values()), model, opts)
                     for name, result in zip(data, results):
                         fits[f"{model} {name} seed {seed} starts {n_starts} fused"] = record(result)
+        for seed in SEEDS:
+            for n_starts in FUSED_STARTS:
+                opts = mle.FitOptions(n_starts=n_starts, seed=seed)
+                joint = mle.fit_models(list(data.values()), MODELS, opts)
+                for model, results in joint.items():
+                    for name, result in zip(data, results):
+                        fits[f"{model} {name} seed {seed} starts {n_starts} joint"] = record(result)
     return fits
 
 
@@ -96,7 +106,7 @@ def summary(old, new):
     the fits that differ, the largest |change| of the log-likelihood, the
     fits higher and lower by more than ``MOVED``, the ``converged`` flips
     false -> true and true -> false, and the objective calls old -> new of
-    their searches, each fused search once."""
+    their searches, each fused or joint search once."""
     rows, searches = {}, set()
     for key in old.keys() & new.keys():
         a, b = old[key], new[key]
@@ -110,8 +120,11 @@ def summary(old, new):
         row[4] += change < -MOVED
         row[5] += b["converged"] and not a["converged"]
         row[6] += a["converged"] and not b["converged"]
-        search = " ".join(words[:1] + words[2:]) if words[-1] == "fused" else key
-        if search not in searches:  # a fused search's cost once
+        # the search a fit ran in: a fused one holds a model's ten samples,
+        # a joint one every model's
+        search = {"fused": " ".join(words[:1] + words[2:]), "joint": " ".join(words[2:])}.get(
+            words[-1], key)
+        if search not in searches:  # a shared search's cost once
             searches.add(search)
             row[7] += a["objective_calls"]
             row[8] += b["objective_calls"]

@@ -5,16 +5,17 @@ For PT-E, PT-W and Marshall-Olkin on the embedded datasets I and II, at each
 given seed, prints the cost that each fit records: the batched objective
 calls of its lockstep search (the multistart and its polish), the start-rows
 those calls evaluate (``FitResult.objective_calls`` and ``start_rows``), and
-the fitted log-likelihood.  A line search makes at most three calls: the
-full step of each row, then its next four halvings, then the other fifteen,
-so the start-rows count trial points, not only the starts.  The polish
-restarts only an incumbent that could take a step (a score max-norm of at
-least 1e-10).  Below them, the ``reproduce`` line sums the fits that
-``ptgfit reproduce`` runs: Marshall-Olkin and PT-E, each fitted to both
-datasets in one lockstep search (``mle.fit_samples``, whose results share
-its cost).  The counts do not depend on the machine, so a change to the
-search can report them beside its timings.  The total sums the six solo
-lines.
+the fitted log-likelihood.  Each row's line search runs in up to three
+stages, its full step, then its next four halvings, then the other
+fifteen, and every call evaluates the current stage of every live row, so
+the start-rows count trial points, not only the starts, and a search makes
+one call per stage of its slowest row.  The polish restarts only an
+incumbent that could take a step (a score max-norm of at least 1e-10).
+Below them, the ``reproduce`` line is the one search that ``ptgfit
+reproduce`` runs: Marshall-Olkin and PT-E, both fitted to both datasets in
+one lockstep search (``mle.fit_models``, whose results share its cost).
+The counts do not depend on the machine, so a change to the search can
+report them beside its timings.  The total sums the six solo lines.
 
     PYTHONPATH=src python3 scripts/fit_cost.py --seeds 0 1 2
 """
@@ -47,9 +48,8 @@ def main(argv=None):
                 total_rows += res.start_rows
                 print(f"{model + ' ' + key:<9} {seed:>4} {res.objective_calls:>6} "
                       f"{res.start_rows:>7} {res.loglik:>14.6f}")
-            fused = [mle.fit_samples(list(samples.values()), model, opts)[0] for model in FUSED]
-            print(f"{'reproduce':<9} {seed:>4} {sum(res.objective_calls for res in fused):>6} "
-                  f"{sum(res.start_rows for res in fused):>7}")
+            res = mle.fit_models(list(samples.values()), FUSED, opts)[FUSED[0]][0]
+            print(f"{'reproduce':<9} {seed:>4} {res.objective_calls:>6} {res.start_rows:>7}")
     print(f"{'total':<9} {'':>4} {total_calls:>6} {total_rows:>7}")
     return 0
 

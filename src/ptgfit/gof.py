@@ -100,8 +100,9 @@ def _ks(n, u):
 
 def _clipped(u):
     """``u`` kept away from {0, 1} for the logarithms of A^2, with a warning
-    located at the caller of the public function that asked for it."""
-    if np.any(u <= 1e-12) or np.any(u >= 1.0 - 1e-12):
+    located at the caller of the public function that asked for it.  W^2
+    takes no logarithm and reads ``u`` as it is."""
+    if (u <= 1e-12).any() or (u >= 1.0 - 1e-12).any():
         warnings.warn(
             "probability integral transform clipped away from {0, 1}",
             stacklevel=3,
@@ -131,8 +132,7 @@ def anderson_darling(data, cdf):
 
 
 def cramer_von_mises(data, cdf):
-    n, u = _pit(data, cdf)
-    return _cvm(n, _clipped(u))
+    return _cvm(*_pit(data, cdf))
 
 
 def ttt_points(data):
@@ -155,12 +155,12 @@ def ttt_points(data):
 
 def evaluate_gof(data, cdf, k, loglik):
     """Assemble the full :class:`GofReport` for one fitted model; the three
-    EDF statistics share one probability integral transform."""
+    EDF statistics share one probability integral transform, which only
+    A^2 clips."""
     data = np.asarray(data, dtype=float)
     ic = information_criteria(loglik, k, data.size)
     n, u = _pit(data, cdf)
     ks, ks_p = _ks(n, u)
-    clipped = _clipped(u)
     return GofReport(
         k=int(k),
         n=int(data.size),
@@ -171,6 +171,6 @@ def evaluate_gof(data, cdf, k, loglik):
         hqic=ic.hqic,
         ks=ks,
         ks_pvalue=ks_p,
-        ad=_ad(n, clipped),
-        cvm=_cvm(n, clipped),
+        ad=_ad(n, _clipped(u)),
+        cvm=_cvm(n, u),
     )

@@ -8,29 +8,33 @@ from many Latin-hypercube starting points at once (``_latin_hypercube``,
 numpy's generator seeded by ``FitOptions.seed``): one lockstep
 quasi-Newton engine (``minimize``, BFGS steps with a backtracking line
 search) advances every start on one (starts x n) array, driven by the
-model's analytic score.  The first objective call of a line search
-evaluates the full step of every start, the second the next four halvings
-of every start still searching and the third the other fifteen, so a search
-takes at most three calls, and the loop carries only the starts that have
-not stopped (its working set).
-``fit_samples(samples, model)`` fits one tag to several samples in the
-same lockstep search, and ``fit`` is its one-sample case: every start row
-carries the label of its sample, its own search box and its sample's data,
-so that each sample's rows follow exactly the path they follow alone.  A
-start stops on a small score, a failed search, a stalled step, a step out
-of its search box (which sends it back to its last point inside) or its
-step budget, and is frozen once its log-likelihood lies far below the best
-start's of its own sample and has stopped closing the gap (dataset II's
-runaways to beta -> +inf).  The search runs in transformed coordinates
-that keep every iterate inside the parameter domain: alpha = sin(z0),
-which reaches the edges alpha = +-1 at finite z0 and has no flat tail to
-strand a start in; beta log-like, z itself for |beta| <= 3 and
+model's analytic score.  Each start's line search runs in up to three
+stages, its full step, then its next four halvings, then the other
+fifteen, and each pass of the engine makes exactly one objective call, on
+the current stage of every start: a start whose full step failed tries its
+halvings beside the other starts' next steps.  The loop carries only the
+starts that have not stopped (its working set).
+``fit_models(samples, models)`` fits several tags to several samples in one
+lockstep search, ``fit_samples(samples, model)`` is its one-tag case and
+``fit`` the one-sample case of that: every start row carries the label of
+its (model, sample), its own search box and its sample's data, a narrower
+model's rows padded to the widest model's coordinates with a zero score
+and a [0, 0] box, so that each row follows exactly the path it follows
+alone.  A start stops on a small score, a failed search, a stalled step, a
+step out of its search box (which sends it back to its last point inside)
+or its step budget, and is frozen once its log-likelihood lies far below
+the best start's of its own sample and has stopped closing the gap
+(dataset II's runaways to beta -> +inf).  The search runs in transformed
+coordinates that keep every iterate inside the parameter domain: alpha =
+sin(z0), which reaches the edges alpha = +-1 at finite z0 and has no flat
+tail to strand a start in; beta log-like, z itself for |beta| <= 3 and
 +-3 exp(|z| / 3 - 1) beyond (far out at beta < 0 the likelihood moves with
 log |beta|), with the kernel's small exclusion band around zero; and
 positive parameters via log.  Standard errors come from inverting the
 observed information matrix, the exact negated Hessian in the original
 coordinates.  A fit records the cost of its search
-(``FitResult.objective_calls`` and ``start_rows``).
+(``FitResult.objective_calls`` and ``start_rows``), which every result of
+one ``fit_models`` call shares.
 
 A numerical model supplies only its batched kernel, ``kernel(data, theta,
 order=1, n_obs=None)`` (``ptg_loglik_derivatives`` with its baseline family
@@ -41,8 +45,9 @@ chain rule, from the table of coordinate kinds (``_KINDS``: each kind's map
 back to its parameter and that map's derivative), with one kernel call per
 evaluation: the samples are stacked into one array, a shorter one padded
 with its own first observation, and ``n_obs`` gives each row's own sample
-size, over which alone the kernel sums.  The information is the negated
-order-2 kernel.
+size, over which alone the kernel sums.  A search of several models
+(``_joint``) makes one such call per model among a call's rows.  The
+information is the negated order-2 kernel.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -76,6 +81,7 @@ __all__ = [
     "log_likelihood",
     "fit",
     "fit_samples",
+    "fit_models",
     "MODELS",
     "observed_information",
     "wald_ci",
@@ -85,7 +91,8 @@ __all__ = [
 
 def _warn(message):
     """A ``UserWarning`` located at the first caller outside this module, so
-    that ``fit`` and ``fit_samples`` warn at the line that called them."""
+    that ``fit``, ``fit_samples`` and ``fit_models`` warn at the line that
+    called them."""
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals is globals():
         frame, level = frame.f_back, level + 1
@@ -114,7 +121,9 @@ class FitResult:
     Its 95% Wald bounds ``ci_low`` and ``ci_high`` are :func:`wald_ci` of its
     estimates and standard errors, computed when read rather than stored.
     ``objective_calls`` and ``start_rows`` are the cost of the search it ran
-    in, shared by one :func:`fit_samples` call's results (0 if closed-form)."""
+    in (0 if closed-form), shared by every numerical result of one
+    :func:`fit_models` call: its models and samples, or one
+    :func:`fit_samples` call's samples."""
 
     estimates: object
     loglik: float
@@ -198,10 +207,12 @@ def log_likelihood(data, model):
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 20  # step halvings before a line search gives up
 _STEPS = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))  # the line search's trial steps 2^-j
-# the trials of each objective call of a search: the full step, then the next
-# four, then the other fifteen.  Of the 2,000 searches of ``ptgfit reproduce``
-# 1,797 accept the full step and 185 of the other 203 one of the next four.
-_CALLS = (slice(0, 1), slice(1, 5), slice(5, _MAX_HALVINGS))
+# the stages of a line search, one objective call each: the full step, then
+# the next four, then the other fifteen, as each stage's first trial and its
+# number of trials.  Of the 2,000 searches of ``ptgfit reproduce`` 1,797
+# accept the full step and 185 of the other 203 one of the next four.
+_STAGE_FIRST = np.array([0, 1, 5])
+_STAGE_SIZE = np.array([1, 4, _MAX_HALVINGS - 5])
 _ROUNDING = 1e-13  # relative rounding of a summed log-likelihood
 _XTOL = 1e-10  # relative step below which a start has stopped moving
 _GTOL = 1e-10  # score max-norm at which a start stops
@@ -241,37 +252,40 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
     Each row belongs to a sample, its label in ``labels`` (nonnegative
     integers, all 0 when omitted); ``fun(Z, labels)`` maps an (S, k) array of
     points and their labels (S,) to their values (S,) and gradients (S, k).
-    All rows advance together: a BFGS direction, then a backtracking line
-    search over the steps 2^-j, j < ``_MAX_HALVINGS``.  A trial point is
-    accepted on Armijo's sufficient decrease or, where the decrease is lost
-    in the value's rounding, on a smaller gradient, and each row takes its
-    first acceptable step.  The search batches its halvings (``_CALLS``):
-    the first ``fun`` call evaluates the full step of every row, the second
-    the steps 2^-1 to 2^-4 of every row still searching and the third the
-    other fifteen, a row's trials adjacent, so that a search takes at most
-    three calls where one trial per call would take up to 20, and a row ends
-    at the same step and value.  Most searches accept the full step, and
-    most others one of the next four.  A row starts from the identity
-    inverse Hessian with a step of at most unit max-norm and rescales it by
-    its first curvature pair; a failed search along a quasi-Newton direction
-    sends the row back to that start.
+    Each row takes BFGS steps, each found by a backtracking line search over
+    the steps 2^-j, j < ``_MAX_HALVINGS``.  A trial point is accepted on
+    Armijo's sufficient decrease or, where the decrease is lost in the
+    value's rounding, on a smaller gradient, and the row takes its first
+    acceptable step.  A row's search runs in up to three stages: the full
+    step, then the steps 2^-1 to 2^-4, then the other fifteen, the trials of
+    a stage together.  Every pass of the engine makes exactly one ``fun``
+    call, on the current stage of every live row, a row's trials adjacent:
+    a row whose full step failed tries its halvings in the next pass, beside
+    the other rows' next steps.  So a row ends at the step and value it
+    would reach alone, and the calls number one for the start and one per
+    stage of the row with the most stages.  Most searches accept the full
+    step, and most others one of the next four.  A row starts from the
+    identity inverse Hessian with a step of at most unit max-norm and
+    rescales it by its first curvature pair; a failed search along a
+    quasi-Newton direction sends the row back to that start.
 
-    A row stops when its gradient's max-norm falls below ``_GTOL``, when its
-    line search fails along steepest descent, when a step no longer moves it
-    (relative change below ``_XTOL``), when a step leaves ``box`` (lower and
-    upper bounds, each of length k or one row per start), when it is frozen,
-    or after ``max_iter`` steps.  A row whose accepted step leaves the box
-    goes back to the point, value and gradient it held before that step, its
-    last point in the box, and stops there, so that no row ends outside its
-    box and none can win with the value of a point beyond it.  A row is
-    frozen when its value lies more than ``_FREEZE_GAP`` above the lowest
-    finite value among the rows of its sample, stopped rows included, and it
-    closed less than ``_FREEZE_CLOSE`` of that gap over its last
-    ``_FREEZE_WINDOW`` steps: a dead start that can no longer win.  The
-    lowest row of a sample is never frozen.  The loop holds only the live
-    rows (the working set) and writes a row back when it stops.  A row's
-    path depends on the rows of its own sample alone.  Returns the final
-    points, values and gradients.
+    Before each of its steps a row stops when its gradient's max-norm falls
+    below ``_GTOL``, when it is frozen or after ``max_iter`` steps, and
+    after a step when its line search failed along steepest descent, when
+    the step no longer moved it (relative change below ``_XTOL``) or when
+    the step left ``box`` (lower and upper bounds, each of length k or one
+    row per start).  A row whose accepted step leaves the box goes back to
+    the point, value and gradient it held before that step, its last point
+    in the box, and stops there, so that no row ends outside its box and
+    none can win with the value of a point beyond it.  A row is frozen when
+    its value lies more than ``_FREEZE_GAP`` above the lowest finite value
+    among the rows of its sample, stopped rows included and each live row
+    at the value it holds in that pass, and it closed less than
+    ``_FREEZE_CLOSE`` of that gap over its last ``_FREEZE_WINDOW`` steps: a
+    dead start that can no longer win.  The lowest row of a sample is never
+    frozen.  The loop holds only the live rows (the working set) and writes
+    a row back when it stops.  A row's path depends on the rows of its own
+    sample alone.  Returns the final points, values and gradients.
     """
     z = np.array(z0, dtype=float)
     n_rows, k = z.shape
@@ -285,91 +299,124 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
     np.minimum.at(best_stopped, labels[dead], f[dead])
     # the working set: each live row's index, point, value, gradient and its
     # max-norm, label, box, inverse Hessian, whether that is still the
-    # identity, and its values of the last steps
+    # identity, its values of the last steps, its steps taken, its search
+    # stage (0 for a new step) and its search's direction, slope and level
     idx = np.flatnonzero(live)
     zs, fs, gs, lab, los, his = z[idx], f[idx], g[idx], labels[idx], lo[idx], hi[idx]
+    n = idx.size
     gmax = np.abs(gs).max(axis=1)
-    hs = np.tile(eye, (idx.size, 1, 1))
-    fresh = np.ones(idx.size, dtype=bool)
-    past = np.empty((idx.size, _FREEZE_WINDOW))
-    going = np.ones(idx.size, dtype=bool)
-    for it in range(max_iter):
-        going &= gmax >= _GTOL
-        slot = it % _FREEZE_WINDOW
-        if it >= _FREEZE_WINDOW:  # live rows hold finite values: no inf - inf
+    hs = np.tile(eye, (n, 1, 1))
+    fresh = np.ones(n, dtype=bool)
+    past = np.empty((n, _FREEZE_WINDOW))
+    steps = np.zeros(n, dtype=int)
+    stage = np.zeros(n, dtype=int)
+    d, slope, level = np.empty((n, k)), np.empty(n), np.empty(n)
+    going = np.ones(n, dtype=bool)
+    while True:
+        new = stage == 0  # the rows about to take a new step
+        going &= ~new | ((gmax >= _GTOL) & (steps < max_iter))
+        check = new & (steps >= _FREEZE_WINDOW)
+        if check.any():  # live rows hold finite values: no inf - inf
             best = best_stopped.copy()
             np.minimum.at(best, lab, fs)
-            gap = fs - best[lab]
-            going &= (gap <= _FREEZE_GAP) | (past[:, slot] - fs >= _FREEZE_CLOSE * gap)
+            c = np.flatnonzero(check)
+            gap = fs[c] - best[lab[c]]
+            going[c] &= (gap <= _FREEZE_GAP) | (
+                past[c, steps[c] % _FREEZE_WINDOW] - fs[c] >= _FREEZE_CLOSE * gap)
         if not going.all():  # write the stopped rows back and drop them
             stop = ~going
             z[idx[stop]], f[idx[stop]], g[idx[stop]] = zs[stop], fs[stop], gs[stop]
             np.minimum.at(best_stopped, lab[stop], fs[stop])
-            idx, zs, fs, gs, gmax, lab, los, his, hs, fresh, past = (
-                a[going] for a in (idx, zs, fs, gs, gmax, lab, los, his, hs, fresh, past)
+            (idx, zs, fs, gs, gmax, lab, los, his, hs, fresh, past, steps, stage, d, slope,
+             level, new) = (
+                a[going] for a in (idx, zs, fs, gs, gmax, lab, los, his, hs, fresh, past, steps,
+                                   stage, d, slope, level, new)
             )
-        if idx.size == 0:  # also when no row started live
+            going = going[going]
+        n = idx.size
+        if n == 0:  # also when no row started live
             break
-        past[:, slot] = fs
-        d = -np.einsum("sij,sj->si", hs, gs)
-        slope = np.einsum("si,si->s", d, gs)
-        steep = fresh | ~(slope < 0.0)  # no descent: back to the gradient
-        if steep.any():
-            fresh |= steep
-            hs[steep] = eye
-            d[steep] = -gs[steep] / np.maximum(gmax[steep], 1.0)[:, None]
-            slope[steep] = np.einsum("si,si->s", d[steep], gs[steep])
 
-        # the line search, a failed row keeping its point
-        z_new, f_new, g_new, gmax_new = zs.copy(), fs.copy(), gs.copy(), gmax.copy()
-        level = fs + _ROUNDING * np.maximum(np.abs(fs), 1.0)  # fs up to its rounding
-        p = slice(None)  # the rows still searching: all of them on the first call
-        for trials in _CALLS:
-            ladder = _STEPS[trials]
-            zt = zs[p, None] + ladder[:, None] * d[p, None]  # (rows, trials, k)
-            rows, size = zt.shape[:2]
-            # a row's trials adjacent: each sample's rows stay contiguous
-            ft, gt = fun(zt.reshape(-1, k), np.repeat(lab[p], size))
-            ft, gt = ft.reshape(rows, size), gt.reshape(rows, size, k)
-            gt_max = np.abs(gt).max(axis=2)  # NaN or inf unless the gradient is finite
-            ok = (
-                np.isfinite(ft)
-                & np.isfinite(gt_max)
-                & (
-                    (ft <= fs[p, None] + _ARMIJO * ladder * slope[p, None])
-                    | ((ft <= level[p, None]) & (gt_max < gmax[p, None]))
-                )
+        every = new.all()  # the common pass: every row takes the full step of a new step
+        if new.any():  # the new steps' directions
+            r = slice(None) if every else np.flatnonzero(new)
+            rows = np.arange(n) if every else r
+            past[rows, steps[rows] % _FREEZE_WINDOW] = fs[r]
+            gr, gmr, fr = gs[r], gmax[r], fresh[r]
+            dr = -np.einsum("sij,sj->si", hs[r], gr)
+            sl = np.einsum("si,si->s", dr, gr)
+            steep = fr | ~(sl < 0.0)  # no descent: back to the gradient
+            if steep.any():
+                fresh[r] = fr | steep
+                hs[rows[steep]] = eye
+                dr[steep] = -gr[steep] / np.maximum(gmr[steep], 1.0)[:, None]
+                sl[steep] = np.einsum("si,si->s", dr[steep], gr[steep])
+            d[r], slope[r] = dr, sl
+            level[r] = fs[r] + _ROUNDING * np.maximum(np.abs(fs[r]), 1.0)  # fs up to its rounding
+
+        # the trial points of every row's stage, each trial's row ``at`` and
+        # step ``ladder``, a row's trials adjacent so that each sample's rows
+        # stay contiguous
+        if every:
+            at, ladder = slice(None), _STEPS[:1]
+        else:
+            size = _STAGE_SIZE[stage]
+            at = np.repeat(np.arange(n), size)
+            shift = np.repeat(_STAGE_FIRST[stage] - np.cumsum(size) + size, size)
+            ladder = _STEPS[np.arange(at.size) + shift]
+        zt = zs[at] + ladder[:, None] * d[at]
+        ft, gt = fun(zt, lab[at])
+        gt_max = np.abs(gt).max(axis=1)  # NaN or inf unless the gradient is finite
+        ok = (
+            np.isfinite(ft)
+            & np.isfinite(gt_max)
+            & (
+                (ft <= fs[at] + _ARMIJO * ladder * slope[at])
+                | ((ft <= level[at]) & (gt_max < gmax[at]))
             )
-            hit = ok.any(axis=1)
-            searching = np.arange(rows) if isinstance(p, slice) else p
-            t, q = ok.argmax(axis=1)[hit], searching[hit]  # each row's first accepted trial
-            z_new[q], f_new[q], g_new[q] = zt[hit, t], ft[hit, t], gt[hit, t]
-            gmax_new[q] = gt_max[hit, t]
-            p = searching[~hit]
-            if not p.size:
-                break
+        )
+        t = np.flatnonzero(ok)  # each row's first accepted trial
+        if not every:
+            hit_rows = at[t]
+            first = np.ones(t.size, dtype=bool)
+            first[1:] = hit_rows[1:] != hit_rows[:-1]
+            t = t[first]
+        hit = np.zeros(n, dtype=bool)
+        hit[t if every else at[t]] = True
+        done = hit | (stage == _STAGE_SIZE.size - 1)  # a step found, or the last stage failed
+        stage += 1
+        if not done.any():
+            continue
 
-        inside = ((z_new >= los) & (z_new <= his)).all(axis=1)
+        # the rows whose search ended: the step, the box, the BFGS update
+        c = slice(None) if done.all() else np.flatnonzero(done)
+        failed = ~hit[c]
+        z_old, f_old, g_old, gmax_old = zs[c], fs[c], gs[c], gmax[c]
+        z_new, f_new, g_new, gmax_new = z_old.copy(), f_old.copy(), g_old.copy(), gmax_old.copy()
+        a = ~failed
+        z_new[a], f_new[a], g_new[a], gmax_new[a] = zt[t], ft[t], gt[t], gt_max[t]
+        inside = ((z_new >= los[c]) & (z_new <= his[c])).all(axis=1)
         if not inside.all():  # a step out of the box: back to the last in-box point
             out = ~inside
-            z_new[out], f_new[out], g_new[out] = zs[out], fs[out], gs[out]
-            gmax_new[out] = gmax[out]
-        s, y = z_new - zs, g_new - gs
+            z_new[out], f_new[out], g_new[out] = z_old[out], f_old[out], g_old[out]
+            gmax_new[out] = gmax_old[out]
+        s, y = z_new - z_old, g_new - g_old
         sy = np.einsum("si,si->s", s, y)
-        if fresh.any():  # a first curvature pair rescales the identity
-            sy_f, y_f = sy[fresh], y[fresh]
+        hc, fresh_c = hs[c], fresh[c]
+        if fresh_c.any():  # a first curvature pair rescales the identity
+            sy_f, y_f = sy[fresh_c], y[fresh_c]
             yy = np.einsum("si,si->s", y_f, y_f)
             scale = np.where((sy_f > 0.0) & (yy > 0.0), sy_f / np.where(yy > 0.0, yy, 1.0), 1.0)
-            hs[fresh] *= scale[:, None, None]
-        hs = _bfgs_update(hs, s, y, sy, eye)
-        zs, fs, gs, gmax = z_new, f_new, g_new, gmax_new
-        going = inside & ((np.abs(s) / np.maximum(np.abs(zs), 1.0)).max(axis=1) > _XTOL)
-        if p.size:  # a failed search stops a row on steepest descent, else restarts it there
-            going[p] = ~fresh[p]
-            hs[p] = eye
-        fresh = np.zeros(idx.size, dtype=bool)
-        fresh[p] = True
-    z[idx], f[idx], g[idx] = zs, fs, gs
+            hc[fresh_c] *= scale[:, None, None]
+        hc = _bfgs_update(hc, s, y, sy, eye)
+        going_c = inside & ((np.abs(s) / np.maximum(np.abs(z_new), 1.0)).max(axis=1) > _XTOL)
+        if failed.any():  # a failed search stops a row on steepest descent, else restarts it there
+            going_c[failed] = ~fresh_c[failed]
+            hc[failed] = eye
+        zs[c], fs[c], gs[c], gmax[c], hs[c], going[c], fresh[c] = (
+            z_new, f_new, g_new, gmax_new, hc, going_c, failed)
+        steps[c] += 1
+        stage[c] = 0
     return z, f, g
 
 
@@ -570,63 +617,113 @@ def _loglik_score(samples, model):
     return loglik_score
 
 
-def fit_samples(samples, model="pte", opts=None):
-    """Fit the model tagged ``model`` to each sample of ``samples`` by
-    maximum likelihood: the list of their :func:`fit` results, bit for bit
-    but for the cost of the one search, which they share.
+def _joint(scores, widths, n_samples):
+    """``f(Z, labels)`` of several models' searches as one: a row labelled
+    m * ``n_samples`` + i is model m's row on sample i, its coordinates the
+    first ``widths[m]`` columns of Z, and ``scores[m]`` its objective; the
+    other columns pad it and get a zero score.  Each model's rows make one
+    call of its own objective, in their order and under their own labels."""
+    def loglik_score(z, labels):
+        model = labels // n_samples
+        ll, score = np.empty(len(z)), np.zeros(z.shape)
+        for m, (fun, k) in enumerate(zip(scores, widths)):
+            rows = model == m
+            if rows.any():
+                ll[rows], score[rows, :k] = fun(z[rows, :k], labels[rows] - m * n_samples)
+        return ll, score
 
-    A numerical model runs one lockstep multistart for all samples: each
-    sample's Latin-hypercube starts and search box are built as if it were
-    fitted alone, its rows carry its label, and each row's path depends on
-    its own sample's rows alone.  The closed-form models fit each sample in
-    turn.
+    return loglik_score
+
+
+def fit_models(samples, models, opts=None):
+    """Fit each model tagged in ``models`` to each sample of ``samples`` by
+    maximum likelihood: a dict from each tag to the list of the samples'
+    :func:`fit` results, bit for bit but for the cost of the one search,
+    which every numerical result shares.
+
+    Every numerical model's starts run in one lockstep multistart.  Its rows
+    are labelled per (model, sample); each sample's Latin-hypercube starts
+    and search box are built as if it were fitted alone, and a narrower
+    model's rows are padded to the widest model's coordinates with zeros, a
+    zero score and the box [0, 0], so that the padding never moves.  Each
+    row's path depends on the rows of its own model and sample alone.  The
+    closed-form models fit each sample in turn.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {list(MODELS)}")
-    spec, opts = MODELS[model], opts or FitOptions()
+    for model in models:
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}; expected one of {list(MODELS)}")
+    models, opts = list(dict.fromkeys(models)), opts or FitOptions()
+    if not models:
+        raise ValueError("need at least one model")
     samples = [check_sample(x) for x in samples]
     if not samples:
         raise ValueError("need at least one sample")
-    if spec.closed_form is not None:
-        fitted, cost = [(spec.closed_form(x), 0, True) for x in samples], (0, 0)
-    else:
-        if min(x.size for x in samples) < len(spec.search) + 1:
+    searched = [model for model in models if MODELS[model].closed_form is None]
+    fitted = {model: [(MODELS[model].closed_form(x), 0, True) for x in samples]
+              for model in models if model not in searched}
+    cost = (0, 0)
+    if searched:
+        kinds = {model: [_KINDS[kind] for kind in MODELS[model].search] for model in searched}
+        widths = [len(kinds[model]) for model in searched]
+        width = max(widths)
+        if min(x.size for x in samples) < width + 1:
             raise ValueError("need at least one more observation than parameters")
-        kinds = [_KINDS[kind] for kind in spec.search]
-        u = _latin_hypercube(opts.n_starts, len(kinds), opts.seed)
-        half = np.array([kind.half for kind in kinds])
-        starts, centres = [], []
-        for x in samples:
-            xbar = float(x.mean())
-            starts.append(np.column_stack([kind.start(u[:, j], xbar)
-                                           for j, kind in enumerate(kinds)]))
-            centres.append([-math.log(xbar) if kind.centred else 0.0 for kind in kinds])
-        centre = np.repeat(centres, opts.n_starts, axis=0)
+        starts, bounds = [], []
+        for model, k in zip(searched, widths):
+            u = _latin_hypercube(opts.n_starts, k, opts.seed)
+            half = np.array([kind.half for kind in kinds[model]])
+            for x in samples:
+                xbar = float(x.mean())
+                start = np.zeros((opts.n_starts, width))
+                start[:, :k] = np.column_stack([kind.start(u[:, j], xbar)
+                                                for j, kind in enumerate(kinds[model])])
+                centre = np.array([-math.log(xbar) if kind.centred else 0.0
+                                   for kind in kinds[model]])
+                bound = np.zeros((2, width))
+                bound[:, :k] = centre - half, centre + half
+                starts.append(start)
+                bounds.append(bound)
+        n = len(samples)
+        scores = [_loglik_score(samples, model) for model in searched]
+        box = np.repeat(bounds, opts.n_starts, axis=0)
         z_best, _, cost, converged = multistart_maximize(
-            _loglik_score(samples, model),
+            scores[0] if len(searched) == 1 else _joint(scores, widths, n),
             np.concatenate(starts),
-            box=(centre - half, centre + half),
-            labels=np.repeat(np.arange(len(samples)), opts.n_starts),
+            box=(box[:, 0], box[:, 1]),
+            labels=np.repeat(np.arange(len(searched) * n), opts.n_starts),
         )
         # each best start has a finite log-likelihood: a valid parameter point
         # (its starts and the two polishes, run or not, are n_starts + 2)
-        fitted = [
-            ([kind.value(z) for kind, z in zip(kinds, z_row)], opts.n_starts + 2, bool(ok))
-            for z_row, ok in zip(z_best, converged)
-        ]
-    results = []
-    for x, (values, n_launches, converged) in zip(samples, fitted):
-        estimates = spec.make(*map(float, values))
-        if "beta" in spec.search and abs(estimates.beta) > _BETA_WARN:
-            _warn(
-                f"fitted beta = {estimates.beta:.6g} lies outside the documented "
-                f"|beta| <= {_BETA_WARN:g}"
-            )
-        info = spec.information(x, estimates)
-        results.append(FitResult.from_information(
-            estimates, log_likelihood(x, estimates), info, converged, n_launches, x.size, cost
-        ))
+        for m, (model, k) in enumerate(zip(searched, widths)):
+            fitted[model] = [
+                ([kind.value(z) for kind, z in zip(kinds[model], z_row[:k])],
+                 opts.n_starts + 2, bool(ok))
+                for z_row, ok in zip(z_best[m * n:(m + 1) * n], converged[m * n:(m + 1) * n])
+            ]
+    results = {}
+    for model in models:
+        spec, results[model] = MODELS[model], []
+        for x, (values, n_launches, converged) in zip(samples, fitted[model]):
+            estimates = spec.make(*map(float, values))
+            if "beta" in spec.search and abs(estimates.beta) > _BETA_WARN:
+                _warn(
+                    f"fitted beta = {estimates.beta:.6g} lies outside the documented "
+                    f"|beta| <= {_BETA_WARN:g}"
+                )
+            info = spec.information(x, estimates)
+            results[model].append(FitResult.from_information(
+                estimates, log_likelihood(x, estimates), info, converged, n_launches, x.size,
+                cost if model in searched else (0, 0),
+            ))
     return results
+
+
+def fit_samples(samples, model="pte", opts=None):
+    """Fit the model tagged ``model`` to each sample of ``samples`` by
+    maximum likelihood: ``fit_models(samples, (model,), opts)[model]``, the
+    list of their :func:`fit` results, bit for bit but for the cost of the
+    one search, which they share."""
+    return fit_models(samples, (model,), opts)[model]
 
 
 def fit(data, model="pte", opts=None):

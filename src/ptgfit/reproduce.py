@@ -27,7 +27,7 @@ from .competitors import fit_competitor  # noqa: F401  (rebound by perfbench/tra
 from .data import EMBEDDED, PUBLISHED, describe, embedded_dataset
 from .distributions import ptg_cdf  # noqa: F401  (rebound by perfbench/tracing.py)
 from .gof import evaluate_gof
-from .mle import FitOptions, fit_samples
+from .mle import FitOptions, fit_models
 from .mle import fit  # noqa: F401  (rebound by perfbench/tracing.py)
 
 __all__ = ["Gate", "ReproductionReport", "run_reproduction", "REFERENCE_CONSTANTS"]
@@ -149,10 +149,10 @@ def _abs_gate(gates, table, dataset, model, quantity, computed, reference, tol):
 
 def run_reproduction(seed=0, n_starts=20):
     """Run the full reproduction and return a gated report; ``seed`` and
-    ``n_starts`` drive both numerical fits, PT-E and Marshall-Olkin.  Each
-    model is fitted to both datasets at once (``mle.fit_samples``: one
-    lockstep multistart per numerical model), and the gates are listed in
-    ``_FIT_REFERENCE``'s order."""
+    ``n_starts`` drive both numerical fits, PT-E and Marshall-Olkin.  Every
+    model is fitted to both datasets at once (``mle.fit_models``: one
+    lockstep multistart for both numerical models), and the gates are listed
+    in ``_FIT_REFERENCE``'s order."""
     t0 = time.perf_counter()
     report = ReproductionReport()
     datasets = {ds_key: embedded_dataset(ds_id) for ds_key, ds_id in EMBEDDED.items()}
@@ -160,8 +160,9 @@ def run_reproduction(seed=0, n_starts=20):
     samples = [data.values for data in datasets.values()]
     fitted = {
         (tag, ds_key): res
-        for tag in dict.fromkeys(tag for tag, _ in _FIT_REFERENCE)
-        for ds_key, res in zip(datasets, fit_samples(samples, tag, opts))
+        for tag, results in fit_models(
+            samples, dict.fromkeys(tag for tag, _ in _FIT_REFERENCE), opts).items()
+        for ds_key, res in zip(datasets, results)
     }
 
     for ds_key, data in datasets.items():

@@ -174,6 +174,25 @@ class TestEdfStatistics:
         with pytest.warns(UserWarning, match="clipped"):
             anderson_darling(data, lambda v: np.clip(np.asarray(v), 0, 1))
 
+    def test_cramer_von_mises_reads_the_unclipped_transform(self):
+        # the largest u is 1 - 2^-40 (about 1 - 9.1e-13), inside A^2's clip
+        # band: W^2 takes no logarithm, so it reads u as it is, without a
+        # warning, while A^2 clips it and warns
+        identity = lambda v: np.asarray(v)
+        u = np.array([0.1, 0.4, 0.7, 1.0 - 2.0**-40])
+        mid = (2 * np.arange(1, 5) - 1) / 8.0
+        want = float(np.sum((u - mid) ** 2) + 1.0 / 48.0)
+        clipped = np.append(u[:3], 1.0 - 1e-12)
+        assert float(np.sum((clipped - mid) ** 2) + 1.0 / 48.0) != want  # the clip moves W^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cramer_von_mises(u, identity) == want
+        with pytest.warns(UserWarning, match="clipped") as record:
+            report = evaluate_gof(u, identity, 1, -3.0)
+        assert report.cvm == want and len(record) == 1
+        with pytest.warns(UserWarning, match="clipped"):
+            assert report.ad == anderson_darling(u, identity)
+
     def test_pit_invariance_under_monotone_transform(self):
         p = pte_params(0.5, 2.0, 1.0)
         data = ptg_sample(64, p, 99)

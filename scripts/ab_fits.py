@@ -7,14 +7,14 @@ law, n = 72 each), at seeds 0-3 and at 1, 3, 6 and 20 starts, one ``mle.fit``
 per sample; then once more at 6 and 20 starts, all ten samples of a model in
 one fused ``mle.fit_samples`` call; and once more at 6 and 20 starts, the
 three models and the ten samples in one joint ``mle.fit_models`` call.  For
-each of the 960 fits it records the
-``float.hex`` of the estimates, the log-likelihood and the standard errors,
-with ``converged``, ``n_restarts_used`` and the search's cost
-(``objective_calls`` and ``start_rows``).  Run it on two versions of the
-package on one machine and diff the files: a change that means to keep every
-search path reports 0 differing fits.  numpy's transcendental loops differ in
-their last bits between CPU dispatch targets, so compare files written on the
-same machine only.
+each of the 960 fits it records the ``float.hex`` of the estimates, the
+log-likelihood and the standard errors, with ``converged``,
+``n_restarts_used`` and the search's cost (``objective_calls`` and
+``start_rows``).  Run it on two versions of the package on one machine and
+diff the files: a change that means to keep every search path reports 0
+differing fits.  numpy's transcendental loops differ in their last bits
+between CPU dispatch targets, so compare files written on the same machine
+only.
 
     PYTHONPATH=src python3 scripts/ab_fits.py --out before.json
     PYTHONPATH=src python3 scripts/ab_fits.py --out after.json

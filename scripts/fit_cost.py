@@ -9,13 +9,14 @@ the fitted log-likelihood.  Each row's line search runs in up to three
 stages, its full step, then its next four halvings, then the other
 fifteen, and every call evaluates the current stage of every live row, so
 the start-rows count trial points, not only the starts, and a search makes
-one call per stage of its slowest row.  The polish restarts only an
-incumbent that could take a step (a score max-norm of at least 1e-10).
-Below them, the ``reproduce`` line is the one search that ``ptgfit
-reproduce`` runs: Marshall-Olkin and PT-E, both fitted to both datasets in
-one lockstep search (``mle.fit_models``, whose results share its cost).
-The counts do not depend on the machine, so a change to the search can
-report them beside its timings.  The total sums the six solo lines.
+one call for its starts and one per stage of its slowest row.  The polish
+restarts only an incumbent that could take a step (a score max-norm of at
+least 1e-10).  Below them, the ``reproduce`` line is the one search that
+``ptgfit reproduce`` runs: Marshall-Olkin and PT-E, both fitted to both
+datasets in one lockstep search (``mle.fit_models``, whose results share
+its cost).  The counts do not depend on the machine, so a change to the
+search can report them beside its timings.  The total sums the six solo
+lines.
 
     PYTHONPATH=src python3 scripts/fit_cost.py --seeds 0 1 2
 """

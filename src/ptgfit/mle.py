@@ -40,14 +40,14 @@ A numerical model supplies only its batched kernel, ``kernel(data, theta,
 order=1, n_obs=None)`` (``ptg_loglik_derivatives`` with its baseline family
 bound, or ``moe_loglik_derivatives``), which takes one sample (n,) for
 every parameter row or one row of data per parameter row (S, n).  One
-adapter turns any kernel into the search objective ``f(Z, labels)`` by the
-chain rule, from the table of coordinate kinds (``_KINDS``: each kind's map
-back to its parameter and that map's derivative), with one kernel call per
-evaluation: the samples are stacked into one array, a shorter one padded
-with its own first observation, and ``n_obs`` gives each row's own sample
-size, over which alone the kernel sums.  A search of several models
-(``_joint``) makes one such call per model among a call's rows.  The
-information is the negated order-2 kernel.
+adapter (``_loglik_score``) turns the kernels of a search's models into its
+objective ``f(Z, labels)`` by the chain rule, from the table of coordinate
+kinds (``_KINDS``: each kind's map back to its parameter and that map's
+derivative), with one kernel call per model among an evaluation's rows,
+which form one block since the labels ascend: the samples are stacked into
+one array, a shorter one padded with its own first observation, and
+``n_obs`` gives each row's own sample size, over which alone the kernel
+sums.  The information is the negated order-2 kernel.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -283,9 +283,11 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
     at the value it holds in that pass, and it closed less than
     ``_FREEZE_CLOSE`` of that gap over its last ``_FREEZE_WINDOW`` steps: a
     dead start that can no longer win.  The lowest row of a sample is never
-    frozen.  The loop holds only the live rows (the working set) and writes
-    a row back when it stops.  A row's path depends on the rows of its own
-    sample alone.  Returns the final points, values and gradients.
+    frozen.  The loop holds only the live rows (the working set), in the
+    order of ``z0``, and writes a row back when it stops, so labels that
+    ascend in ``z0`` ascend in every ``fun`` call.  A row's path depends on
+    the rows of its own sample alone.  Returns the final points, values and
+    gradients.
     """
     z = np.array(z0, dtype=float)
     n_rows, k = z.shape
@@ -588,48 +590,45 @@ MODELS = {
 }
 
 
-def _loglik_score(samples, model):
-    """``f(Z, labels) -> (loglik (S,), score (S, k))`` of the numerical model
-    tagged ``model`` at rows Z of its search coordinates, row s on the sample
-    ``samples[labels[s]]``: one kernel call at the parameters the kinds map Z
-    to, the score chained through each map's derivative.  The samples are
-    stacked into one array, each shorter one padded with its own first
-    observation, and the kernel sums each row over its own sample size; a
-    call reads only the columns up to the largest own size among its rows."""
-    spec = MODELS[model]
-    kinds = [_KINDS[kind] for kind in spec.search]
-    # one exp of all of Z maps the log-parameters; the other columns are set over it
-    maps = [(j, kind.value) for j, kind in enumerate(kinds) if kind.value is not np.exp]
-    sizes = np.array([x.size for x in samples])
-    stacked = np.array([np.append(x, np.full(sizes.max() - x.size, x[0])) for x in samples])
+def _loglik_score(samples, models):
+    """``f(Z, labels) -> (loglik (S,), score (S, k))`` of the numerical models
+    tagged in ``models`` at rows Z of their search coordinates: a row labelled
+    m * len(samples) + i is model ``models[m]``'s row on ``samples[i]``, its
+    coordinates the first columns of Z, as many as the model has, and any
+    other column a pad that gets a zero score.  The labels must not decrease
+    along Z, as :func:`minimize` hands them over, so that each model's rows
+    form one block: a block makes one kernel call at the parameters the kinds
+    map its coordinates to, the score chained through each map's derivative.
+    The samples are stacked into one array, one row per label, each shorter
+    sample padded with its own first observation, and the kernel sums each
+    row over its own sample size; a call reads only the columns up to the
+    largest own size among its rows."""
+    rows = [x for _ in models for x in samples]  # label l's sample
+    sizes = np.array([x.size for x in rows])
+    stacked = np.array([np.append(x, np.full(sizes.max() - x.size, x[0])) for x in rows])
+    blocks = []
+    for model in models:
+        kinds = [_KINDS[kind] for kind in MODELS[model].search]
+        # one exp of a block maps the log-parameters; the other columns are set over it
+        maps = [(j, kind.value) for j, kind in enumerate(kinds) if kind.value is not np.exp]
+        blocks.append((MODELS[model].kernel, kinds, maps))
+    firsts = np.arange(len(models) + 1) * len(samples)  # each model's first label, and the end
 
     def loglik_score(z, labels):
-        with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
-            theta = np.exp(z)
-            for j, value in maps:
-                theta[:, j] = value(z[:, j])
-            n_obs = sizes[labels]
-            ll, score = spec.kernel(stacked[labels, :n_obs.max()], theta, n_obs=n_obs)
-            for j, kind in enumerate(kinds):
-                score[:, j] *= kind.slope(z[:, j], theta[:, j])
-        return ll, score
-
-    return loglik_score
-
-
-def _joint(scores, widths, n_samples):
-    """``f(Z, labels)`` of several models' searches as one: a row labelled
-    m * ``n_samples`` + i is model m's row on sample i, its coordinates the
-    first ``widths[m]`` columns of Z, and ``scores[m]`` its objective; the
-    other columns pad it and get a zero score.  Each model's rows make one
-    call of its own objective, in their order and under their own labels."""
-    def loglik_score(z, labels):
-        model = labels // n_samples
         ll, score = np.empty(len(z)), np.zeros(z.shape)
-        for m, (fun, k) in enumerate(zip(scores, widths)):
-            rows = model == m
-            if rows.any():
-                ll[rows], score[rows, :k] = fun(z[rows, :k], labels[rows] - m * n_samples)
+        bounds = labels.searchsorted(firsts).tolist()
+        with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
+            for (kernel, kinds, maps), a, b in zip(blocks, bounds, bounds[1:]):
+                if a == b:
+                    continue
+                zb, block = z[a:b, :len(kinds)], labels[a:b]
+                theta = np.exp(zb)
+                for j, value in maps:
+                    theta[:, j] = value(zb[:, j])
+                n_obs = sizes[block]
+                ll[a:b], sb = kernel(stacked[block, :n_obs.max()], theta, n_obs=n_obs)
+                for j, kind in enumerate(kinds):
+                    score[a:b, j] = sb[:, j] * kind.slope(zb[:, j], theta[:, j])
         return ll, score
 
     return loglik_score
@@ -684,10 +683,9 @@ def fit_models(samples, models, opts=None):
                 starts.append(start)
                 bounds.append(bound)
         n = len(samples)
-        scores = [_loglik_score(samples, model) for model in searched]
         box = np.repeat(bounds, opts.n_starts, axis=0)
         z_best, _, cost, converged = multistart_maximize(
-            scores[0] if len(searched) == 1 else _joint(scores, widths, n),
+            _loglik_score(samples, searched),
             np.concatenate(starts),
             box=(box[:, 0], box[:, 1]),
             labels=np.repeat(np.arange(len(searched) * n), opts.n_starts),

@@ -12,7 +12,7 @@ from ptgfit.mle import MODELS, _loglik_score
 def _objective(data, model):
     """The search objective of ``model`` on the one sample ``data``, every
     row of Z under label 0."""
-    f = _loglik_score([data], model)
+    f = _loglik_score([data], (model,))
     return lambda z: f(z, np.zeros(len(z), dtype=int))
 
 

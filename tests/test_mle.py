@@ -43,7 +43,7 @@ from ptgfit.reproduce import run_reproduction
 def _objective(data, model):
     """The search objective of ``model`` on the one sample ``data``, every
     row of Z under label 0."""
-    f = _loglik_score([data], model)
+    f = _loglik_score([data], (model,))
     return lambda z: f(z, np.zeros(len(z), dtype=int))
 
 
@@ -1051,7 +1051,7 @@ def test_multistart_polishes_only_incumbents_that_can_move(monkeypatch):
 
 
 def test_multistart_refuses_empty_start_set(data_I):
-    f = _loglik_score([data_I], "pte")
+    f = _loglik_score([data_I], ("pte",))
     box = (np.full(3, -np.inf), np.full(3, np.inf))
     with pytest.raises(ValueError, match="need at least one start"):
         multistart_maximize(f, np.empty((0, 3)), box=box)

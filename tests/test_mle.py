@@ -1012,6 +1012,75 @@ class TestFitSamples:
         with pytest.raises(ValueError, match="unknown model 'weibull'"):
             mle.fit_models([data_I], ("pte", "weibull"))
 
+    def test_labels_never_decrease_within_an_objective_call(self, monkeypatch, data_I, data_II):
+        # _loglik_score takes each model's rows as one block of ascending
+        # labels: every call of the search keeps them in order, across the
+        # line-search stages, the freezes and the polish
+        calls, launches = [], []
+        adapter = mle._loglik_score
+
+        def recording(samples, models):
+            f = adapter(samples, models)
+
+            def objective(z, labels):
+                calls.append(labels.copy())
+                return f(z, labels)
+
+            return objective
+
+        def recorded(fun, z0, *args):
+            launches.append(len(z0))
+            return minimize(fun, z0, *args)
+
+        monkeypatch.setattr(mle, "_loglik_score", recording)
+        monkeypatch.setattr(mle, "minimize", recorded)
+        with warnings.catch_warnings():  # PT-W on dataset II lands beyond |beta| = 700
+            warnings.simplefilter("ignore")
+            for seed in range(6):
+                mle.fit_models([data_I, data_II], ("pte", "ptw", "moe"),
+                               FitOptions(n_starts=6, seed=seed))
+        assert all((np.diff(labels) >= 0).all() for labels in calls)
+        assert len(launches) > 6  # the sweep reaches the polish
+
+
+class TestLoglikScore:
+    """One adapter for every search: a call on several models' rows equals
+    each model's own calls on its rows."""
+
+    # Marshall-Olkin (log tilt, log rate) rows padded to PT-E's three columns,
+    # then PT-E (asin alpha, log-like beta, log rate) rows; the labels are
+    # model index x 2 + sample, and each model's block spans both samples
+    Z = np.array([
+        [math.log(8.0), math.log(1.4), 0.0],
+        [math.log(0.5), math.log(0.3), 0.0],
+        [math.log(30.0), math.log(2.0), 0.0],
+        [math.asin(0.8), float(_log_like_inverse(-6.6)), math.log(0.84)],
+        [math.asin(-0.3), float(_log_like_inverse(2.0)), math.log(0.5)],
+        [math.asin(0.5), float(_log_like_inverse(-50.0)), math.log(1.2)],
+    ])
+    LABELS = np.array([0, 1, 1, 2, 2, 3])
+
+    def test_one_call_equals_each_models_own_call(self, data_I, data_II):
+        samples = [data_I, data_II]
+        ll, score = _loglik_score(samples, ("moe", "pte"))(self.Z, self.LABELS)
+        moe_ll, moe_score = _loglik_score(samples, ("moe",))(self.Z[:3, :2], self.LABELS[:3])
+        pte_ll, pte_score = _loglik_score(samples, ("pte",))(self.Z[3:], self.LABELS[3:] - 2)
+        assert np.array_equal(ll, np.concatenate([moe_ll, pte_ll]))
+        assert np.array_equal(score[:3, :2], moe_score) and np.array_equal(score[3:], pte_score)
+        assert (score[:3, 2] == 0.0).all()  # the pad column
+        assert np.isfinite(ll).all()
+
+    def test_a_model_without_rows_is_skipped(self, data_I, data_II):
+        samples = [data_I, data_II]
+        f = _loglik_score(samples, ("moe", "pte"))
+        ll, score = f(self.Z[3:], self.LABELS[3:])  # no Marshall-Olkin row
+        alone = _loglik_score(samples, ("pte",))(self.Z[3:], self.LABELS[3:] - 2)
+        assert np.array_equal(ll, alone[0]) and np.array_equal(score, alone[1])
+        ll, score = f(self.Z[:3], self.LABELS[:3])  # no PT-E row
+        alone = _loglik_score(samples, ("moe",))(self.Z[:3, :2], self.LABELS[:3])
+        assert np.array_equal(ll, alone[0]) and np.array_equal(score[:, :2], alone[1])
+        assert (score[:, 2] == 0.0).all()
+
 
 @pytest.mark.parametrize("model", ["pte", "ptw", "exp", "me"])
 def test_fit_records_its_kernel_calls_and_rows(monkeypatch, data_I, model):

@@ -646,8 +646,11 @@ def fit_models(samples, models, opts=None):
     model's rows are padded to the widest model's coordinates with zeros, a
     zero score and the box [0, 0], so that the padding never moves.  Each
     row's path depends on the rows of its own model and sample alone.  The
-    closed-form models fit each sample in turn.
+    closed-form models fit each sample in turn.  Each sample must be
+    one-dimensional, and ``models`` a sequence of tags, not one tag string.
     """
+    if isinstance(models, str):  # its letters would read as tags
+        raise ValueError(f"models must be a sequence of model tags, not the string {models!r}")
     for model in models:
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}; expected one of {list(MODELS)}")
@@ -657,6 +660,9 @@ def fit_models(samples, models, opts=None):
     samples = [check_sample(x) for x in samples]
     if not samples:
         raise ValueError("need at least one sample")
+    for x in samples:
+        if x.ndim != 1:  # 0-d where one sample was passed as the list of samples
+            raise ValueError(f"each sample must be one-dimensional, got shape {x.shape}")
     searched = [model for model in models if MODELS[model].closed_form is None]
     fitted = {model: [(MODELS[model].closed_form(x), 0, True) for x in samples]
               for model in models if model not in searched}

@@ -1012,6 +1012,30 @@ class TestFitSamples:
         with pytest.raises(ValueError, match="unknown model 'weibull'"):
             mle.fit_models([data_I], ("pte", "weibull"))
 
+    def test_fit_models_refuses_a_bare_model_string_by_name(self, data_I):
+        # its letters read as tags: "unknown model 'p'"
+        with pytest.raises(ValueError, match="not the string 'pte'"):
+            mle.fit_models([data_I], "pte")
+
+    @pytest.mark.parametrize("call, shape", [
+        # one sample as the list of samples: 72 fits of one observation each
+        (lambda x: mle.fit_samples(x, "exp"), ()),
+        # the same: "need at least one more observation than parameters"
+        (lambda x: mle.fit_samples(x, "pte"), ()),
+        # the four values fitted flattened, n_obs 4
+        (lambda x: fit([[1, 2], [3, 4]], "exp"), (2, 2)),
+        # numpy's "could not broadcast" from inside the search's setup
+        (lambda x: fit(np.array([[1.0, 2, 3, 4, 5]]), "pte"), (1, 5)),
+    ], ids=["fit_samples-exp", "fit_samples-pte", "fit-2x2-exp", "fit-1x5-pte"])
+    def test_a_sample_that_is_not_one_dimensional_is_refused_by_name(self, data_I, call, shape):
+        message = f"each sample must be one-dimensional, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(data_I)
+
+    def test_values_are_checked_before_the_shape(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            fit([[1.0, -2.0], [3.0, 4.0]], "exp")
+
     def test_labels_never_decrease_within_an_objective_call(self, monkeypatch, data_I, data_II):
         # _loglik_score takes each model's rows as one block of ascending
         # labels: every call of the search keeps them in order, across the

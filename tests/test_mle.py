@@ -1087,7 +1087,9 @@ class TestLoglikScore:
     def test_one_call_equals_each_models_own_call(self, data_I, data_II):
         samples = [data_I, data_II]
         ll, score = _loglik_score(samples, ("moe", "pte"))(self.Z, self.LABELS)
-        moe_ll, moe_score = _loglik_score(samples, ("moe",))(self.Z[:3, :2], self.LABELS[:3])
+        # the Marshall-Olkin search alone holds its rows two columns wide
+        moe_z = self.Z[:3, :2].copy()
+        moe_ll, moe_score = _loglik_score(samples, ("moe",))(moe_z, self.LABELS[:3])
         pte_ll, pte_score = _loglik_score(samples, ("pte",))(self.Z[3:], self.LABELS[3:] - 2)
         assert np.array_equal(ll, np.concatenate([moe_ll, pte_ll]))
         assert np.array_equal(score[:3, :2], moe_score) and np.array_equal(score[3:], pte_score)
@@ -1101,7 +1103,7 @@ class TestLoglikScore:
         alone = _loglik_score(samples, ("pte",))(self.Z[3:], self.LABELS[3:] - 2)
         assert np.array_equal(ll, alone[0]) and np.array_equal(score, alone[1])
         ll, score = f(self.Z[:3], self.LABELS[:3])  # no PT-E row
-        alone = _loglik_score(samples, ("moe",))(self.Z[:3, :2], self.LABELS[:3])
+        alone = _loglik_score(samples, ("moe",))(self.Z[:3, :2].copy(), self.LABELS[:3])
         assert np.array_equal(ll, alone[0]) and np.array_equal(score[:, :2], alone[1])
         assert (score[:, 2] == 0.0).all()
 

@@ -9,8 +9,10 @@ exponential (length-biased exponential, f(x) = x exp(-x/sigma)/sigma^2,
 closed-form MLE xbar/2) and the Marshall-Olkin exponential (tilted survival
 S(x) = a exp(-lx) / (1 - (1-a) exp(-lx)), fitted numerically by ``mle.fit``
 from its batched log-likelihood, score and Hessian,
-``moe_loglik_derivatives``, which shares ``log_pdf``'s one formula; that
-kernel is all the Marshall-Olkin row of ``mle.MODELS`` supplies).
+``moe_loglik_derivatives``, which shares ``log_pdf``'s one formula; the
+Marshall-Olkin row of ``mle.MODELS`` supplies that kernel for the search,
+its negated order-2 value at the estimate as the information, and the
+class as ``make``).
 Every model exposes the protocol shared with ``PtgParams``: ``names``,
 ``values``, ``pdf``, ``cdf``, ``sf``, ``log_pdf`` and ``quantile``; the four
 functions of x refuse a negative or NaN x with ``ValueError``.  ``sf`` is the

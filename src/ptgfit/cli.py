@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .data import EMBEDDED, embedded_dataset, load_observations
+from .data import EMBEDDED, _integer, embedded_dataset, load_observations
 from .distributions import ptg_sample
 from .expansions import (
     mean_deviation,
@@ -53,19 +53,17 @@ def _fmt(x):
 
 
 def _resolve_seed(args):
-    """The seed from ``--seed``, else ``PTGFIT_SEED``, else 0: a nonnegative
-    integer, or an input error that names where it came from."""
-    if getattr(args, "seed", None) is not None:
-        name, value = "--seed", args.seed
-    else:
-        name, value = "PTGFIT_SEED", os.environ.get("PTGFIT_SEED", "0")
+    """The seed from ``--seed`` (checked by ``main``), else ``PTGFIT_SEED``,
+    else 0.  The variable is read, and refused by name, only where a seed is
+    used: it is ambient, not asked for."""
+    if args.seed is not None:
+        return args.seed
+    value = os.environ.get("PTGFIT_SEED", "0")
     try:
         seed = int(value)
-        if seed >= 0:
-            return seed
     except ValueError:
-        pass
-    raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        seed = None  # refused by _integer below
+    return _integer(seed, 0, f"PTGFIT_SEED must be a nonnegative integer, got {value!r}")
 
 
 def _load_data(args):
@@ -207,8 +205,6 @@ def cmd_gof(args):
 
 
 def cmd_sample(args):
-    if args.n < 1:  # before a --data fit, not after it
-        raise ValueError("--n must be a positive integer")
     seed = _resolve_seed(args)
     x = ptg_sample(args.n, _model(args), seed)
     payload = {"command": "sample", "model": args.model, "n": args.n, "seed": seed, "samples": x}
@@ -257,8 +253,6 @@ def cmd_props(args):
 
 
 def cmd_curves(args):
-    if args.grid < 1:  # an empty grid is no curve
-        raise ValueError("--grid must be a positive integer")
     data = _load_data(args) if args.data else None
     model = _model(args, data)
     grid = np.linspace(model.quantile(0.001), model.quantile(0.999), args.grid)
@@ -412,6 +406,10 @@ def build_parser():
     return parser
 
 
+# the least value of each count and of the seed; a command without the flag skips it
+_FLAG_FLOORS = {"starts": 1, "n": 1, "grid": 1, "seed": 0}
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -420,8 +418,11 @@ def main(argv=None):
         # argparse exits 2 on usage errors; 2 is reserved for non-convergence
         return 0 if exc.code == 0 else 1
     try:
-        if getattr(args, "starts", 1) < 1:  # refused before any work, by every command with it
-            raise ValueError(f"--starts must be a positive integer, got {args.starts}")
+        for name, low in _FLAG_FLOORS.items():  # before any work
+            value = getattr(args, name, None)
+            if value is not None:
+                kind = "positive" if low else "nonnegative"
+                _integer(value, low, f"--{name} must be a {kind} integer, got {value}")
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,9 +36,14 @@ coordinates.  A fit records the cost of its search
 (``FitResult.objective_calls`` and ``start_rows``), which every result of
 one ``fit_models`` call shares.
 
-A numerical model supplies only its batched kernel, ``kernel(data, theta,
-order=1, n_obs=None)`` (``ptg_loglik_derivatives`` with its baseline family
-bound, or ``moe_loglik_derivatives``), which takes one sample (n,) for
+Each row of ``MODELS`` carries ``make``, the model from its parameter
+values, and ``information``, the observed information at the estimate: a
+closed form for ``exp`` and ``me``, else the negated order-2 kernel, PT-G's
+through ``observed_information``, looked up at call time so that a tracer's
+rebinding is seen.  A numerical model adds the kinds of its search
+coordinates and its batched kernel, ``kernel(data, theta, order=1, n_obs=None)``
+(``ptg_loglik_derivatives`` with its baseline family bound, or
+``moe_loglik_derivatives``), which takes one sample (n,) for
 every parameter row or one row of data per parameter row (S, n).  One
 adapter (``_loglik_score``) turns the kernels of a search's models into its
 objective ``f(Z, labels)`` by the chain rule, from the table of coordinate
@@ -47,7 +52,7 @@ derivative), with one kernel call per model among an evaluation's rows,
 which form one block since the labels ascend: the samples are stacked into
 one array, a shorter one padded with its own first observation, and
 ``n_obs`` gives each row's own sample size, over which alone the kernel
-sums.  The information is the negated order-2 kernel.
+sums.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -453,8 +458,12 @@ def multistart_maximize(loglik_score, starts, box, labels=None):
         return np.where(np.isnan(ll), np.inf, -ll), -score
 
     z, f, g = minimize(neg, starts, (lo, hi), labels)
-    samples = np.unique(labels)
-    best = np.array([np.flatnonzero(labels == s)[np.argmin(f[labels == s])] for s in samples])
+    # each sample's best row, the first of its rows in a stable sort by f: a tie
+    # goes to the earlier row, as argmin's does (f is never NaN)
+    order = np.lexsort((f, labels))
+    ranked = labels[order]
+    best = order[np.r_[True, ranked[1:] != ranked[:-1]]]
+    samples = labels[best]
     z_best, f_best, g_best = z[best], f[best], g[best]
     for _ in range(2):  # polish: a fresh inverse Hessian at each incumbent
         # minimize would stop a non-finite or stationary incumbent before a first step

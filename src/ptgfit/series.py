@@ -22,6 +22,7 @@ import warnings
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .data import _integer
 from .distributions import _transmuted
 from .expansions import _order_const
 
@@ -49,6 +50,10 @@ def _check_beta(beta):
         raise ValueError("beta must be a nonzero real")
 
 
+def _n_max(n_max):
+    return _integer(n_max, 0, f"n_max must be a nonnegative integer, got {n_max!r}")
+
+
 def delta_coeffs(beta, n_max):
     """Density-expansion coefficients delta_0 .. delta_{n_max}.
 
@@ -56,8 +61,7 @@ def delta_coeffs(beta, n_max):
     -beta / i, which avoids forming beta^i and i! separately.
     """
     _check_beta(beta)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = _n_max(n_max)
     vals = np.empty(n_max + 1)
     vals[0] = beta / (-np.expm1(-beta))
     for i in range(1, n_max + 1):
@@ -66,21 +70,16 @@ def delta_coeffs(beta, n_max):
 
 
 def xi_coeffs(beta, n_max):
-    """Cdf-expansion coefficients xi_0 .. xi_{n_max}, with xi_0 forced to 0."""
-    _check_beta(beta)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    vals = np.zeros(n_max + 1)
-    if n_max >= 1:
-        vals[1] = beta / (-np.expm1(-beta))
-        for j in range(2, n_max + 1):
-            vals[j] = vals[j - 1] * (-beta) / j
-    return vals
+    """Cdf-expansion coefficients xi_0 .. xi_{n_max}: xi_0 = 0 and
+    xi_j = delta_{j-1} / j, the cdf series being the density series integrated."""
+    delta = delta_coeffs(beta, n_max)
+    return np.concatenate(([0.0], delta[:-1] / np.arange(1, delta.size)))
 
 
 def series_tail_bound(beta, n_max):
     """Analytic bound |beta|^(n_max+1) / ((n_max+1)! |1 - exp(-beta)|) on the next term."""
     _check_beta(beta)
+    n_max = _n_max(n_max)
     log_b = (n_max + 1) * math.log(abs(beta)) - math.lgamma(n_max + 2)
     return math.exp(log_b - math.log(abs(math.expm1(-beta))))
 
@@ -104,12 +103,11 @@ def default_truncation(beta):
 def _resolve_n_max(beta, n_max):
     if n_max is None:
         return default_truncation(beta)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if series_tail_bound(beta, n_max) > 1e-8:
+    n_max = _n_max(n_max)
+    bound = series_tail_bound(beta, n_max)
+    if bound > 1e-8:
         warnings.warn(
-            f"series truncated at n_max={n_max} with tail bound "
-            f"{series_tail_bound(beta, n_max):.3g} > 1e-8",
+            f"series truncated at n_max={n_max} with tail bound {bound:.3g} > 1e-8",
             TruncationWarning,
             stacklevel=3,
         )

@@ -189,6 +189,9 @@ class TestSeedValidation:
         ("fit", "--model", "pte", "--data", "embedded:I"),
         ("reproduce",),
         ("sample", "--model", "pte", "--params", "0.5,2,1", "--n", "3"),
+        # refused also where the seed goes unused
+        ("props", "--model", "pte", "--params", "0.5,2,1"),
+        ("curves", "--model", "pte", "--params", "0.5,2,1"),
     ])
     def test_negative_seed_names_the_option(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
@@ -250,6 +253,11 @@ class TestSampleCommand:
         )
         assert code == 1 and out == ""
         assert "n must be a positive integer" in err
+
+    def test_zero_draws_refused_before_a_fit(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--model", "pte", "--data", "embedded:I",
+                                 "--n", "0")
+        assert (code, out, err) == (1, "", "error: --n must be a positive integer, got 0\n")
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -371,7 +379,7 @@ class TestCurvesCommand:
     def test_empty_grid_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "curves", "--model", "exp", "--params", "1.5",
                                  "--grid", "0")
-        assert (code, out, err) == (1, "", "error: --grid must be a positive integer\n")
+        assert (code, out, err) == (1, "", "error: --grid must be a positive integer, got 0\n")
 
 
 class TestTttCommand:

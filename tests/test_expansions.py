@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -71,10 +73,12 @@ class TestCoefficients:
 
     def test_delta_matches_factorial_formula(self):
         beta = -2.5
-        c = delta_coeffs(beta, 12)
+        c, xi = delta_coeffs(beta, 12), xi_coeffs(beta, 13)
         for i in (0, 1, 5, 12):
             ref = (-1.0) ** i * beta ** (i + 1) / (-math.expm1(-beta) * math.factorial(i))
             assert c[i] == pytest.approx(ref, rel=1e-12)
+            # xi_j = (-1)^(j+1) beta^j / ((1 - e^-beta) j!) at j = i + 1
+            assert xi[i + 1] == pytest.approx(ref / (i + 1), rel=1e-12)
 
     @pytest.mark.parametrize("beta", [-10.0, -6.587, -0.5, 0.3, 2.0, 6.6, 10.0])
     def test_delta_normalization_identity(self, beta):
@@ -101,6 +105,36 @@ class TestCoefficients:
         for fn in (delta_coeffs, xi_coeffs):
             with pytest.raises(ValueError):
                 fn(0.0, 10)
+
+
+P_FAT = pte_params(0.5, 6.6, 1.0)  # small truncation orders warn here
+# every function of series that takes a truncation order
+N_MAX_CALLS = {
+    "delta_coeffs": lambda n: delta_coeffs(6.6, n),
+    "xi_coeffs": lambda n: xi_coeffs(6.6, n),
+    "series_tail_bound": lambda n: series_tail_bound(6.6, n),
+    "series_pdf": lambda n: series_pdf(1.0, P_FAT, n),
+    "series_cdf": lambda n: series_cdf(1.0, P_FAT, n),
+    "series_order_stat_pdf": lambda n: series_order_stat_pdf(1.0, 2, 5, P_FAT, n_max=n),
+}
+
+
+@pytest.mark.parametrize("name", list(N_MAX_CALLS))
+@pytest.mark.parametrize("n_max, same", [(3.0, 3), (30.0, 30), (True, 1)])
+def test_integral_n_max_is_taken_as_its_int(name, n_max, same):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        np.testing.assert_array_equal(N_MAX_CALLS[name](n_max), N_MAX_CALLS[name](same))
+
+
+@pytest.mark.parametrize("name", list(N_MAX_CALLS))
+@pytest.mark.parametrize("n_max", [2.5, "3", -1])
+def test_bad_n_max_is_refused_by_name_before_any_warning(name, n_max):
+    message = f"n_max must be a nonnegative integer, got {n_max!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            N_MAX_CALLS[name](n_max)
 
 
 # ---------------------------------------------------------------------------

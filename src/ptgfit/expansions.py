@@ -267,13 +267,10 @@ def mean_deviation(about, p):
     with Phi(t) the partial first moment integral_0^t x f(x) dx; mu and Phi
     are both quantile integrals in probability space.
     """
-    mu = raw_moment(1, p)
-    if about == "mean":
-        c = mu
-    elif about == "median":
-        c = ptg_quantile(0.5, p)
-    else:
+    if about not in ("mean", "median"):  # before the integral of mu
         raise ValueError(f"about must be 'mean' or 'median', got {about!r}")
+    mu = raw_moment(1, p)
+    c = mu if about == "mean" else ptg_quantile(0.5, p)
     big_f = ptg_cdf(c, p)
     phi = quad(lambda u, v: _ptg_quantile(u, v, p), 0.0, big_f)
     if about == "mean":

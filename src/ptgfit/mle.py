@@ -48,11 +48,12 @@ every parameter row or one row of data per parameter row (S, n).  One
 adapter (``_loglik_score``) turns the kernels of a search's models into its
 objective ``f(Z, labels)`` by the chain rule, from the table of coordinate
 kinds (``_KINDS``: each kind's map back to its parameter and that map's
-derivative), with one kernel call per model among an evaluation's rows,
-which form one block since the labels ascend: the samples are stacked into
-one array, a shorter one padded with its own first observation, and
-``n_obs`` gives each row's own sample size, over which alone the kernel
-sums.
+derivative at z, none for exp, whose derivative is the parameter itself),
+with one kernel call per model among an evaluation's rows, which form one
+block since the labels ascend, and one product that chains the block's
+score: the samples are stacked once per search, one row per sample, a
+shorter one padded with its own first observation, and ``n_obs`` gives each
+row's own sample size, over which alone the kernel sums.
 
 ``log_likelihood`` and ``FitResult`` serve every model of the shared
 protocol (``PtgParams``, the baselines and the competitor models): the
@@ -486,11 +487,12 @@ def multistart_maximize(loglik_score, starts, box, labels=None):
 
 class _Kind(NamedTuple):
     """A kind of search coordinate: the parameter at coordinate z, elementwise;
-    the derivative of that map ``(z, parameter) -> d parameter / dz``; the
-    starts from a Latin-hypercube column u and the sample mean m; the box
-    half-width; and whether the box is centred on the data's scale -log m
-    rather than on 0.  The kinds: alpha = sin z, beta log-like
-    (``_log_like``) and every positive parameter exp z."""
+    the derivative of that map at z, ``z -> d parameter / dz``, None for exp,
+    whose derivative is the parameter itself; the starts from a
+    Latin-hypercube column u and the sample mean m; the box half-width; and
+    whether the box is centred on the data's scale -log m rather than on 0.
+    The kinds: alpha = sin z, beta log-like (``_log_like``) and every positive
+    parameter exp z."""
 
     value: object
     slope: object
@@ -512,7 +514,7 @@ def _log_like(z):
     return np.where(np.abs(z) <= _KNEE, z, np.copysign(far, z))
 
 
-def _log_like_slope(z, beta):
+def _log_like_slope(z):
     """d beta / dz at z, where beta = ``_log_like(z)``: 1 up to the knee,
     exp(|z| / _KNEE - 1) beyond."""
     return np.where(np.abs(z) <= _KNEE, 1.0, np.exp(np.abs(z) / _KNEE - 1.0))
@@ -525,9 +527,7 @@ def _log_like_inverse(beta):
 
 
 _KINDS = {
-    "alpha": _Kind(
-        np.sin, lambda z, p: np.cos(z), lambda u, m: np.arcsin(-0.9 + 1.8 * u), np.inf
-    ),
+    "alpha": _Kind(np.sin, np.cos, lambda u, m: np.arcsin(-0.9 + 1.8 * u), np.inf),
     "beta": _Kind(  # starts in (-10, -0.1) and (0.1, 10); the box |beta| <= _BETA_BOX
         _log_like,
         _log_like_slope,
@@ -535,12 +535,10 @@ _KINDS = {
             np.where(u < 0.5, -10.0 + (u / 0.5) * 9.9, 0.1 + ((u - 0.5) / 0.5) * 9.9)),
         float(_log_like_inverse(_BETA_BOX)),
     ),
-    "rate": _Kind(np.exp, lambda z, p: p, lambda u, m: np.log(0.1 / m) + u * math.log(100.0),
-                  _LOG_BOX, True),
-    "shape": _Kind(np.exp, lambda z, p: p, lambda u, m: math.log(0.25) + u * math.log(16.0),
-                   _LOG_BOX),
-    "tilt": _Kind(np.exp, lambda z, p: p, lambda u, m: math.log(0.01) + u * math.log(1e4),
-                  _LOG_BOX),
+    "rate": _Kind(np.exp, None, lambda u, m: np.log(0.1 / m) + u * math.log(100.0), _LOG_BOX,
+                  True),
+    "shape": _Kind(np.exp, None, lambda u, m: math.log(0.25) + u * math.log(16.0), _LOG_BOX),
+    "tilt": _Kind(np.exp, None, lambda u, m: math.log(0.01) + u * math.log(1e4), _LOG_BOX),
 }
 
 
@@ -607,37 +605,37 @@ def _loglik_score(samples, models):
     other column a pad that gets a zero score.  The labels must not decrease
     along Z, as :func:`minimize` hands them over, so that each model's rows
     form one block: a block makes one kernel call at the parameters the kinds
-    map its coordinates to, the score chained through each map's derivative.
-    The samples are stacked into one array, one row per label, each shorter
-    sample padded with its own first observation, and the kernel sums each
-    row over its own sample size; a call reads only the columns up to the
-    largest own size among its rows."""
-    rows = [x for _ in models for x in samples]  # label l's sample
-    sizes = np.array([x.size for x in rows])
-    stacked = np.array([np.append(x, np.full(sizes.max() - x.size, x[0])) for x in rows])
+    map its coordinates to, and one product with each map's derivative at z
+    chains the kernel's score.  The samples are stacked once per search, one
+    row per sample, each shorter sample padded with its own first
+    observation, and the kernel sums each row over its own sample size; a
+    call reads only the columns up to the largest own size among its rows."""
+    n = len(samples)
+    sizes = np.array([x.size for x in samples])
+    stacked = np.array([np.append(x, np.full(sizes.max() - x.size, x[0])) for x in samples])
     blocks = []
     for model in models:
         kinds = [_KINDS[kind] for kind in MODELS[model].search]
-        # one exp of a block maps the log-parameters; the other columns are set over it
-        maps = [(j, kind.value) for j, kind in enumerate(kinds) if kind.value is not np.exp]
-        blocks.append((MODELS[model].kernel, kinds, maps))
-    firsts = np.arange(len(models) + 1) * len(samples)  # each model's first label, and the end
+        # one exp maps a block's log-parameters and is their derivative; ``maps`` the rest
+        maps = [(j, kind) for j, kind in enumerate(kinds) if kind.slope is not None]
+        blocks.append((MODELS[model].kernel, len(kinds), maps))
+    firsts = np.arange(len(models) + 1) * n  # each model's first label, and the end
 
     def loglik_score(z, labels):
         ll, score = np.empty(len(z)), np.zeros(z.shape)
         bounds = labels.searchsorted(firsts).tolist()
         with np.errstate(all="ignore"):  # overflow only ever gives a rejected row
-            for (kernel, kinds, maps), a, b in zip(blocks, bounds, bounds[1:]):
+            for (kernel, k, maps), a, b in zip(blocks, bounds, bounds[1:]):
                 if a == b:
                     continue
-                zb, block = z[a:b, :len(kinds)], labels[a:b]
+                zb, rows = z[a:b, :k], labels[a:b] % n
                 theta = np.exp(zb)
-                for j, value in maps:
-                    theta[:, j] = value(zb[:, j])
-                n_obs = sizes[block]
-                ll[a:b], sb = kernel(stacked[block, :n_obs.max()], theta, n_obs=n_obs)
-                for j, kind in enumerate(kinds):
-                    score[a:b, j] = sb[:, j] * kind.slope(zb[:, j], theta[:, j])
+                slope = theta.copy()
+                for j, kind in maps:
+                    theta[:, j], slope[:, j] = kind.value(zb[:, j]), kind.slope(zb[:, j])
+                n_obs = sizes[rows]
+                ll[a:b], sb = kernel(stacked[rows, :n_obs.max()], theta, n_obs=n_obs)
+                np.multiply(sb, slope, out=score[a:b, :k])
         return ll, score
 
     return loglik_score

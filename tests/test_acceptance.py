@@ -15,7 +15,6 @@ import pytest
 from scipy.integrate import quad
 
 from ptgfit.baselines import Exponential, Weibull
-from ptgfit.competitors import fit_competitor
 from ptgfit.data import describe, embedded_dataset
 from ptgfit.distributions import (
     PtgParams,
@@ -34,7 +33,7 @@ from ptgfit.expansions import (
     raw_moment,
 )
 from ptgfit.gof import evaluate_gof
-from ptgfit.mle import log_likelihood
+from ptgfit.mle import FitOptions, fit, log_likelihood
 from ptgfit.series import (
     delta_coeffs,
     series_cdf,
@@ -190,11 +189,11 @@ def test_criterion_4_gof_relief_ad_cvm(gof_pte_II):
 
 
 def test_criterion_5_competitors(data_I, data_II):
-    exp_i = fit_competitor(data_I, "exp")
-    exp_ii = fit_competitor(data_II, "exp")
-    me_i = fit_competitor(data_I, "me")
-    me_ii = fit_competitor(data_II, "me")
-    moe_i = fit_competitor(data_I, "moe", seed=0)
+    exp_i = fit(data_I, "exp")
+    exp_ii = fit(data_II, "exp")
+    me_i = fit(data_I, "me")
+    me_ii = fit(data_II, "me")
+    moe_i = fit(data_I, "moe", FitOptions(seed=0))
     moe_aic = -2.0 * moe_i.loglik + 4.0
     _report(
         "criterion 5: competitor fits",
@@ -218,7 +217,7 @@ def test_criterion_6_aic_ranking(data_I, data_II, gof_pte_I, gof_pte_II):
     ):
         others = []
         for comp in ("exp", "me", "moe"):
-            cfit = fit_competitor(data, comp, seed=0)
+            cfit = fit(data, comp, FitOptions(seed=0))
             others.append(-2.0 * cfit.loglik + 2.0 * cfit.k)
         checks.append(
             (

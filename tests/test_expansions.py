@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from ptgfit import expansions
 from ptgfit.baselines import Exponential, Weibull
 from ptgfit.distributions import (
     pte_params,
@@ -20,9 +21,11 @@ from ptgfit.distributions import (
     tg_pdf,
 )
 from ptgfit.expansions import (
+    QuadratureWarning,
     mean_deviation,
     mgf,
     order_stat_pdf,
+    quad as quad_rule,
     pwm,
     raw_moment,
     renyi_entropy,
@@ -676,6 +679,30 @@ class TestRenyiEntropy:
         want = math.log(integral) / (1.0 - delta)
         assert renyi_entropy(delta, p) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            0.5,
+            pytest.param(0.1, marks=pytest.mark.xfail(
+                strict=True,
+                reason="at alpha = 1 ptg_log_pdf forms fac from G and reads -inf once G "
+                "rounds to 1 (x > 37 at rate 1), a tail that delta = 0.1 weights: about "
+                "4e-4 low, with a QuadratureWarning (ROADMAP item 6)",
+            )),
+        ],
+    )
+    @pytest.mark.parametrize("beta", [2.0, -700.0])
+    def test_alpha_one_against_mpmath(self, beta, delta):
+        with mpmath.workdps(30):
+            pdf, _ = _mp_pte(1.0, beta, 1.0)
+            d = mpmath.mpf(delta)
+            integral = mpmath.quad(lambda x: pdf(x) ** d, [0, 1, 4, 16, 64, 256, mpmath.inf])
+            want = float(mpmath.log(integral) / (1 - d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureWarning)
+            got = renyi_entropy(delta, pte_params(1.0, beta, 1.0))
+        assert got == pytest.approx(want, rel=1e-6)
+
     def test_domain_validation(self):
         # NaN came back as NaN, and inf as NaN with a RuntimeWarning
         for bad in (0.0, -1.0, 1.0, math.nan, math.inf):
@@ -712,6 +739,21 @@ class TestMeanDeviation:
     def test_unknown_center_rejected(self):
         with pytest.raises(ValueError):
             mean_deviation("mode", P_HALF_2_1)
+
+    def test_unknown_center_integrates_nothing(self, monkeypatch):
+        calls = []
+
+        def counting_quad(*args):
+            calls.append(args)
+            return quad_rule(*args)
+
+        monkeypatch.setattr(expansions, "quad", counting_quad)
+        mean_deviation("mean", P_HALF_2_1)
+        assert len(calls) == 2  # mu and the partial moment: the wrapper counts
+        calls.clear()
+        with pytest.raises(ValueError, match="about must be 'mean' or 'median'"):
+            mean_deviation("mode", P_HALF_2_1)
+        assert calls == []
 
 
 class TestReparameterizationInvariance:

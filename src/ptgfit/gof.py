@@ -85,11 +85,18 @@ def kolmogorov_pvalue(t):
 
 
 def _pit(data, cdf):
-    """The sample size and the probability integral transform of the sorted sample."""
-    x = np.sort(np.asarray(data, dtype=float))
-    if x.size == 0:
-        raise ValueError("data must be nonempty")
-    return x.size, np.asarray(cdf(x), dtype=float)
+    """The sample size and the probability integral transform of the sorted
+    sample, which must pass :func:`data.check_sample`; a transform that is
+    not one value per observation, NaN or outside [0, 1] is refused."""
+    x = np.sort(check_sample(data))
+    u = np.asarray(cdf(x), dtype=float)
+    if u.shape != x.shape:  # a scalar would broadcast into the statistics
+        raise ValueError(f"cdf(x) must return one value per observation, got shape {u.shape}")
+    bad = ~((u >= 0.0) & (u <= 1.0))  # also NaN
+    if bad.any():
+        raise ValueError(
+            f"the probability integral transform cdf(x) must lie in [0, 1], got {float(u[bad][0])}")
+    return x.size, u
 
 
 def _ks(n, u):
@@ -156,8 +163,8 @@ def ttt_points(data):
 def evaluate_gof(data, cdf, k, loglik):
     """Assemble the full :class:`GofReport` for one fitted model; the three
     EDF statistics share one probability integral transform, which only
-    A^2 clips."""
-    data = np.asarray(data, dtype=float)
+    A^2 clips.  The data pass :func:`data.check_sample` first."""
+    data = check_sample(data)
     ic = information_criteria(loglik, k, data.size)
     n, u = _pit(data, cdf)
     ks, ks_p = _ks(n, u)

@@ -32,16 +32,15 @@ tail to strand a start in; beta log-like, z itself for |beta| <= 3 and
 log |beta|), with the kernel's small exclusion band around zero; and
 positive parameters via log.  Standard errors come from inverting the
 observed information matrix, the exact negated Hessian in the original
-coordinates.  A fit records the cost of its search
-(``FitResult.objective_calls`` and ``start_rows``), which every result of
-one ``fit_models`` call shares.
+coordinates: a numerical model's order-2 kernel at the estimate, negated
+(PT-G's is public as ``observed_information``).  A fit records the cost of
+its search (``FitResult.objective_calls`` and ``start_rows``), which every
+result of one ``fit_models`` call shares.
 
 Each row of ``MODELS`` carries ``make``, the model from its parameter
-values, and ``information``, the observed information at the estimate: a
-closed form for ``exp`` and ``me``, else the negated order-2 kernel, PT-G's
-through ``observed_information``, looked up at call time so that a tracer's
-rebinding is seen.  A numerical model adds the kinds of its search
-coordinates and its batched kernel, ``kernel(data, theta, order=1, n_obs=None)``
+values; ``exp`` and ``me`` add their closed-form ``information``, the
+observed information at the estimate.  A numerical model adds the kinds of
+its search coordinates and its batched kernel, ``kernel(data, theta, order=1, n_obs=None)``
 (``ptg_loglik_derivatives`` with its baseline family bound, or
 ``moe_loglik_derivatives``), which takes one sample (n,) for
 every parameter row or one row of data per parameter row (S, n).  One
@@ -345,18 +344,16 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
         if n == 0:  # also when no row started live
             break
 
-        every = new.all()  # the common pass: every row takes the full step of a new step
         if new.any():  # the new steps' directions
-            r = slice(None) if every else np.flatnonzero(new)
-            rows = np.arange(n) if every else r
-            past[rows, steps[rows] % _FREEZE_WINDOW] = fs[r]
+            r = np.flatnonzero(new)
+            past[r, steps[r] % _FREEZE_WINDOW] = fs[r]
             gr, gmr, fr = gs[r], gmax[r], fresh[r]
             dr = -np.einsum("sij,sj->si", hs[r], gr)
             sl = np.einsum("si,si->s", dr, gr)
             steep = fr | ~(sl < 0.0)  # no descent: back to the gradient
             if steep.any():
                 fresh[r] = fr | steep
-                hs[rows[steep]] = eye
+                hs[r[steep]] = eye
                 dr[steep] = -gr[steep] / np.maximum(gmr[steep], 1.0)[:, None]
                 sl[steep] = np.einsum("si,si->s", dr[steep], gr[steep])
             d[r], slope[r] = dr, sl
@@ -365,13 +362,10 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
         # the trial points of every row's stage, each trial's row ``at`` and
         # step ``ladder``, a row's trials adjacent so that each sample's rows
         # stay contiguous
-        if every:
-            at, ladder = slice(None), _STEPS[:1]
-        else:
-            size = _STAGE_SIZE[stage]
-            at = np.repeat(np.arange(n), size)
-            shift = np.repeat(_STAGE_FIRST[stage] - np.cumsum(size) + size, size)
-            ladder = _STEPS[np.arange(at.size) + shift]
+        size = _STAGE_SIZE[stage]
+        at = np.repeat(np.arange(n), size)
+        shift = np.repeat(_STAGE_FIRST[stage] - np.cumsum(size) + size, size)
+        ladder = _STEPS[np.arange(at.size) + shift]
         zt = zs[at] + ladder[:, None] * d[at]
         ft, gt = fun(zt, lab[at])
         gt_max = np.abs(gt).max(axis=1)  # NaN or inf unless the gradient is finite
@@ -383,21 +377,20 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
                 | ((ft <= level[at]) & (gt_max < gmax[at]))
             )
         )
-        t = np.flatnonzero(ok)  # each row's first accepted trial
-        if not every:
-            hit_rows = at[t]
-            first = np.ones(t.size, dtype=bool)
-            first[1:] = hit_rows[1:] != hit_rows[:-1]
-            t = t[first]
+        t = np.flatnonzero(ok)
+        hit_rows = at[t]
+        first = np.ones(t.size, dtype=bool)
+        first[1:] = hit_rows[1:] != hit_rows[:-1]
+        t = t[first]  # each row's first accepted trial
         hit = np.zeros(n, dtype=bool)
-        hit[t if every else at[t]] = True
+        hit[hit_rows] = True
         done = hit | (stage == _STAGE_SIZE.size - 1)  # a step found, or the last stage failed
         stage += 1
         if not done.any():
             continue
 
         # the rows whose search ended: the step, the box, the BFGS update
-        c = slice(None) if done.all() else np.flatnonzero(done)
+        c = np.flatnonzero(done)
         failed = ~hit[c]
         z_old, f_old, g_old, gmax_old = zs[c], fs[c], gs[c], gmax[c]
         z_new, f_new, g_new, gmax_new = z_old.copy(), f_old.copy(), g_old.copy(), gmax_old.copy()
@@ -557,16 +550,17 @@ def _latin_hypercube(n, d, seed):
 
 @dataclass(frozen=True)
 class _Model:
-    """One tag of :func:`fit`: the model from its parameter values, its exact
-    observed information ``(data, model) -> matrix``, and either the
-    closed-form estimate ``data -> values`` or the kinds of its search
+    """One tag of :func:`fit`: the model from its parameter values, and
+    either the closed-form estimate ``data -> values`` and observed
+    information ``(data, model) -> matrix``, or the kinds of its search
     coordinates with its batched ``kernel(data, theta, order=1, n_obs=None)``,
     the log-likelihoods (S,), scores (S, k) and at ``order`` 2 Hessians
     (S, k, k) at the parameter rows ``theta`` (S, k), ``data`` one sample or
-    one padded row per parameter row with its own size in ``n_obs``."""
+    one padded row per parameter row with its own size in ``n_obs``; the
+    negated Hessian at the estimate is the model's observed information."""
 
     make: object
-    information: object
+    information: object = None
     closed_form: object = None
     search: tuple = ()
     kernel: object = None
@@ -580,20 +574,16 @@ def _ptg_kernel(family):
     return kernel
 
 
-# the PT-G information is looked up at call time, so that a rebinding of
-# ``observed_information`` (perfbench/tracing.py) is seen
 MODELS = {
-    "pte": _Model(pte_params, lambda x, p: observed_information(x, p),
-                  search=("alpha", "beta", "rate"), kernel=_ptg_kernel(Exponential)),
-    "ptw": _Model(ptw_params, lambda x, p: observed_information(x, p),
-                  search=("alpha", "beta", "rate", "shape"), kernel=_ptg_kernel(Weibull)),
+    "pte": _Model(pte_params, search=("alpha", "beta", "rate"), kernel=_ptg_kernel(Exponential)),
+    "ptw": _Model(ptw_params, search=("alpha", "beta", "rate", "shape"),
+                  kernel=_ptg_kernel(Weibull)),
     "exp": _Model(Exponential, lambda x, m: np.array([[x.size / m.lam**2]]),
                   closed_form=lambda x: (1.0 / x.mean(),)),
     "me": _Model(MomentExponential, lambda x, m: np.array([[2.0 * x.size / m.sigma**2]]),
                  closed_form=lambda x: (x.mean() / 2.0,)),
-    "moe": _Model(MarshallOlkinExponential,
-                  lambda x, m: -moe_loglik_derivatives(x, np.array([m.values]), order=2)[2][0],
-                  search=("tilt", "rate"), kernel=moe_loglik_derivatives),
+    "moe": _Model(MarshallOlkinExponential, search=("tilt", "rate"),
+                  kernel=moe_loglik_derivatives),
 }
 
 
@@ -721,7 +711,8 @@ def fit_models(samples, models, opts=None):
                     f"fitted beta = {estimates.beta:.6g} lies outside the documented "
                     f"|beta| <= {_BETA_WARN:g}"
                 )
-            info = spec.information(x, estimates)
+            info = (-spec.kernel(x, np.array([estimates.values]), order=2)[2][0]
+                    if model in searched else spec.information(x, estimates))
             results[model].append(FitResult.from_information(
                 estimates, log_likelihood(x, estimates), info, converged, n_launches, x.size,
                 cost if model in searched else (0, 0),

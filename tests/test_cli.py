@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -116,11 +117,16 @@ class TestFitCommand:
 
     @staticmethod
     def _unknown_information(monkeypatch):
+        # a PT-E kernel whose order-2 Hessian, the fit's information, is NaN
         import ptgfit.mle as mle_mod
 
-        monkeypatch.setattr(
-            mle_mod, "observed_information", lambda data, p: np.full((3, 3), np.nan)
-        )
+        spec = mle_mod.MODELS["pte"]
+
+        def kernel(data, theta, order=1, n_obs=None):
+            out = spec.kernel(data, theta, order, n_obs)
+            return out if order == 1 else (*out[:2], np.full_like(out[2], np.nan))
+
+        monkeypatch.setitem(mle_mod.MODELS, "pte", dataclasses.replace(spec, kernel=kernel))
 
     def test_strict_json_and_unknown_intervals(self, capsys, monkeypatch):
         # an information matrix that is not finite: the standard errors are

@@ -314,3 +314,42 @@ class TestEvaluateGof:
         with pytest.warns(UserWarning, match="clipped") as record:
             evaluate_gof(np.array([0.5, 1.0, 2.0, 3.0]), lambda v: np.clip(v / 2.0, 0, 1), 1, -3.0)
         assert [w.filename for w in record] == [__file__]
+
+
+def _exp_cdf(v):
+    return 1.0 - np.exp(-np.asarray(v))
+
+
+# each public EDF statistic as a call of (data, cdf)
+EDF_CALLS = {
+    "ks_test": ks_test,
+    "anderson_darling": anderson_darling,
+    "cramer_von_mises": cramer_von_mises,
+    "evaluate_gof": lambda data, cdf: evaluate_gof(data, cdf, 1, -3.0),
+}
+
+
+@pytest.mark.parametrize("call", EDF_CALLS.values(), ids=EDF_CALLS.keys())
+class TestRefusedInputs:
+    def test_nan_data(self, call):
+        # gave NaN statistics
+        with pytest.raises(ValueError, match="finite"):
+            call([1.0, math.nan, 2.0, 3.0, 4.0], _exp_cdf)
+
+    def test_negative_data(self, call):
+        # gave a KS statistic of 1.918, above its maximum of 1
+        with pytest.raises(ValueError, match="strictly positive"):
+            call([-1.0, 1.0, 2.0, 3.0, 4.0], _exp_cdf)
+
+    def test_transform_above_one(self, call):
+        with pytest.raises(ValueError, match=r"probability integral transform .* got 1\.2"):
+            call([1.0, 2.0, 3.0, 4.0, 5.0], lambda v: np.minimum(0.3 * np.asarray(v), 1.2))
+
+    def test_transform_of_another_shape(self, call):
+        # a scalar gave a KS statistic and a W^2 as if every u were 0.5
+        with pytest.raises(ValueError, match=r"one value per observation, got shape \(\)"):
+            call([1.0, 2.0, 3.0, 4.0, 5.0], lambda v: 0.5)
+
+    def test_nan_transform(self, call):
+        with pytest.raises(ValueError, match="probability integral transform .* got nan"):
+            call([1.0, 2.0, 3.0, 4.0, 5.0], lambda v: np.where(np.asarray(v) > 4.5, np.nan, 0.1))

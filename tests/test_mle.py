@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptgfit import mle
-from ptgfit.baselines import Exponential, MarshallOlkinExponential, Weibull
+from ptgfit.baselines import Exponential, MarshallOlkinExponential, Weibull, moe_loglik_derivatives
 from ptgfit.distributions import (
     PtgParams,
     pte_params,
@@ -425,6 +425,30 @@ class TestObservedInformation:
         assert res.std_errors == pytest.approx([0.0403, 6.20, 0.0694], rel=2e-3)
         assert res.ci_low[0] == -1.0
         assert res.ci_high[0] == pytest.approx(-0.921, abs=5e-4)
+
+    @pytest.mark.parametrize("dataset", ["I", "II"])
+    def test_searched_information_is_the_negated_kernel(self, data_I, data_II, dataset):
+        # a searched model's information is its negated order-2 kernel at the
+        # estimate, bit for bit, fitted alone and in one fit_models call; PT-G's
+        # is also observed_information
+        data = data_I if dataset == "I" else data_II
+        kernels = {
+            "pte": lambda x, theta: ptg_loglik_derivatives(x, Exponential, theta, order=2),
+            "ptw": lambda x, theta: ptg_loglik_derivatives(x, Weibull, theta, order=2),
+            "moe": lambda x, theta: moe_loglik_derivatives(x, theta, order=2),
+        }
+        opts = FitOptions(n_starts=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # PT-W II: singular to tolerance
+            joint = mle.fit_models([data], tuple(kernels), opts)
+            solo = {model: fit(data, model, opts) for model in kernels}
+        for model, kernel in kernels.items():
+            assert MODELS[model].information is None, model
+            for res in (solo[model], joint[model][0]):
+                want = -kernel(data, np.array([res.estimates.values]))[2][0]
+                assert np.array_equal(res.info_matrix, want), model
+                if model != "moe":
+                    assert np.array_equal(observed_information(data, res.estimates), want), model
 
     def test_symmetric_by_construction(self, data_II):
         info = observed_information(data_II, pte_params(0.3, -2.0, 1.0))

@@ -14,6 +14,8 @@ Two classic failure-time datasets ship with the package:
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -75,6 +77,15 @@ def _integer(value, low, message):
     if not ok:
         raise ValueError(message)
     return int(value)
+
+
+def _warn(message, category=UserWarning):
+    """Every warning of ptgfit, located at the first frame outside the
+    package: the line that called into ptgfit."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "ptgfit":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,10 @@ series expansions live in :mod:`series`, as cross-checks of these forms.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .data import _integer
+from .data import _integer, _warn
 from .distributions import (
     _ptg_quantile,
     _tg_quantile,
@@ -107,8 +106,11 @@ def quad(fn, a, b):
     brings the product down.  The step halves from 1 to 1/256 and the rule
     stops when two successive levels agree to a relative 1e-11; if the
     finest level does not, or every level sums to an exact 0, it warns with
-    :class:`QuadratureWarning` and returns the finest level's sum.
+    :class:`QuadratureWarning` and returns the finest level's sum.  A
+    non-finite ``a``, or a ``b`` that is NaN or -inf, is a ``ValueError``.
     """
+    if not (math.isfinite(a) and -np.inf < b):  # also refuses NaN
+        raise ValueError(f"quad integrates from a finite a to a finite b or inf, got [{a}, {b}]")
     if b == np.inf:
         if a != 0.0:
             raise ValueError("the half-line rule integrates over [0, inf)")
@@ -134,12 +136,8 @@ def quad(fn, a, b):
         # a sum of exact zeros is every node missing the integrand
         if level >= 2 and total != 0.0 and abs(total - previous) <= _RTOL * abs(total):
             return float(total)
-    warnings.warn(
-        f"quadrature over [{a}, {b}] did not reach a relative {_RTOL:g} at "
-        f"step 1/{2**_LEVELS}; returning {float(total)!r}",
-        QuadratureWarning,
-        stacklevel=3,
-    )
+    _warn(f"quadrature over [{a}, {b}] did not reach a relative {_RTOL:g} at "
+          f"step 1/{2**_LEVELS}; returning {float(total)!r}", QuadratureWarning)
     return float(total)
 
 

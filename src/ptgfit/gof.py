@@ -14,13 +14,12 @@ No small-sample modification factors are applied.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import check_sample
+from .data import _integer, _warn, check_sample
 
 __all__ = [
     "InformationCriteria",
@@ -60,7 +59,11 @@ class GofReport:
 
 
 def information_criteria(loglik, k, n):
-    """AIC, BIC, CAIC (second-order AIC) and HQIC for a fitted model."""
+    """AIC, BIC, CAIC (second-order AIC) and HQIC of k parameters on n observations."""
+    k = _integer(k, 0, f"k must be a nonnegative integer, got {k!r}")
+    n = _integer(n, 1, f"n must be a positive integer, got {n!r}")
+    if math.isnan(loglik):
+        raise ValueError("loglik must not be NaN")
     if n <= k + 1:
         raise ValueError("need n > k + 1 for the CAIC denominator")
     aic = -2.0 * loglik + 2.0 * k
@@ -74,7 +77,9 @@ _KOLMOGOROV_TERMS = 100  # of the series below, ample from t = 0.05 on
 
 
 def kolmogorov_pvalue(t):
-    """Asymptotic Kolmogorov survival function 2 * sum (-1)^(m-1) exp(-2 m^2 t^2)."""
+    """Asymptotic Kolmogorov survival function 2 * sum (-1)^(m-1) exp(-2 m^2 t^2), t >= 0."""
+    if not t >= 0.0:  # also refuses NaN
+        raise ValueError(f"t must be nonnegative, got {t!r}")
     if t < 0.05:
         # the alternating series needs impractically many terms here and the
         # true value is 1 to within double precision
@@ -106,14 +111,10 @@ def _ks(n, u):
 
 
 def _clipped(u):
-    """``u`` kept away from {0, 1} for the logarithms of A^2, with a warning
-    located at the caller of the public function that asked for it.  W^2
-    takes no logarithm and reads ``u`` as it is."""
+    """``u`` kept away from {0, 1} for the logarithms of A^2, with a warning.
+    W^2 takes no logarithm and reads ``u`` as it is."""
     if (u <= 1e-12).any() or (u >= 1.0 - 1e-12).any():
-        warnings.warn(
-            "probability integral transform clipped away from {0, 1}",
-            stacklevel=3,
-        )
+        _warn("probability integral transform clipped away from {0, 1}")
         u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return u
 

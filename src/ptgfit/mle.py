@@ -63,8 +63,6 @@ built from the estimates and their observed information alike.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,7 +75,7 @@ from .baselines import (
     Weibull,
     moe_loglik_derivatives,
 )
-from .data import _integer, check_sample
+from .data import _integer, _warn, check_sample
 from .distributions import PtgParams, ptg_loglik_derivatives, pte_params, ptw_params
 
 __all__ = [
@@ -92,16 +90,6 @@ __all__ = [
     "wald_ci",
     "multistart_maximize",
 ]
-
-
-def _warn(message):
-    """A ``UserWarning`` located at the first caller outside this module, so
-    that ``fit``, ``fit_samples`` and ``fit_models`` warn at the line that
-    called them."""
-    frame, level = sys._getframe(1), 2
-    while frame is not None and frame.f_globals is globals():
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
 
 
 @dataclass(frozen=True)

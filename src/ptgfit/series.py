@@ -17,12 +17,11 @@ cut at the truncation order.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .data import _integer
+from .data import _integer, _warn
 from .distributions import _transmuted
 from .expansions import _order_const
 
@@ -106,11 +105,8 @@ def _resolve_n_max(beta, n_max):
     n_max = _n_max(n_max)
     bound = series_tail_bound(beta, n_max)
     if bound > 1e-8:
-        warnings.warn(
-            f"series truncated at n_max={n_max} with tail bound {bound:.3g} > 1e-8",
-            TruncationWarning,
-            stacklevel=3,
-        )
+        _warn(f"series truncated at n_max={n_max} with tail bound {bound:.3g} > 1e-8",
+              TruncationWarning)
     return n_max
 
 

@@ -72,6 +72,21 @@ class TestInformationCriteria:
         with pytest.raises(ValueError):
             information_criteria(-10.0, 3, 4)
 
+    @pytest.mark.parametrize("loglik, k, n, message", [
+        (-10.0, 2.5, 20, "k must be a nonnegative integer"),  # was scored at k = 2.5
+        (-10.0, -1, 20, "k must be a nonnegative integer"),
+        (-10.0, 1, 3.5, "n must be a positive integer"),
+        (math.nan, 1, 20, "loglik must not be NaN"),  # gave NaN criteria
+    ], ids=["fractional_k", "negative_k", "fractional_n", "nan_loglik"])
+    def test_refuses_what_it_cannot_score(self, loglik, k, n, message):
+        with pytest.raises(ValueError, match=message):
+            information_criteria(loglik, k, n)
+
+    def test_evaluate_gof_refuses_a_fractional_k(self):
+        # reported k = 2 beside an AIC computed at k = 2.5
+        with pytest.raises(ValueError, match="k must be a nonnegative integer, got 2.5"):
+            evaluate_gof(np.array([0.5, 1.0, 2.0, 3.0, 4.0]), _exp_cdf, 2.5, -10.0)
+
     @pytest.mark.parametrize(
         "n,rows", [(72, PUBLISHED_ROWS_I), (20, PUBLISHED_ROWS_II)]
     )
@@ -137,6 +152,11 @@ class TestKsTest:
 
     def test_pvalue_saturates_at_tiny_statistic(self):
         assert kolmogorov_pvalue(0.01) == 1.0
+
+    @pytest.mark.parametrize("t", [math.nan, -1.0])  # gave NaN and 1.0
+    def test_pvalue_refuses_a_nan_or_negative_statistic(self, t):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            kolmogorov_pvalue(t)
 
     def test_ties_allowed(self):
         data = [1.0, 1.0, 1.0, 2.0, 2.0]

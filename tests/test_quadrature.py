@@ -83,6 +83,17 @@ class TestRule:
         with pytest.warns(QuadratureWarning):
             quad(lambda u, v: np.sign(np.sin(1e6 * u)), 0.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [
+        (0.0, math.nan),  # returned NaN after a QuadratureWarning
+        (0.0, -math.inf),  # returned inf after a QuadratureWarning
+        (math.nan, 1.0),
+        (-math.inf, 1.0),
+        (math.inf, math.inf),
+    ], ids=["nan_b", "minus_inf_b", "nan_a", "minus_inf_a", "inf_a"])
+    def test_refuses_bounds_it_cannot_integrate(self, a, b):
+        with pytest.raises(ValueError, match="from a finite a to a finite b or inf"):
+            quad(lambda u, v: u, a, b)
+
 
 class TestMpmathOracles:
     def test_fourth_moment_at_beta_30(self):

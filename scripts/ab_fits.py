@@ -136,10 +136,10 @@ def summary(old, new):
               f" {gained:>5} {lost:>5} {before:>9} {after:>9}")
 
 
-def diff(old, new):
-    """Print each fit that differs between the sweeps ``old`` and ``new``,
-    then their ``summary``; the number of fits that differ or are in one
-    sweep only."""
+def differences(old, new, noun="fits"):
+    """Print each entry that differs between the files ``old`` and ``new``,
+    with its fields that differ, then their count; the number of entries
+    that differ or are in one file only."""
     keys, differing = sorted(old.keys() | new.keys()), 0
     for key in keys:
         if key not in old or key not in new:
@@ -150,7 +150,14 @@ def diff(old, new):
         else:
             continue
         differing += 1
-    print(f"{differing} of {len(keys)} fits differ")
+    print(f"{differing} of {len(keys)} {noun} differ")
+    return differing
+
+
+def diff(old, new):
+    """The ``differences`` of the sweeps ``old`` and ``new``, then their
+    ``summary``; the number of fits that differ or are in one sweep only."""
+    differing = differences(old, new)
     summary(old, new)
     return differing
 

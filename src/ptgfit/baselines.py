@@ -20,7 +20,8 @@ survival function 1 - cdf in its own exact form (exp(-lam H) with H = x or
 x**theta, exp(log1p(y) - y) with y = x/sigma, and the Marshall-Olkin tilted
 tail), never a subtraction, so it keeps its digits where the cdf rounds to 1.
 The baselines also have ``isf``, the inverse survival function, for the
-upper-tail quantiles.
+upper-tail quantiles; like ``quantile`` it refuses a level outside [0, 1] or
+NaN.
 
 For the PT-G score and information each baseline also has one class-level,
 parameter-batched method, ``derivatives(x, params, order=1)``: given
@@ -122,7 +123,13 @@ class Weibull:
         return xt if self.theta == 1.0 else xt ** (1.0 / self.theta)
 
     def isf(self, h):
-        """Inverse survival function: the x with 1 - G(x) = h."""
+        """Inverse survival function: the x with 1 - G(x) = h; ``ValueError``
+        for an h outside [0, 1] or NaN, as :meth:`quantile`."""
+        return self._isf(_probability(h))
+
+    def _isf(self, h):
+        """:meth:`isf` without the check of h: the PT-G quantiles check their
+        levels once, before their layers map them to h."""
         xt = -np.log(h) / self.lam
         return xt if self.theta == 1.0 else xt ** (1.0 / self.theta)
 

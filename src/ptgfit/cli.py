@@ -8,7 +8,8 @@ a subcommand has no table) and JSON when piped; ``--format`` overrides,
 offering only the formats the subcommand writes.  All numbers are printed to
 6 significant digits; JSON writes NaN and infinities as ``null``.  Exit
 codes: 0 ok, 1 usage or I/O error, 2 non-convergence, 3 reproduction gate
-failure.
+failure.  The console script (``entrypoint``) prints each warning as
+``ptgfit: warning: <message>``, without a source line.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -429,8 +431,16 @@ def main(argv=None):
         return 1
 
 
+def _show_plainly(message, category, filename, lineno, file=None, line=None):
+    print(f"ptgfit: warning: {message}", file=sys.stderr if file is None else file)
+
+
 def entrypoint():
-    sys.exit(main())
+    """The console script: :func:`main`, each warning printed without the
+    source line that ``data._warn`` names for a library caller."""
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_plainly
+        sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -208,7 +208,7 @@ def _tg_quantile(u, v, alpha, baseline):
     is the transmuted cdf at -alpha in 1 - G, and x is the baseline's
     inverse survival function."""
     return _split(u, v, lambda w: baseline.quantile(_tg_invert(w, alpha)),
-                  lambda w: baseline.isf(_tg_invert(w, -alpha)))
+                  lambda w: baseline._isf(_tg_invert(w, -alpha)))
 
 
 def tg_quantile(u, alpha, baseline):
@@ -389,7 +389,7 @@ def _ptg_quantile(u, v, p):
     -beta, and x follows from 1 - T as in :func:`_tg_quantile`."""
     alpha, beta, base = p.alpha, p.beta, p.baseline
     return _split(u, v, lambda w: base.quantile(_tg_invert(_poisson_invert(w, beta), alpha)),
-                  lambda w: base.isf(_tg_invert(_poisson_invert(w, -beta), -alpha)))
+                  lambda w: base._isf(_tg_invert(_poisson_invert(w, -beta), -alpha)))
 
 
 def ptg_quantile(u, p):

@@ -12,8 +12,7 @@ model's analytic score.  Each start's line search runs in up to three
 stages, its full step, then its next four halvings, then the other
 fifteen, and each pass of the engine makes exactly one objective call, on
 the current stage of every start: a start whose full step failed tries its
-halvings beside the other starts' next steps.  The loop carries only the
-starts that have not stopped (its working set).
+halvings beside the other starts' next steps.
 ``fit_models(samples, models)`` fits several tags to several samples in one
 lockstep search, ``fit_samples(samples, model)`` is its one-tag case and
 ``fit`` the one-sample case of that: every start row carries the label of
@@ -276,66 +275,46 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
     at the value it holds in that pass, and it closed less than
     ``_FREEZE_CLOSE`` of that gap over its last ``_FREEZE_WINDOW`` steps: a
     dead start that can no longer win.  The lowest row of a sample is never
-    frozen.  The loop holds only the live rows (the working set), in the
-    order of ``z0``, and writes a row back when it stops, so labels that
-    ascend in ``z0`` ascend in every ``fun`` call.  A row's path depends on
-    the rows of its own sample alone.  Returns the final points, values and
-    gradients.
+    frozen.  Each call after the first takes the live rows in the order of
+    ``z0``, so labels that ascend in ``z0`` ascend in every ``fun`` call.  A
+    row's path depends on the rows of its own sample alone.  Returns the
+    final points, values and gradients.
     """
     z = np.array(z0, dtype=float)
-    n_rows, k = z.shape
-    labels = np.zeros(n_rows, dtype=int) if labels is None else np.asarray(labels)
+    labels = np.zeros(len(z), dtype=int) if labels is None else np.asarray(labels)
     f, g = fun(z, labels)
-    eye = np.eye(k)
+    eye = np.eye(z.shape[1])
     lo, hi = (np.broadcast_to(bound, z.shape) for bound in box)
-    live = np.isfinite(f) & np.isfinite(g).all(axis=1)
-    best_stopped = np.full(labels.max() + 1, np.inf)  # each sample's lowest finite stopped value
-    dead = ~live & np.isfinite(f)
-    np.minimum.at(best_stopped, labels[dead], f[dead])
-    # the working set: each live row's index, point, value, gradient and its
-    # max-norm, label, box, inverse Hessian, whether that is still the
+    counted = np.isfinite(f)  # the rows whose values count in the freeze
+    # each row's gradient max-norm, inverse Hessian, whether that is still the
     # identity, its values of the last steps, its steps taken, its search
     # stage (0 for a new step) and its search's direction, slope and level
-    idx = np.flatnonzero(live)
-    zs, fs, gs, lab, los, his = z[idx], f[idx], g[idx], labels[idx], lo[idx], hi[idx]
-    n = idx.size
-    gmax = np.abs(gs).max(axis=1)
-    hs = np.tile(eye, (n, 1, 1))
-    fresh = np.ones(n, dtype=bool)
-    past = np.empty((n, _FREEZE_WINDOW))
-    steps = np.zeros(n, dtype=int)
-    stage = np.zeros(n, dtype=int)
-    d, slope, level = np.empty((n, k)), np.empty(n), np.empty(n)
-    going = np.ones(n, dtype=bool)
+    gmax = np.abs(g).max(axis=1)
+    going = counted & np.isfinite(gmax)
+    hs = np.tile(eye, (len(z), 1, 1))
+    fresh = np.ones(len(z), dtype=bool)
+    past = np.empty((len(z), _FREEZE_WINDOW))
+    steps = np.zeros(len(z), dtype=int)
+    stage = np.zeros(len(z), dtype=int)
+    d, slope, level = np.empty_like(z), np.empty(len(z)), np.empty(len(z))
     while True:
-        new = stage == 0  # the rows about to take a new step
+        new = going & (stage == 0)  # the live rows about to take a new step
         going &= ~new | ((gmax >= _GTOL) & (steps < max_iter))
-        check = new & (steps >= _FREEZE_WINDOW)
-        if check.any():  # live rows hold finite values: no inf - inf
-            best = best_stopped.copy()
-            np.minimum.at(best, lab, fs)
-            c = np.flatnonzero(check)
-            gap = fs[c] - best[lab[c]]
+        c = np.flatnonzero(new & (steps >= _FREEZE_WINDOW))
+        if c.size:  # the counted rows hold finite values: no inf - inf
+            best = np.full(labels.max() + 1, np.inf)
+            np.minimum.at(best, labels[counted], f[counted])
+            gap = f[c] - best[labels[c]]
             going[c] &= (gap <= _FREEZE_GAP) | (
-                past[c, steps[c] % _FREEZE_WINDOW] - fs[c] >= _FREEZE_CLOSE * gap)
-        if not going.all():  # write the stopped rows back and drop them
-            stop = ~going
-            z[idx[stop]], f[idx[stop]], g[idx[stop]] = zs[stop], fs[stop], gs[stop]
-            np.minimum.at(best_stopped, lab[stop], fs[stop])
-            (idx, zs, fs, gs, gmax, lab, los, his, hs, fresh, past, steps, stage, d, slope,
-             level, new) = (
-                a[going] for a in (idx, zs, fs, gs, gmax, lab, los, his, hs, fresh, past, steps,
-                                   stage, d, slope, level, new)
-            )
-            going = going[going]
-        n = idx.size
-        if n == 0:  # also when no row started live
+                past[c, steps[c] % _FREEZE_WINDOW] - f[c] >= _FREEZE_CLOSE * gap)
+        live = np.flatnonzero(going)
+        if not live.size:  # also when no row started live
             break
 
-        if new.any():  # the new steps' directions
-            r = np.flatnonzero(new)
-            past[r, steps[r] % _FREEZE_WINDOW] = fs[r]
-            gr, gmr, fr = gs[r], gmax[r], fresh[r]
+        r = np.flatnonzero(new & going)
+        if r.size:  # the new steps' directions
+            past[r, steps[r] % _FREEZE_WINDOW] = f[r]
+            gr, gmr, fr = g[r], gmax[r], fresh[r]
             dr = -np.einsum("sij,sj->si", hs[r], gr)
             sl = np.einsum("si,si->s", dr, gr)
             steep = fr | ~(sl < 0.0)  # no descent: back to the gradient
@@ -345,23 +324,23 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
                 dr[steep] = -gr[steep] / np.maximum(gmr[steep], 1.0)[:, None]
                 sl[steep] = np.einsum("si,si->s", dr[steep], gr[steep])
             d[r], slope[r] = dr, sl
-            level[r] = fs[r] + _ROUNDING * np.maximum(np.abs(fs[r]), 1.0)  # fs up to its rounding
+            level[r] = f[r] + _ROUNDING * np.maximum(np.abs(f[r]), 1.0)  # f up to its rounding
 
-        # the trial points of every row's stage, each trial's row ``at`` and
-        # step ``ladder``, a row's trials adjacent so that each sample's rows
-        # stay contiguous
-        size = _STAGE_SIZE[stage]
-        at = np.repeat(np.arange(n), size)
-        shift = np.repeat(_STAGE_FIRST[stage] - np.cumsum(size) + size, size)
+        # the trial points of every live row's stage, each trial's row ``at``
+        # and step ``ladder``, a row's trials adjacent so that each sample's
+        # rows stay contiguous
+        size = _STAGE_SIZE[stage[live]]
+        at = np.repeat(live, size)
+        shift = np.repeat(_STAGE_FIRST[stage[live]] - np.cumsum(size) + size, size)
         ladder = _STEPS[np.arange(at.size) + shift]
-        zt = zs[at] + ladder[:, None] * d[at]
-        ft, gt = fun(zt, lab[at])
+        zt = z[at] + ladder[:, None] * d[at]
+        ft, gt = fun(zt, labels[at])
         gt_max = np.abs(gt).max(axis=1)  # NaN or inf unless the gradient is finite
         ok = (
             np.isfinite(ft)
             & np.isfinite(gt_max)
             & (
-                (ft <= fs[at] + _ARMIJO * ladder * slope[at])
+                (ft <= f[at] + _ARMIJO * ladder * slope[at])
                 | ((ft <= level[at]) & (gt_max < gmax[at]))
             )
         )
@@ -370,21 +349,21 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
         first = np.ones(t.size, dtype=bool)
         first[1:] = hit_rows[1:] != hit_rows[:-1]
         t = t[first]  # each row's first accepted trial
-        hit = np.zeros(n, dtype=bool)
+        hit = np.zeros(len(z), dtype=bool)
         hit[hit_rows] = True
-        done = hit | (stage == _STAGE_SIZE.size - 1)  # a step found, or the last stage failed
-        stage += 1
-        if not done.any():
+        # the rows whose search ended: a step found, or the last stage failed
+        c = live[hit[live] | (stage[live] == _STAGE_SIZE.size - 1)]
+        stage[live] += 1
+        if not c.size:
             continue
 
-        # the rows whose search ended: the step, the box, the BFGS update
-        c = np.flatnonzero(done)
+        # the step, the box, the BFGS update
         failed = ~hit[c]
-        z_old, f_old, g_old, gmax_old = zs[c], fs[c], gs[c], gmax[c]
+        z_old, f_old, g_old, gmax_old = z[c], f[c], g[c], gmax[c]
         z_new, f_new, g_new, gmax_new = z_old.copy(), f_old.copy(), g_old.copy(), gmax_old.copy()
         a = ~failed
         z_new[a], f_new[a], g_new[a], gmax_new[a] = zt[t], ft[t], gt[t], gt_max[t]
-        inside = ((z_new >= los[c]) & (z_new <= his[c])).all(axis=1)
+        inside = ((z_new >= lo[c]) & (z_new <= hi[c])).all(axis=1)
         if not inside.all():  # a step out of the box: back to the last in-box point
             out = ~inside
             z_new[out], f_new[out], g_new[out] = z_old[out], f_old[out], g_old[out]
@@ -402,7 +381,7 @@ def minimize(fun, z0, box, labels=None, max_iter=_MAX_ITER):
         if failed.any():  # a failed search stops a row on steepest descent, else restarts it there
             going_c[failed] = ~fresh_c[failed]
             hc[failed] = eye
-        zs[c], fs[c], gs[c], gmax[c], hs[c], going[c], fresh[c] = (
+        z[c], f[c], g[c], gmax[c], hs[c], going[c], fresh[c] = (
             z_new, f_new, g_new, gmax_new, hc, going_c, failed)
         steps[c] += 1
         stage[c] = 0

@@ -142,6 +142,20 @@ def test_negative_or_nan_x_rejected(model):
         assert np.isfinite(method(0.5))
 
 
+@pytest.mark.parametrize("model", [Exponential(1.0), Weibull(1.3, 2.0)],
+                         ids=["exponential", "weibull"])
+def test_isf_refuses_a_level_outside_the_unit_interval(model):
+    # Exponential(1).isf(2.0) was -0.693, and isf(-0.5) NaN with numpy's RuntimeWarning
+    for bad in (2.0, -0.5, np.nan, [0.5, 1.5]):
+        for method in (model.isf, model.quantile):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                method(bad)
+    xt = -np.log(0.3) / model.lam  # the arithmetic before the check
+    want = xt if model.theta == 1.0 else xt ** (1.0 / model.theta)
+    assert float.hex(float(model.isf(0.3))) == float.hex(float(want))
+    assert model.isf(1.0) == 0.0
+
+
 def test_weibull_scalar_forms_are_the_batched_forms(data_I):
     # one formula, x**theta = exp(theta log x): at the dataset-I PT-W estimate
     # 5 of the 72 cdf values and 14 of the log-densities differed in the last

@@ -2,12 +2,15 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ptgfit import cli
 from ptgfit.cli import main
 
 
@@ -154,6 +157,21 @@ class TestFitCommand:
         header, rows = read_csv(out)
         assert rows[0][header.index("se_alpha")] == "nan"
         assert rows[0][header.index("ci_low_alpha")] == "nan"
+
+    def test_console_script_prints_warnings_plainly(self, capsys):
+        # entrypoint() printed "<string>:1: UserWarning: fitted beta = ..."
+        # when called from python -c, and its wrapper's line when installed
+        argv = ["fit", "--model", "ptw", "--data", "embedded:II", "--format", "json"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", "from ptgfit.cli import entrypoint; entrypoint()", *argv],
+            capture_output=True, text=True, env=env)
+        lines = done.stderr.splitlines()
+        assert done.returncode == 0
+        assert len(lines) == 2 and all(w.startswith("ptgfit: warning: ") for w in lines)
+        assert ".py:" not in done.stderr and "<string>:" not in done.stderr
+        with pytest.warns(UserWarning):  # main() keeps the caller's location
+            assert json.loads(done.stdout) == run_json(capsys, *argv[:-2])[1]
 
 
 class TestGofCommand:

@@ -878,6 +878,28 @@ class TestFreeze:
         assert f[0] == np.inf and z[0, 0] == -10.0
         assert f[1] > 10.0 and f[2] == pytest.approx(-7.3684856, abs=1e-6)
 
+    @pytest.mark.parametrize("value, calls_made", [(-100.0, 11), (np.nan, 31), (np.inf, 31)])
+    def test_only_finite_start_values_count(self, value, calls_made):
+        # a row that never steps, its gradient NaN, beside the runaway: its
+        # value, if finite, is its sample's lowest and freezes the runaway
+        def fun(z, labels):
+            f, g = _well_and_tail(z, labels)
+            bad = z[:, 0] < -5.0
+            return np.where(bad, value, f), np.where(bad[:, None], np.nan, g)
+
+        box, alone, calls = (np.full(1, -1e6), np.full(1, 1e6)), [], []
+        z_alone, f_alone, _ = minimize(_counted(_well_and_tail, alone), np.array([[3.0]]), box)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, f, _ = minimize(_counted(fun, calls), np.array([[-50.0], [3.0]]), box)
+        assert z[0, 0] == -50.0 and np.array_equal(f[0], value, equal_nan=True)
+        assert len(calls) == calls_made
+        if np.isfinite(value):
+            assert f[1] > 10.0 and z[1, 0] < 10.0  # frozen on the tail
+        else:  # the runaway's own path, bit for bit
+            assert len(alone) == calls_made
+            assert z[1, 0] == z_alone[0, 0] and f[1] == f_alone[0]
+
     # 34, 44, 29 and 54 calls, the ceilings about 5% above them; 46, 58, 44
     # and 80 when a row's halvings held every row for extra calls; with a
     # linear beta coordinate PT-E took 59 and 119, with that coordinate and

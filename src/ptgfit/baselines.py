@@ -125,7 +125,8 @@ class Weibull:
     def isf(self, h):
         """Inverse survival function: the x with 1 - G(x) = h; ``ValueError``
         for an h outside [0, 1] or NaN, as :meth:`quantile`."""
-        return self._isf(_probability(h))
+        with np.errstate(divide="ignore"):  # h = 0: x = inf
+            return self._isf(_probability(h))
 
     def _isf(self, h):
         """:meth:`isf` without the check of h: the PT-G quantiles check their
@@ -334,15 +335,6 @@ def _own_sums(a, runs):
     out = np.empty(a.shape[:-1])
     for rows, n in runs:
         np.add.reduce(a[..., rows, :n], axis=-1, out=out[..., rows])
-    return out
-
-
-def _own_dots(u, v, runs):
-    """The products u (S, q, width) @ v (S, width), each run of rows of
-    ``_runs`` over its own first n entries: (S, q)."""
-    out = np.empty(u.shape[:-1])
-    for rows, n in runs:
-        out[rows] = (u[rows, :, :n] @ v[rows, :n, None])[..., 0]
     return out
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Exponential, Weibull, _nonnegative, _own_dots, _own_sums, _runs
+from .baselines import Exponential, Weibull, _nonnegative, _own_sums, _runs
 from .data import _integer
 
 __all__ = [
@@ -297,11 +297,12 @@ def _c2(beta):
 def ptg_loglik_derivatives(data, family, theta, order=1, n_obs=None):
     """Log-likelihoods (S,) and scores (S, k) of ``data`` at the parameter
     rows ``theta`` (S, k) = (alpha, beta, baseline ``family`` parameters),
-    and at ``order`` 2 the Hessians (S, k, k).  ``data`` is one sample (n,)
-    for every row, or one row of observations per parameter row (S, n);
-    ``n_obs`` (S,), if given, holds each row's own sample size, its sample in
-    the row's first n_obs entries and, after them, padding taken from that
-    sample, which every sum leaves out.  G, log g and their derivatives in
+    and at ``order`` 2 the Hessians (S, k, k), each a sum of per-observation
+    terms, the log-likelihood that of ``ptg_log_pdf`` bit for bit.  ``data``
+    is one sample (n,) for every row, or one row of observations per
+    parameter row (S, n); ``n_obs`` (S,), if given, holds each row's own
+    sample size, its sample in the row's first n_obs entries and, after them,
+    padding taken from that sample, which every sum leaves out.  G, log g and their derivatives in
     the baseline parameters come from one call,
     ``family.derivatives(x, phi, order)``.  Rows with |beta| below
     ``DEFAULT_BETA_FLOOR`` or a nonpositive fac = 1 + alpha - 2 alpha G get
@@ -317,10 +318,11 @@ def ptg_loglik_derivatives(data, family, theta, order=1, n_obs=None):
         alpha, beta, phi = theta[:, 0:1], theta[:, 1], theta[:, 2:]
         beta_col = beta[:, None]
         cdf, d_cdf, log_g, d_log_g, *second = family.derivatives(x, phi, order)
-        # the per-observation terms, summed in one pass: the body, slope,
-        # spread and T, then the baseline score terms
+        # the per-observation terms, summed in one pass: the log-density,
+        # slope, spread and T, then the baseline score terms
         terms = np.empty((4 + phi.shape[1],) + cdf.shape)
         body, fac, t = _log_body(alpha, beta_col, cdf, log_g, (terms[0], terms[3]))
+        body += _log_c(beta)[:, None]
         slope = np.divide(1.0 - 2.0 * cdf, fac, out=terms[1])
         spread = np.multiply(cdf, 1.0 - cdf, out=terms[2])
         weight = 2.0 * alpha / fac + beta_col * fac
@@ -328,7 +330,7 @@ def ptg_loglik_derivatives(data, family, theta, order=1, n_obs=None):
         sums = _own_sums(terms, runs)
         # the padding repeats values of the row's sample: it adds no bad point
         bad = (np.abs(beta) < DEFAULT_BETA_FLOOR) | (fac <= 0.0).any(axis=1)
-        ll = np.where(bad, -np.inf, n * _log_c(beta) + sums[0])
+        ll = np.where(bad, -np.inf, sums[0])
         score = np.empty_like(theta)
         score[:, 0] = sums[1] - beta * sums[2]
         score[:, 1] = n * (1.0 / beta - 1.0 / np.expm1(beta)) - sums[3]
@@ -340,10 +342,9 @@ def ptg_loglik_derivatives(data, family, theta, order=1, n_obs=None):
         hess[:, 0, 0] = -_own_sums(slope**2, runs)
         hess[:, 0, 1] = hess[:, 1, 0] = -sums[2]
         hess[:, 1, 1] = n * _c2(beta)
-        d_cdf_rows = d_cdf.transpose(1, 0, 2)  # (S, q, n): one matrix product per row
         a_phi = -2.0 / fac**2 - beta_col * (1.0 - 2.0 * cdf)
-        hess[:, 0, 2:] = hess[:, 2:, 0] = _own_dots(d_cdf_rows, a_phi, runs)
-        hess[:, 1, 2:] = hess[:, 2:, 1] = -_own_dots(d_cdf_rows, fac, runs)
+        hess[:, 0, 2:] = hess[:, 2:, 0] = _own_sums(d_cdf * a_phi, runs).T
+        hess[:, 1, 2:] = hess[:, 2:, 1] = -_own_sums(d_cdf * fac, runs).T
         cross = (2.0 * alpha * beta_col - 4.0 * alpha**2 / fac**2) * d_cdf[:, None]
         phi_phi = _own_sums(d2_log_g - weight * d2_cdf + cross * d_cdf[None], runs)
         hess[:, 2:, 2:] = phi_phi.transpose(2, 0, 1)

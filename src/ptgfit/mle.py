@@ -32,9 +32,10 @@ log |beta|), with the kernel's small exclusion band around zero; and
 positive parameters via log.  Standard errors come from inverting the
 observed information matrix, the exact negated Hessian in the original
 coordinates: a numerical model's order-2 kernel at the estimate, negated
-(PT-G's is public as ``observed_information``).  A fit records the cost of
-its search (``FitResult.objective_calls`` and ``start_rows``), which every
-result of one ``fit_models`` call shares.
+(PT-G's is public as ``observed_information``); that call also gives the
+reported log-likelihood, ``log_likelihood``'s bit for bit.  A fit records
+the cost of its search (``FitResult.objective_calls`` and ``start_rows``),
+which every result of one ``fit_models`` call shares.
 
 Each row of ``MODELS`` carries ``make``, the model from its parameter
 values; ``exp`` and ``me`` add their closed-form ``information``, the
@@ -678,10 +679,13 @@ def fit_models(samples, models, opts=None):
                     f"fitted beta = {estimates.beta:.6g} lies outside the documented "
                     f"|beta| <= {_BETA_WARN:g}"
                 )
-            info = (-spec.kernel(x, np.array([estimates.values]), order=2)[2][0]
-                    if model in searched else spec.information(x, estimates))
+            if model in searched:
+                ll, _, hess = spec.kernel(x, np.array([estimates.values]), order=2)
+                loglik, info = float(ll[0]), -hess[0]
+            else:
+                loglik, info = log_likelihood(x, estimates), spec.information(x, estimates)
             results[model].append(FitResult.from_information(
-                estimates, log_likelihood(x, estimates), info, converged, n_launches, x.size,
+                estimates, loglik, info, converged, n_launches, x.size,
                 cost if model in searched else (0, 0),
             ))
     return results

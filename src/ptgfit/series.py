@@ -87,7 +87,8 @@ def default_truncation(beta):
     """Adaptive truncation order: stop once the next-term bound is negligible.
 
     The term bounds |beta|^(i+1)/(i+1)! grow until i ~ |beta| before the
-    factorial wins, so the stop rule only engages past that peak.
+    factorial wins, so the stop rule only engages past that peak; past
+    ``HARD_CAP``, at beta above 64.1 or below -111.9, it is a ``ValueError``.
     """
     _check_beta(beta)
     scale = abs(math.expm1(-beta))
@@ -96,7 +97,7 @@ def default_truncation(beta):
         if i + 1 > abs(beta) and term < 1e-14 * scale:
             return i
         term *= abs(beta) / (i + 2)
-    return HARD_CAP
+    raise ValueError(f"no truncation up to {HARD_CAP} meets the tail bound at beta = {beta!r}")
 
 
 def _resolve_n_max(beta, n_max):

@@ -293,6 +293,21 @@ class TestSampleCommand:
         assert f"{name} must be a positive finite real" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("fit", "--model", "pte"), "--data is required for this command"),
+    (("fit", "--model", "pte", "--data", "embedded:III"),
+     "unknown embedded dataset 'embedded:III'; use embedded:I or embedded:II"),
+    (("props", "--model", "pte", "--params", "0.5,2,1", "--delta", "0.5,x"),
+     "cannot parse delta list '0.5,x'"),
+    (("sample", "--model", "pte", "--params", "0.5,2", "--n", "3"),
+     "pte expects --params alpha,beta,lam"),
+], ids=["no_data", "unknown_embedded", "bad_delta", "short_params"])
+def test_input_errors_name_their_cause(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("argv", [("sample", "--n", "3"), ("props",), ("curves",)])
 def test_model_needs_params_or_data(capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--model", "pte", *argv[1:])

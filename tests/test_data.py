@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,22 @@ class TestEmbeddedDatasets:
                 embedded_dataset("guinea_pigs_I")
         finally:
             embedded_dataset.cache_clear()
+
+    def test_load_time_gate_names_every_failing_field(self, monkeypatch):
+        # a reference summary off in each gated field: n, min, max, mean, median
+        off = dataclasses.replace(data.PUBLISHED["relief_times_II"], n=21, min=1.2, max=4.0,
+                                  mean=1.8, median=1.6)
+        monkeypatch.setitem(data.PUBLISHED, "relief_times_II", off)
+        embedded_dataset.cache_clear()
+        try:
+            with pytest.raises(RuntimeError) as refused:
+                embedded_dataset("relief_times_II")
+        finally:
+            embedded_dataset.cache_clear()
+        assert str(refused.value) == (
+            "embedded dataset 'relief_times_II' failed its reference gate: n=20 != 21; "
+            "min=1.1 != 1.2; max=4.1 != 4.0; mean=1.9000 not within 0.001 of 1.8; "
+            "median=1.7000 not within 0.001 of 1.6")
 
 
 class TestDescribe:

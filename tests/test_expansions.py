@@ -207,6 +207,19 @@ class TestSeriesEvaluation:
         xs = np.linspace(0.5, 3.0, 7)
         assert np.max(np.abs(series_pdf(xs, p) - ptg_pdf(xs, p))) <= 1e-10
 
+    @pytest.mark.parametrize("beta", [300.0, -300.0])
+    @pytest.mark.parametrize("series", [series_pdf, series_cdf])
+    def test_default_truncation_past_the_cap_is_refused(self, series, beta):
+        # at beta = 300 the pdf series returned 1.14e97 against 2.98e-96
+        message = f"no truncation up to 200 meets the tail bound at beta = {beta!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            series(1.0, pte_params(0.5, beta, 1.0))
+
+    def test_order_statistic_truncation_past_the_cap_is_refused(self):
+        # its truncation is taken at n * beta = 100, past the cap, though beta = 20 is not
+        with pytest.raises(ValueError, match=re.escape("at beta = 100.0")):
+            series_order_stat_pdf(1.0, 2, 5, pte_params(0.5, 20.0, 1.0))
+
 
 # ---------------------------------------------------------------------------
 # moments, mgf, PWM
@@ -649,6 +662,12 @@ class TestReversedResidualLife:
 
 
 class TestRenyiEntropy:
+    def test_divergent_integral_at_zero_is_refused(self):
+        # delta (theta - 1) = -1.2: f^delta grows like x^-1.2 at 0
+        message = "Renyi integral diverges at 0 for this shape/delta"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            renyi_entropy(2.0, ptw_params(0.5, 2.0, 1.0, 0.4))
+
     def test_exponential_limit_closed_form(self):
         # Exp(1): I_R(2) = -log integral e^{-2x} = log 2
         p = pte_params(0.0, 1e-6, 1.0)

@@ -1219,3 +1219,19 @@ def test_search_is_pinned_bit_for_bit(data_I, data_II, key):
         "objective_calls": result.objective_calls,
         "start_rows": result.start_rows,
     } == PINNED_FITS[key]
+
+
+def test_reported_loglik_is_the_searched_one(data_I, data_II):
+    # a fit reports the log-likelihood its search maximised: the kernel's
+    # value at the estimate, the sum of log_pdf, bit for bit, solo and joint
+    samples, models = [data_I, data_II], ("pte", "ptw", "moe")
+    with warnings.catch_warnings():  # PT-W on dataset II lands beyond |beta| = 700
+        warnings.simplefilter("ignore")
+        joint = mle.fit_models(samples, models)
+        solo = {model: [fit(x, model) for x in samples] for model in models}
+    for model in models:
+        for results in (joint[model], solo[model]):
+            for x, result in zip(samples, results):
+                kernel_ll = MODELS[model].kernel(x, np.array([result.estimates.values]))[0][0]
+                assert (float.hex(result.loglik) == float.hex(float(kernel_ll))
+                        == float.hex(log_likelihood(x, result.estimates))), (model, x.size)

@@ -94,6 +94,10 @@ class TestRule:
         with pytest.raises(ValueError, match="from a finite a to a finite b or inf"):
             quad(lambda u, v: u, a, b)
 
+    def test_half_line_rule_refuses_a_lower_end_past_zero(self):
+        with pytest.raises(ValueError, match=r"the half-line rule integrates over \[0, inf\)"):
+            quad(lambda x: -x, 1.0, math.inf)
+
 
 class TestMpmathOracles:
     def test_fourth_moment_at_beta_30(self):
